@@ -10,9 +10,8 @@ The package is organized in layers:
 * ``heat``       -- heat-pump module: coverage, thermal storage, COP, sizing
 * ``lp``         -- generic sparse linear-program container
 * ``model``      -- cost arithmetic and assembly of the system LP
-* ``simplex``    -- bundled bounded-variable revised simplex
 * ``mps``        -- MPS export / import and solution CSV round-trip
-* ``solver``     -- solve front-end and constraint-residual verification
+* ``solver``     -- HiGHS solve front-end and constraint-residual verification
 * ``scenarios``  -- scenario matrix, variants, batch runner, persistence
 * ``analysis``   -- residual load, RLDCs, events, peaks, cost reports
 * ``cli``        -- ``heatgrid ingest|run|analyze``

@@ -19,14 +19,7 @@ from pathlib import Path
 
 from .dataset import build_ingested_dataset, build_synth_dataset
 from .ingest import emit_csv, ingest_file, sha256_text
-from .mps import export_mps
-from .model import build_model
-from .scenarios import (
-    load_results,
-    make_instance,
-    run_matrix,
-    specs_for_selector,
-)
+from .scenarios import load_results, run_matrix, specs_for_selector
 from .series import SeriesError
 from .staticdata import load_static
 
@@ -98,15 +91,8 @@ def cmd_run(args) -> int:
     specs = specs_for_selector(args.scenario, years, args.hours)
     out_dir = Path(args.out)
     results = run_matrix(
-        dataset, specs, out_dir=out_dir, tol=args.tol, backend=args.backend, jobs=args.jobs
+        dataset, specs, out_dir=out_dir, export_mps=args.export_mps, jobs=args.jobs
     )
-    if args.export_mps:
-        for result in results:
-            if not result.ok:
-                continue
-            cell = out_dir / f"{result.spec.name}__y{result.year}"
-            lp = build_model(make_instance(dataset, result.spec, result.year))
-            export_mps(lp, cell / "model.mps")
 
     failures = 0
     for result in results:
@@ -180,10 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", default="base", help="base | all | <variant>")
     p_run.add_argument("--years", default="synth:1", help="synth:N or comma list (2009,2010)")
     p_run.add_argument("--hours", type=int, default=336, help="window length, starting July 1")
-    p_run.add_argument("--tol", type=float, default=1e-7, help="feasibility tolerance")
     p_run.add_argument("--out", required=True, help="results directory")
     p_run.add_argument("--jobs", type=int, default=1, help="parallel matrix cells")
-    p_run.add_argument("--backend", default="auto", choices=("auto", "bundled", "highs"))
     p_run.add_argument("--export-mps", action="store_true", help="write model.mps per cell")
     p_run.set_defaults(func=cmd_run)
 

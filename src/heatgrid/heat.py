@@ -59,14 +59,6 @@ class HeatConfig:
         keys = [(bt, st, hpt) for bt in BUILDING_TYPES for st in SINKS]
         return cls(shares={k: share for k in keys}, ep_hours={k: ep for k in keys})
 
-    @property
-    def active_units(self) -> list:
-        return sorted(k for k, s in self.shares.items() if s > 0.0)
-
-    @property
-    def max_ep(self) -> float:
-        return max((self.ep_hours.get(k, 0.0) for k in self.active_units), default=0.0)
-
 
 @dataclass(frozen=True)
 class FleetUnit:

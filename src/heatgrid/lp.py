@@ -59,10 +59,6 @@ class LinearProgram:
         self.obj.append(float(obj))
         return idx
 
-    def add_obj(self, col, coef: float) -> None:
-        self._check_mutable()
-        self.obj[self.col(col)] += float(coef)
-
     def add_row(self, name: str, sense: str, rhs: float, entries) -> int:
         self._check_mutable()
         if name in self._row_index:
@@ -119,9 +115,6 @@ class LinearProgram:
     def num_rows(self) -> int:
         return len(self.row_names)
 
-    def cols_with_prefix(self, prefix: str) -> list[int]:
-        return [i for i, n in enumerate(self.col_names) if n.startswith(prefix)]
-
     # -- dense/sparse views -------------------------------------------------
 
     def matrix(self) -> sparse.csr_matrix:
@@ -134,16 +127,6 @@ class LinearProgram:
         return sparse.csr_matrix(
             (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
             shape=(self.num_rows, self.num_cols),
-        )
-
-    def arrays(self):
-        """(c, lo, hi, senses, rhs) as numpy arrays."""
-        return (
-            np.array(self.obj),
-            np.array(self.lo),
-            np.array(self.hi),
-            np.array(self.senses),
-            np.array(self.rhs),
         )
 
     def stats(self) -> dict:

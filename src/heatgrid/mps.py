@@ -91,7 +91,8 @@ def export_mps(lp: LinearProgram, path) -> Path:
             entries_by_col[cidx].append((ridx, coef))
     for cidx, cname in enumerate(lp.col_names):
         short = col_map[cname]
-        if lp.obj[cidx] != 0.0:
+        # A column with no entry at all still needs one line, or import drops it.
+        if lp.obj[cidx] != 0.0 or not entries_by_col[cidx]:
             lines.append(_line("", short, OBJ_NAME, _num(lp.obj[cidx])))
         for ridx, coef in entries_by_col[cidx]:
             lines.append(_line("", short, row_map[lp.row_names[ridx]], _num(coef)))

@@ -8,8 +8,9 @@ run with a 25%/two-hour run. Every spec executes once per weather year.
 Results persist one directory per (scenario, year) cell containing
 ``capacities.csv``, ``dispatch.csv``, ``flows.csv``, ``heat.csv``,
 ``costs.csv`` and a ``manifest.json`` (spec, provenance hash, solver
-stats, residuals). Writes are atomic (temp dir, then rename), cells are
-independent, and a failing cell is recorded without aborting the batch.
+stats, residuals), plus ``model.mps`` when MPS export is asked for.
+Writes are atomic (temp dir, then rename), cells are independent, and a
+failing cell is recorded without aborting the batch.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import numpy as np
 from .dataset import Dataset
 from .heat import HeatConfig, HeatPumpFleet, size_fleet, validate_trajectory
 from .ids import DISPATCHABLE_TECHNOLOGIES
+from .lp import LinearProgram
 from .model import HeatBlock, SolvedSystem, SystemInstance, build_model, extract_solved
+from .mps import export_mps as write_mps
 from .series import ModelWindow
 from .solver import ResidualReport, Solution, solve, verify
 from .staticdata import Bounds, NtcMatrix
@@ -228,6 +231,7 @@ class ScenarioResult:
     provenance: str
     error: str | None = None
     synth_seed: int | None = None
+    lp: LinearProgram | None = None  # kept only for MPS export
 
     @property
     def ok(self) -> bool:
@@ -242,25 +246,33 @@ class ScenarioResult:
         return self.solved.cost_breakdown if self.solved else {}
 
     def firm_capacity_mw(self) -> dict:
-        """Country-aggregated firm capacities: dispatchable gen + storage discharge."""
-        out: dict = {}
-        for c, caps in self.capacities_mw.items():
-            for (kind, name), mw in caps.items():
-                if kind == "generation" and name in DISPATCHABLE_TECHNOLOGIES:
-                    out[name] = out.get(name, 0.0) + mw
-                elif kind == "storage_discharge":
-                    out[name] = out.get(name, 0.0) + mw
-        return out
+        return _firm_capacity_mw(self.capacities_mw)
+
+
+def _firm_capacity_mw(capacities_mw: dict) -> dict:
+    """Country-aggregated firm capacities: dispatchable gen + storage discharge."""
+    out: dict = {}
+    for caps in capacities_mw.values():
+        for (kind, name), mw in caps.items():
+            if kind == "storage_discharge" or (
+                kind == "generation" and name in DISPATCHABLE_TECHNOLOGIES
+            ):
+                out[name] = out.get(name, 0.0) + mw
+    return out
 
 
 def run_cell(
-    dataset: Dataset, spec: ScenarioSpec, year: int, tol: float = 1e-7, backend: str = "auto"
+    dataset: Dataset, spec: ScenarioSpec, year: int, export_mps: bool = False
 ) -> ScenarioResult:
-    """Build, solve, verify, and validate one matrix cell. Never raises."""
+    """Build, solve, verify, and validate one matrix cell. Never raises.
+
+    With `export_mps`, an optimal result keeps its LP in `lp`, and
+    :func:`persist_result` writes it as ``model.mps``.
+    """
     try:
         instance = make_instance(dataset, spec, year)
         lp = build_model(instance)
-        solution = solve(lp, tol=tol, backend=backend)
+        solution = solve(lp)
         if solution.status != "optimal":
             return ScenarioResult(
                 spec=spec, year=year, status=solution.status, objective=None,
@@ -281,7 +293,7 @@ def run_cell(
             spec=spec, year=year, status="optimal", objective=solution.objective,
             solved=solved, residual_report=report, trajectory_reports=traj_reports,
             solver_stats=_stats(solution, lp), provenance=dataset.provenance,
-            synth_seed=dataset.synth_seed,
+            synth_seed=dataset.synth_seed, lp=lp if export_mps else None,
         )
     except Exception as exc:  # cell isolation: record, don't abort the batch
         return ScenarioResult(
@@ -307,10 +319,11 @@ def _stats(solution: Solution, lp) -> dict:
 
 
 def _run_cell_job(args):
-    dataset, spec, year, tol, backend, out_dir = args
-    result = run_cell(dataset, spec, year, tol=tol, backend=backend)
+    dataset, spec, year, export_mps, out_dir = args
+    result = run_cell(dataset, spec, year, export_mps=export_mps)
     if out_dir is not None:
         persist_result(result, out_dir)
+    result.lp = None  # already written; not held or sent back by the batch
     return result
 
 
@@ -318,19 +331,20 @@ def run_matrix(
     dataset: Dataset,
     specs,
     out_dir=None,
-    tol: float = 1e-7,
-    backend: str = "auto",
+    export_mps: bool = False,
     jobs: int = 1,
 ) -> list:
     """Run every (spec, weather year) cell; persist when `out_dir` given.
 
     Cells are independent; failures are recorded per cell and the batch
     always completes. Results are returned in deterministic (spec, year)
-    order regardless of worker scheduling.
+    order regardless of worker scheduling. With `export_mps` and an
+    `out_dir`, every optimal cell also gets ``model.mps`` and its name-map
+    sidecar, written from the LP the cell was solved on.
     """
     out_dir = Path(out_dir) if out_dir is not None else None
     cells = [(spec, year) for spec in specs for year in spec.weather_years]
-    tasks = [(dataset, spec, year, tol, backend, out_dir) for spec, year in cells]
+    tasks = [(dataset, spec, year, export_mps, out_dir) for spec, year in cells]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_cell_job, tasks))
@@ -490,6 +504,8 @@ def _write_cell_files(result: ScenarioResult, cell_dir: Path) -> None:
         ),
     }
     (cell_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    if result.lp is not None:
+        write_mps(result.lp, cell_dir / "model.mps")
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +566,7 @@ class PersistedResult:
         )
 
     def firm_capacity_mw(self) -> dict:
-        out: dict = {}
-        for c, caps in self.capacities_mw.items():
-            for (kind, name), mw in caps.items():
-                if kind == "generation" and name in DISPATCHABLE_TECHNOLOGIES:
-                    out[name] = out.get(name, 0.0) + mw
-                elif kind == "storage_discharge":
-                    out[name] = out.get(name, 0.0) + mw
-        return out
+        return _firm_capacity_mw(self.capacities_mw)
 
 
 def load_result(cell_dir) -> PersistedResult:

@@ -1,16 +1,10 @@
 """Solve front-end, solution container, and residual verification.
 
-Two backends sit behind one interface:
-
-* ``bundled``: the in-package revised simplex (desk scale, exact basic
-  solutions, deterministic pivoting);
-* ``highs``: ``scipy.optimize.linprog(method="highs")`` for the large
-  scenario-matrix programs, run with tight feasibility tolerances.
-
-``auto`` picks the bundled solver up to a size threshold and HiGHS above
-it. Whatever produced a solution, :func:`verify` recomputes every row
-activity and bound from scratch and reports violations by constraint
-family; it never trusts solver-reported residuals.
+Every LP is solved by HiGHS through ``scipy.optimize.linprog(method="highs")``
+with primal and dual feasibility tolerances of 1e-9. :func:`verify`
+recomputes every row activity and bound from scratch and reports
+violations by constraint family; it never trusts solver-reported
+residuals.
 """
 
 from __future__ import annotations
@@ -22,16 +16,13 @@ import numpy as np
 from scipy import optimize, sparse
 
 from .lp import LinearProgram
-from .simplex import (
-    INFEASIBLE,
-    ITERATION_LIMIT,
-    OPTIMAL,
-    UNBOUNDED,
-    solve_simplex,
-)
 
-_BUNDLED_MAX_ROWS = 600
-_BUNDLED_MAX_COLS = 1500
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+ITERATION_LIMIT = "iteration_limit"
+
+_FEASIBILITY_TOL = 1e-9
 
 # Row-name prefix -> constraint family used in residual reports.
 FAMILY_BY_PREFIX = {
@@ -61,21 +52,11 @@ class Solution:
     lp: LinearProgram
     iterations: int
     wall_time_s: float
-    backend: str
+    backend: str  # "highs" from solve()
     max_residual: float
-    dual_objective: float | None = None
 
     def value(self, name: str) -> float:
         return float(self.values[self.lp.col(name)])
-
-    def by_prefix(self, prefix: str) -> dict:
-        """Map 'tail' -> value over all columns named `prefix[tail]`."""
-        out = {}
-        plen = len(prefix) + 1
-        for idx, name in enumerate(self.lp.col_names):
-            if name.startswith(prefix + "["):
-                out[name[plen:-1]] = float(self.values[idx])
-        return out
 
 
 @dataclass
@@ -157,16 +138,7 @@ def verify(lp: LinearProgram, solution: Solution | np.ndarray) -> ResidualReport
     return report
 
 
-def _solve_bundled(lp: LinearProgram, tol: float) -> tuple:
-    res = solve_simplex(
-        lp.matrix(), np.array(lp.senses), np.array(lp.rhs),
-        np.array(lp.obj), np.array(lp.lo), np.array(lp.hi),
-        tol_feas=tol,
-    )
-    return res.status, res.x, res.iterations, res.dual_objective
-
-
-def _solve_highs(lp: LinearProgram, tol: float) -> tuple:
+def _solve_highs(lp: LinearProgram) -> tuple:
     senses = np.array(lp.senses)
     matrix = lp.matrix().tocsr()
     rhs = np.array(lp.rhs)
@@ -185,7 +157,6 @@ def _solve_highs(lp: LinearProgram, tol: float) -> tuple:
     a_ub = sparse.vstack(ub_blocks) if ub_blocks else None
     b_ub = np.concatenate(ub_rhs) if ub_rhs else None
     bounds = list(zip(lp.lo, lp.hi))
-    feas = min(tol, 1e-9)
     res = optimize.linprog(
         c=np.array(lp.obj),
         A_ub=a_ub,
@@ -196,8 +167,8 @@ def _solve_highs(lp: LinearProgram, tol: float) -> tuple:
         method="highs",
         options={
             "presolve": True,
-            "primal_feasibility_tolerance": feas,
-            "dual_feasibility_tolerance": feas,
+            "primal_feasibility_tolerance": _FEASIBILITY_TOL,
+            "dual_feasibility_tolerance": _FEASIBILITY_TOL,
         },
     )
     status_map = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
@@ -206,30 +177,18 @@ def _solve_highs(lp: LinearProgram, tol: float) -> tuple:
         raise SolverError(f"HiGHS failed: {res.message}")
     x = res.x if res.x is not None else np.zeros(lp.num_cols)
     iters = int(getattr(res, "nit", 0) or 0)
-    return status, np.asarray(x, dtype=float), iters, None
+    return status, np.asarray(x, dtype=float), iters
 
 
-def solve(lp: LinearProgram, tol: float = 1e-7, backend: str = "auto") -> Solution:
-    """Solve an LP; never raises on infeasible/unbounded (see `status`).
+def solve(lp: LinearProgram) -> Solution:
+    """Solve an LP with HiGHS; never raises on infeasible/unbounded (see `status`).
 
-    `tol` is the primal feasibility tolerance (relative to RHS scale for
-    the bundled backend; HiGHS runs at min(tol, 1e-9) absolute).
+    An optimal solution carries its objective ``c·x + offset`` and the
+    largest row or bound violation of ``x``; other statuses carry neither.
+    Raises :class:`SolverError` when HiGHS reports any other status.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if backend == "auto":
-        backend = (
-            "bundled"
-            if lp.num_rows <= _BUNDLED_MAX_ROWS and lp.num_cols <= _BUNDLED_MAX_COLS
-            else "highs"
-        )
     t0 = time.perf_counter()
-    if backend == "bundled":
-        status, x, iterations, dual_obj = _solve_bundled(lp, tol)
-    elif backend == "highs":
-        status, x, iterations, dual_obj = _solve_highs(lp, tol)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    status, x, iterations = _solve_highs(lp)
     wall = time.perf_counter() - t0
 
     objective = None
@@ -247,7 +206,6 @@ def solve(lp: LinearProgram, tol: float = 1e-7, backend: str = "auto") -> Soluti
         lp=lp,
         iterations=iterations,
         wall_time_s=wall,
-        backend=backend,
+        backend="highs",
         max_residual=max_residual,
-        dual_objective=None if dual_obj is None else dual_obj + lp.offset,
     )

@@ -58,7 +58,7 @@ def matrix():
         "no_ntc", [MATRIX_YEARS[0]], MATRIX_HOURS
     )
     t0 = time.perf_counter()
-    results = run_matrix(dataset, specs, tol=1e-7, backend="auto")
+    results = run_matrix(dataset, specs)
     elapsed = time.perf_counter() - t0
     return dataset, results, elapsed
 
@@ -111,7 +111,7 @@ def test_criterion_05_lp_oracle_equivalence(desk_instances):
     t0 = time.perf_counter()
     worst = 0.0
     for inst in desk_instances:
-        sol = solve(build_model(inst), backend="bundled")
+        sol = solve(build_model(inst))
         assert sol.status == "optimal", inst.name
         oracle = brute_force_objective(inst)
         worst = max(worst, abs(sol.objective - oracle) / max(abs(oracle), 1.0))
@@ -119,7 +119,7 @@ def test_criterion_05_lp_oracle_equivalence(desk_instances):
     ok = worst <= 0.01 and elapsed < 60.0
     report(
         5,
-        f"bundled simplex vs grid-search oracle on {len(desk_instances)} instances "
+        f"HiGHS vs grid-search oracle on {len(desk_instances)} instances "
         f"(worst gap {worst:.2%}, {elapsed:.1f}s)",
         ok,
     )
@@ -200,8 +200,8 @@ def test_criterion_09_interconnection_value():
     bounds = {("DE", "ccgt"): (0.0, INF), ("FR", "ccgt"): (0.0, INF)}
     linked = instance("linked", loads, techs, bounds, ntc_mw={("DE", "FR"): 1000.0, ("FR", "DE"): 1000.0})
     isolated = instance("isolated", loads, techs, bounds, ntc_mw={})
-    sol_linked = solve(build_model(linked), backend="bundled")
-    sol_isolated = solve(build_model(isolated), backend="bundled")
+    sol_linked = solve(build_model(linked))
+    sol_isolated = solve(build_model(isolated))
     flow_out = max(sol_linked.value(f"flw[DE>FR,{h}]") for h in range(2))
     binds = flow_out >= 1.0 - 1e-9  # 1 GW limit saturated
     ok = (
@@ -248,9 +248,9 @@ def test_criterion_11_mps_round_trip(desk_instances, tmp_path):
     worst = 0.0
     for k, inst in enumerate(desk_instances):
         lp = build_model(inst)
-        direct = solve(lp, backend="bundled")
+        direct = solve(lp)
         lp_rt = import_mps(export_mps(lp, tmp_path / f"cell{k}.mps"))
-        rt = solve(lp_rt, backend="bundled")
+        rt = solve(lp_rt)
         assert rt.status == direct.status == "optimal"
         worst = max(worst, abs(rt.objective - direct.objective) / max(abs(direct.objective), 1.0))
     ok = worst <= 1e-9

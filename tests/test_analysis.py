@@ -287,7 +287,7 @@ def test_firm_delta_on_hand_solved_pair():
 
         def __init__(self, inst):
             lp = build_model(inst)
-            sol = solve(lp, backend="bundled")
+            sol = solve(lp)
             assert sol.status == "optimal"
             self._caps = extract_solved(inst, lp, sol).capacities_mw
 

@@ -106,6 +106,11 @@ def test_run_from_ingested_cache(tmp_path):
 
 
 def test_export_mps_writes_model_files(tmp_path):
+    from heatgrid.dataset import build_synth_dataset
+    from heatgrid.model import build_model
+    from heatgrid.mps import export_mps
+    from heatgrid.scenarios import base_specs, make_instance
+
     out = tmp_path / "mps_run"
     code = main(
         [
@@ -117,6 +122,12 @@ def test_export_mps_writes_model_files(tmp_path):
     cell = out / "base-hp00__y2009"
     assert (cell / "model.mps").exists()
     assert (cell / "model.mps.names.json").exists()
+    # The export is the LP the cell was solved on, built once.
+    ds = build_synth_dataset(5, ["AT", "DE"], [2009], 24)
+    spec = base_specs([2009], 24)[0]
+    ref = export_mps(build_model(make_instance(ds, spec, 2009)), tmp_path / "ref.mps")
+    assert (cell / "model.mps").read_bytes() == ref.read_bytes()
+    assert (cell / "model.mps.names.json").read_bytes() == (tmp_path / "ref.mps.names.json").read_bytes()
 
 
 def test_analyze_outputs_and_exit_codes(run_dir, tmp_path):

@@ -29,7 +29,7 @@ def simple_instance(loads=(1000.0, 2000.0), **kw):
 
 def test_hand_solved_two_hour_instance():
     inst = simple_instance()
-    sol = solve(build_model(inst), backend="bundled")
+    sol = solve(build_model(inst))
     assert sol.status == "optimal"
     spec = inst.techs["ccgt"]
     expected = (
@@ -105,7 +105,7 @@ def test_dispatchable_availability_derates_uniformly():
         techs={"ccgt": t},
         gen_bounds={("DE", "ccgt"): (0.0, INF)},
     )
-    sol = solve(build_model(inst), backend="bundled")
+    sol = solve(build_model(inst))
     assert sol.value("cap[DE,ccgt]") == pytest.approx(1.0)  # 0.9 GW / 0.9
 
 
@@ -119,7 +119,7 @@ def test_vre_uses_hourly_factors():
         gen_bounds={("DE", "solar_pv"): (200.0, 200.0), ("DE", "other"): (0.0, INF)},
         availability={("DE", "solar_pv"): np.array([0.5, 0.0])},
     )
-    sol = solve(build_model(inst), backend="bundled")
+    sol = solve(build_model(inst))
     assert sol.value("gen[DE,solar_pv,0]") == pytest.approx(0.1)  # covers hour 0
     assert sol.value("gen[DE,solar_pv,1]") == pytest.approx(0.0)
     assert sol.value("gen[DE,other,1]") == pytest.approx(0.1)
@@ -135,7 +135,7 @@ def test_bioenergy_annual_cap_prorated():
         gen_bounds={("DE", "bioenergy"): (200.0, 200.0), ("DE", "other"): (0.0, INF)},
         bio_caps={"DE": 8760.0 / 4.0 * 200.0},  # prorates to 200 MWh over 4 h
     )
-    sol = solve(build_model(inst), backend="bundled")
+    sol = solve(build_model(inst))
     total_bio = sum(sol.value(f"gen[DE,bioenergy,{h}]") for h in range(4))
     assert total_bio == pytest.approx(0.2, abs=1e-9)  # 200 MWh in GWh
 
@@ -144,7 +144,7 @@ def test_objective_monotone_in_co2_price():
     objs = []
     for co2 in (0.0, 100.0, 200.0):
         inst = simple_instance(co2=co2)
-        objs.append(solve(build_model(inst), backend="bundled").objective)
+        objs.append(solve(build_model(inst)).objective)
     assert objs[0] <= objs[1] <= objs[2]
     assert objs[0] < objs[2]
 
@@ -165,16 +165,16 @@ def test_relaxation_and_heat_addition_direction():
         techs={"ccgt": t, "other": cheap},
         gen_bounds={("DE", "ccgt"): (0.0, INF), ("DE", "other"): (0.0, INF)},
     )
-    obj_capped = solve(build_model(capped), backend="bundled").objective
-    obj_relaxed = solve(build_model(relaxed), backend="bundled").objective
+    obj_capped = solve(build_model(capped)).objective
+    obj_relaxed = solve(build_model(relaxed)).objective
     assert obj_relaxed <= obj_capped + 1e-9
 
     # Adding heat demand (share 0 -> 0.25) weakly increases cost.
     hb = heat_block("DE", 0.25, 0.0, [800.0, 900.0], [2.5, 2.5])
     with_heat = simple_instance(heat=hb)
     assert (
-        solve(build_model(with_heat), backend="bundled").objective
-        >= solve(build_model(simple_instance()), backend="bundled").objective - 1e-9
+        solve(build_model(with_heat)).objective
+        >= solve(build_model(simple_instance())).objective - 1e-9
     )
 
 
@@ -186,7 +186,7 @@ def test_ep_monotonicity_in_objective():
     for ep in (0.0, 2.0, 4.0):
         hb = heat_block("DE", 0.25, ep, hd, cop)
         inst = simple_instance(loads=loads, heat=hb)
-        objs[ep] = solve(build_model(inst), backend="bundled").objective
+        objs[ep] = solve(build_model(inst)).objective
     assert objs[2.0] <= objs[0.0] + 1e-9
     assert objs[4.0] <= objs[2.0] + 1e-9
 
@@ -200,8 +200,8 @@ def test_scale_invariance_of_variable_plus_investment():
         techs=base.techs,
         gen_bounds={("DE", "ccgt"): (0.0, INF)},
     )
-    obj1 = solve(build_model(base), backend="bundled").objective
-    obj2 = solve(build_model(scaled), backend="bundled").objective
+    obj1 = solve(build_model(base)).objective
+    obj2 = solve(build_model(scaled)).objective
     assert obj2 == pytest.approx(lam * obj1, rel=1e-9)
 
 
@@ -232,7 +232,7 @@ def test_mixed_tank_config_folds_and_emits_per_unit():
     water_cols = [n for n in lp.col_names if n.startswith(("hl[DE,single_family,water", "e[DE,single_family,water"))]
     assert len(space_cols) == 4 and not water_cols
 
-    sol = solve(lp, backend="bundled")
+    sol = solve(lp)
     assert sol.status == "optimal"
     solved = extract_solved(inst, lp, sol)
     traj = solved.heat["DE"]

@@ -59,8 +59,8 @@ def test_offset_round_trips_via_objective_rhs(tmp_path):
     lp.freeze()
     lp2 = import_mps(export_mps(lp, tmp_path / "off.mps"))
     assert lp2.offset == pytest.approx(123.456, rel=1e-15)
-    a = solve(lp, backend="bundled")
-    b = solve(lp2, backend="bundled")
+    a = solve(lp)
+    b = solve(lp2)
     assert a.objective == pytest.approx(b.objective, rel=1e-12)
 
 
@@ -80,11 +80,24 @@ def test_sidecar_restores_original_names(tmp_path):
 def test_desk_instance_round_trip_objective(tmp_path, seed):
     inst = random_desk_instance(seed)
     lp = build_model(inst)
-    direct = solve(lp, backend="bundled")
+    direct = solve(lp)
     lp2 = import_mps(export_mps(lp, tmp_path / f"desk{seed}.mps"))
-    again = solve(lp2, backend="bundled")
+    again = solve(lp2)
     assert again.status == direct.status == "optimal"
     assert again.objective == pytest.approx(direct.objective, rel=1e-9)
+
+
+def test_fixed_column_without_entries_round_trips(tmp_path):
+    # A pinned column that appears in no row and costs nothing must still
+    # come back, with its bound.
+    lp = LinearProgram("pinned")
+    x = lp.add_col("x", 0.0, INF, 1.0)
+    lp.add_col("cap[DE,nuclear]", 4.5, 4.5, 0.0)
+    lp.add_row("r", "G", 1.0, [(x, 1.0)])
+    lp.freeze()
+    lp2 = import_mps(export_mps(lp, tmp_path / "pinned.mps"))
+    assert lp2.col_names == lp.col_names
+    assert (lp2.lo, lp2.hi, lp2.obj) == (lp.lo, lp.hi, lp.obj)
 
 
 def test_ranges_section_parses_into_two_sided_rows(tmp_path):
@@ -107,14 +120,14 @@ ENDATA
     path.write_text(text)
     lp = import_mps(path)
     # L row with rhs 5 and range 2 -> 3 <= x <= 5; minimizing x gives 3.
-    sol = solve(lp, backend="bundled")
+    sol = solve(lp)
     assert sol.objective == pytest.approx(3.0)
 
 
 def test_solution_csv_round_trip(tmp_path):
     inst = random_desk_instance(101)
     lp = build_model(inst)
-    sol = solve(lp, backend="bundled")
+    sol = solve(lp)
     path = write_solution_csv(lp, sol.values, tmp_path / "sol.csv")
     values = read_solution_csv(lp, path)
     np.testing.assert_array_equal(values, sol.values)
@@ -145,6 +158,6 @@ ENDATA
     path.write_text(text)
     lp = import_mps(path)
     assert lp.num_cols == 2 and lp.num_rows == 2
-    sol = solve(lp, backend="bundled")
+    sol = solve(lp)
     # min 2x+3y s.t. x+y >= 4, x <= 10 -> x=4, y=0.
     assert sol.objective == pytest.approx(8.0)

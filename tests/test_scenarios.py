@@ -163,6 +163,19 @@ class TestRunMatrix:
         parallel = run_matrix(dataset, specs, jobs=2)
         assert [r.objective for r in serial] == [r.objective for r in parallel]
 
+    def test_export_mps_writes_optimal_cells_only(self, dataset, tmp_path):
+        good = ScenarioSpec("base-hp00", 0.0, None, "base", [2009], HOURS)
+        bad = ScenarioSpec("base-hp00-long", 0.0, None, "base", [2009], HOURS * 10)
+        serial = run_matrix(dataset, [good, bad], out_dir=tmp_path / "s", export_mps=True)
+        parallel = run_matrix(dataset, [good, bad], out_dir=tmp_path / "p", export_mps=True, jobs=2)
+        assert all(r.lp is None for r in serial + parallel)  # LPs are not held after export
+        for out in (tmp_path / "s", tmp_path / "p"):
+            assert (out / "base-hp00__y2009" / "model.mps").exists()
+            assert (out / "base-hp00-long__y2009" / "manifest.json").exists()
+            assert not (out / "base-hp00-long__y2009" / "model.mps").exists()
+        name = "base-hp00__y2009/model.mps"
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
 
 class TestPersistence:
     def test_round_trip_through_disk(self, dataset, tmp_path):
@@ -218,19 +231,6 @@ class TestCostDecomposition:
             for ser in b.heat_demand.profiles.values()
         )
         assert result.solved.heat_supplied_mwh == pytest.approx(expected, rel=1e-9)
-
-
-def test_backends_agree_on_a_real_cell():
-    # Same scenario cell through the bundled simplex and HiGHS.
-    ds = build_synth_dataset(13, ["DE"], [2009], 24)
-    spec = ScenarioSpec("base-hp25-ep2", 0.25, 2.0, "base", [2009], 24)
-    a = run_cell(ds, spec, 2009, backend="bundled")
-    b = run_cell(ds, spec, 2009, backend="highs")
-    assert a.ok and b.ok
-    assert a.solver_stats["backend"] == "bundled"
-    assert b.solver_stats["backend"] == "highs"
-    assert a.objective == pytest.approx(b.objective, rel=1e-7)
-    assert a.residual_report.max_violation <= 1e-7
 
 
 def test_parallel_persistence_matches_serial_bytes(tmp_path):

@@ -1,11 +1,17 @@
-"""Bundled simplex: statuses, determinism, duality, HiGHS cross-checks."""
+"""The solve path (HiGHS dual simplex): statuses, determinism, random LPs.
+
+Random LPs are checked two ways: each optimum must verify and carry the
+objective ``c·x + offset``, and its status and objective must match a
+reference solve of the same LP written out densely and handed to HiGHS's
+interior-point method.
+"""
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from heatgrid.lp import LinearProgram
-from heatgrid.simplex import SimplexSizeError, solve_simplex
-from heatgrid.solver import solve
+from heatgrid.solver import solve, verify
 
 INF = float("inf")
 
@@ -18,8 +24,9 @@ def lp_min_x_ge_1():
 
 
 def test_minimal_example():
-    sol = solve(lp_min_x_ge_1(), backend="bundled")
+    sol = solve(lp_min_x_ge_1())
     assert sol.status == "optimal"
+    assert sol.backend == "highs"
     assert sol.objective == pytest.approx(1.0)
     assert sol.value("x") == pytest.approx(1.0)
 
@@ -28,14 +35,16 @@ def test_contradictory_bounds_infeasible():
     lp = LinearProgram("t")
     x = lp.add_col("x", 0.0, 1.0, 1.0)
     lp.add_row("r", "G", 5.0, [(x, 1.0)])
-    assert solve(lp.freeze(), backend="bundled").status == "infeasible"
+    sol = solve(lp.freeze())
+    assert sol.status == "infeasible"
+    assert sol.objective is None
 
 
 def test_unbounded():
     lp = LinearProgram("t")
     x = lp.add_col("x", -INF, INF, 1.0)
     lp.add_row("r", "L", 3.0, [(x, 1.0)])
-    assert solve(lp.freeze(), backend="bundled").status == "unbounded"
+    assert solve(lp.freeze()).status == "unbounded"
 
 
 def test_equality_and_free_variables():
@@ -44,11 +53,12 @@ def test_equality_and_free_variables():
     y = lp.add_col("y", 0.0, INF, 3.0)
     lp.add_row("r1", "E", 4.0, [(x, 1.0), (y, 1.0)])
     lp.add_row("r2", "G", -2.0, [(x, 1.0), (y, -1.0)])
-    sol = solve(lp.freeze(), backend="bundled")
+    sol = solve(lp.freeze())
     assert sol.status == "optimal"
-    # min 2x+3y with x+y=4, x-y>=-2 -> x=4-y, obj=8+y -> y=... check vs HiGHS
-    ref = solve(lp, backend="highs")
-    assert sol.objective == pytest.approx(ref.objective, rel=1e-9)
+    # x = 4 - y turns the objective into 8 + y, so y = 0 and x = 4.
+    assert sol.objective == pytest.approx(8.0, rel=1e-9)
+    assert sol.value("x") == pytest.approx(4.0)
+    assert sol.value("y") == pytest.approx(0.0, abs=1e-9)
 
 
 def test_degenerate_vertex_terminates():
@@ -58,7 +68,7 @@ def test_degenerate_vertex_terminates():
     y = lp.add_col("y", 0.0, INF, 1.0)
     for i in range(30):
         lp.add_row(f"r{i}", "G", 1.0, [(x, 1.0 + i * 1e-9), (y, 1.0)])
-    sol = solve(lp.freeze(), backend="bundled")
+    sol = solve(lp.freeze())
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, rel=1e-6)
 
@@ -72,8 +82,8 @@ def test_determinism_identical_runs():
         entries = [(j, float(rng.normal())) for j in range(40) if rng.random() < 0.4]
         lp.add_row(f"r{i}", str(rng.choice(["L", "G", "E"])), float(rng.normal()), entries)
     lp.freeze()
-    a = solve(lp, backend="bundled")
-    b = solve(lp, backend="bundled")
+    a = solve(lp)
+    b = solve(lp)
     assert a.status == b.status
     if a.status == "optimal":
         assert a.objective == b.objective  # bitwise, not approx
@@ -100,49 +110,47 @@ def test_random_lps_match_highs(seed):
     for i in range(m):
         entries = [(j, float(rng.normal())) for j in range(n) if rng.random() < 0.6]
         lp.add_row(f"r{i}", str(rng.choice(["L", "E", "G"])), float(rng.normal()), entries)
+    lp.offset = float(rng.normal())
     lp.freeze()
-    mine = solve(lp, backend="bundled")
-    ref = solve(lp, backend="highs")
-    assert mine.status == ref.status, (mine.status, ref.status)
-    if mine.status == "optimal":
-        assert mine.objective == pytest.approx(ref.objective, rel=1e-7, abs=1e-7)
-        assert mine.max_residual <= 1e-7
+    sol = solve(lp)
+    assert sol.status in ("optimal", "infeasible", "unbounded")
+    if sol.status == "optimal":
+        assert verify(lp, sol).within(1e-7)
+        assert sol.max_residual <= 1e-7
+        expected = float(np.dot(lp.obj, sol.values)) + lp.offset
+        assert sol.objective == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    ref_status, ref_objective = _reference_solve(lp)
+    assert sol.status == ref_status, (sol.status, ref_status)
+    if sol.status == "optimal":
+        assert sol.objective == pytest.approx(ref_objective, rel=1e-7, abs=1e-7)
 
 
-def test_weak_duality_on_random_feasible_lps():
-    rng = np.random.default_rng(9)
-    checked = 0
-    for _ in range(40):
-        m, n = int(rng.integers(1, 10)), int(rng.integers(2, 10))
-        lp = LinearProgram("dual")
-        for j in range(n):
-            lp.add_col(f"x{j}", 0.0, float(rng.uniform(0.5, 4.0)), float(rng.normal()))
-        for i in range(m):
-            entries = [(j, float(rng.normal())) for j in range(n) if rng.random() < 0.7]
-            lp.add_row(f"r{i}", str(rng.choice(["L", "G"])), float(rng.normal()), entries)
-        sol = solve(lp.freeze(), backend="bundled")
-        if sol.status != "optimal":
-            continue
-        checked += 1
-        assert sol.dual_objective is not None
-        assert sol.dual_objective <= sol.objective + 1e-6 * max(1.0, abs(sol.objective))
-        # At optimality the bound is tight.
-        assert sol.dual_objective == pytest.approx(sol.objective, rel=1e-6, abs=1e-6)
-    assert checked >= 10
+def _reference_solve(lp):
+    """Status and objective of ``lp`` from a dense interior-point HiGHS solve."""
+    dense = lp.matrix().toarray()
+    senses = np.array(lp.senses)
+    rhs = np.array(lp.rhs)
+    sign = np.where(senses == "G", -1.0, 1.0)
+    ub = senses != "E"
+    eq = senses == "E"
+    res = optimize.linprog(
+        c=np.array(lp.obj),
+        A_ub=(dense * sign[:, None])[ub] if ub.any() else None,
+        b_ub=(rhs * sign)[ub] if ub.any() else None,
+        A_eq=dense[eq] if eq.any() else None,
+        b_eq=rhs[eq] if eq.any() else None,
+        bounds=list(zip(lp.lo, lp.hi)),
+        method="highs-ipm",
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    objective = float(res.fun) + lp.offset if status == "optimal" else None
+    return status, objective
 
 
 def test_empty_constraint_matrix_boxed_minimization():
     lp = LinearProgram("boxed")
     lp.add_col("a", 1.0, 2.0, 3.0)
     lp.add_col("b", -1.0, 5.0, -2.0)
-    sol = solve(lp.freeze(), backend="bundled")
+    sol = solve(lp.freeze())
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0 * 1.0 - 2.0 * 5.0)
-
-
-def test_size_guard():
-    import scipy.sparse as sp
-
-    a = sp.csr_matrix((9000, 2))
-    with pytest.raises(SimplexSizeError):
-        solve_simplex(a, np.array(["L"] * 9000), np.zeros(9000), np.zeros(2), np.zeros(2), np.full(2, INF))

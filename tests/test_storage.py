@@ -66,7 +66,7 @@ def test_cyclic_storage_shaves_an_expensive_peak():
         techs={"other": cheap},
     )
     lp = build_model(inst)
-    sol = solve(lp, backend="bundled")
+    sol = solve(lp)
     assert sol.status == "optimal"
     solved = extract_solved(inst, lp, sol)
     dis = solved.discharge_mw[("DE", "li_ion")]
@@ -89,7 +89,7 @@ def test_inflow_beyond_tank_capacity_spills_at_zero_cost():
         storages={"reservoir": storage_spec("reservoir", eff_c=1.0, eff_d=0.95, mc=0.1)},
         inflow={"DE": np.full(4, 1000.0)},
     )
-    sol = solve(build_model(inst), backend="bundled")
+    sol = solve(build_model(inst))
     assert sol.status == "optimal"
     solved = extract_solved(inst, build_model(inst), sol)
     spill = solved.spill_mwh[("DE", "reservoir")]
@@ -129,7 +129,7 @@ def test_round_trip_losses_make_idle_cycling_unattractive():
         storages={"li_ion": storage_spec("li_ion", eff_c=0.9, eff_d=0.9)},
     )
     lp = build_model(inst)
-    sol = solve(lp, backend="bundled")
+    sol = solve(lp)
     solved = extract_solved(inst, lp, sol)
     assert solved.charge_mw[("DE", "li_ion")].sum() == pytest.approx(0.0, abs=1e-9)
     assert solved.capacities_mw["DE"][("storage_energy", "li_ion")] == pytest.approx(0.0, abs=1e-6)

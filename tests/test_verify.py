@@ -22,7 +22,7 @@ def solved():
         heat=hb,
     )
     lp = build_model(inst)
-    sol = solve(lp, backend="bundled")
+    sol = solve(lp)
     assert sol.status == "optimal"
     return lp, sol
 
