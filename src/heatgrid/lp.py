@@ -1,12 +1,23 @@
-"""Sparse linear-program container with a bidirectional name catalog.
+"""Sparse linear-program store with a family catalog.
 
 Rows carry a sense in {<=, =, >=} (encoded 'L', 'E', 'G') and columns have
-individual bounds, so the container maps 1:1 onto MPS. Column and row
-names double as the variable catalog: every model symbol maps to exactly
-one column family, recognizable by its name prefix (e.g. ``gen[DE,ccgt,17]``).
+individual bounds, so the store maps 1:1 onto MPS. Every column and row
+belongs to a family (``gen``, ``bal``, ...) and, within it, to a key such
+as ``("DE", "ccgt")``; hourly families hold one entry per key and hour.
+The catalog maps each family to its keys and an index array, so model
+code reads a family's values by index, never by name.
 
-Build with :meth:`add_col` / :meth:`add_row`, then :meth:`freeze`; a frozen
-program is immutable and safe to share across threads.
+Build with :meth:`add_cols` / :meth:`add_rows`, which append the entries
+of one key as numpy blocks, then :meth:`freeze`; a frozen program is
+immutable and safe to share across threads. :meth:`add_col` /
+:meth:`add_row` add a single entry under a name of its own (MPS import,
+tests). Names such as ``gen[DE,ccgt,17]`` are derived from the catalog
+only when first asked for (``col_names``, ``row_names``, :meth:`col`).
+
+The program is stored as arrays (``col_lo``, ``col_hi``, ``col_obj``,
+``row_sense``, ``row_rhs``) and a CSR :meth:`matrix`. ``lo``, ``hi``,
+``obj``, ``senses``, ``rhs`` and ``rows`` are per-entry Python lists of
+the same data, also built on first use.
 """
 
 from __future__ import annotations
@@ -18,9 +29,90 @@ INF = float("inf")
 
 SENSES = ("L", "E", "G")
 
+# Family of the entries added one by one; its keys are 1-tuples of the names.
+NAMED = ""
+
 
 class LpError(ValueError):
     pass
+
+
+class Family:
+    """The keys of one LP family and the index of every entry.
+
+    An hourly family has ``hours`` entries per key: ``index`` has shape
+    (len(keys), hours) and entry (k, h) is named ``family[key...,h]``.
+    Otherwise ``index`` has shape (len(keys),) and entry k is named
+    ``family[key...]``; in the ``NAMED`` family, the key's one element.
+    """
+
+    def __init__(self, name: str, hours: int | None):
+        self.name = name
+        self.hours = hours
+        self.keys: list[tuple] = []
+        self._parts: list = []
+        self._index = None
+        self._position = None
+
+    def _append(self, key: tuple, index) -> None:
+        self.keys.append(key)
+        self._parts.append(index)
+        self._index = self._position = None
+
+    @property
+    def index(self) -> np.ndarray:
+        if self._index is None:
+            shape = (-1,) if self.hours is None else (-1, self.hours)
+            self._index = np.array(self._parts, dtype=np.int64).reshape(shape)
+        return self._index
+
+    def member(self, key: tuple):
+        """Index of `key`'s entries (a row of ``index``), or None if absent."""
+        if self._position is None:
+            self._position = {k: i for i, k in enumerate(self.keys)}
+        pos = self._position.get(key)
+        return None if pos is None else self.index[pos]
+
+    def names(self) -> list:
+        """Entry names in the order of ``index.ravel()``."""
+        if self.name == NAMED:
+            return [key[0] for key in self.keys]
+        if self.hours is None:
+            return [f"{self.name}[{','.join(key)}]" for key in self.keys]
+        out = []
+        for key in self.keys:
+            head = f"{self.name}[{','.join(key)},"
+            out.extend([f"{head}{h}]" for h in range(self.hours)])
+        return out
+
+
+class _Growing:
+    """A 1-D array appended to in pieces and joined on first read.
+
+    Small pieces are merged in batches, so that many one-entry appends
+    do not keep one array object each.
+    """
+
+    _BATCH = 256
+
+    def __init__(self, dtype):
+        self._dtype = dtype
+        self._array = np.zeros(0, dtype=dtype)
+        self._blocks: list = []
+        self._parts: list = []
+
+    def extend(self, values) -> None:
+        self._parts.append(values)
+        if len(self._parts) == self._BATCH:
+            self._blocks.append(np.concatenate(self._parts, dtype=self._dtype))
+            self._parts = []
+
+    def array(self) -> np.ndarray:
+        if self._blocks or self._parts:
+            pieces = [self._array, *self._blocks, *self._parts]
+            self._array = np.concatenate(pieces, dtype=self._dtype)
+            self._blocks, self._parts = [], []
+        return self._array
 
 
 class LinearProgram:
@@ -28,62 +120,135 @@ class LinearProgram:
 
     def __init__(self, name: str = "lp"):
         self.name = name
-        self.col_names: list[str] = []
-        self._col_index: dict[str, int] = {}
-        self.lo: list[float] = []
-        self.hi: list[float] = []
-        self.obj: list[float] = []
-        self.row_names: list[str] = []
-        self._row_index: dict[str, int] = {}
-        self.senses: list[str] = []
-        self.rhs: list[float] = []
-        self.rows: list[list[tuple[int, float]]] = []
         self.offset: float = 0.0
+        self.num_cols = 0
+        self.num_rows = 0
+        self.col_families: dict[str, Family] = {}
+        self.row_families: dict[str, Family] = {}
+        self._lo = _Growing(float)
+        self._hi = _Growing(float)
+        self._obj = _Growing(float)
+        self._sense = _Growing("<U1")
+        self._rhs = _Growing(float)
+        self._entry_rows = _Growing(np.int64)
+        self._entry_cols = _Growing(np.int64)
+        self._entry_vals = _Growing(float)
+        self._named_cols: dict[str, int] = {}
+        self._named_rows: set = set()
         self._frozen = False
+        self._lazy: dict = {}  # matrix, names, name index, list views
 
     # -- construction -----------------------------------------------------
 
-    def add_col(self, name: str, lo: float = 0.0, hi: float = INF, obj: float = 0.0) -> int:
+    def add_cols(self, key: tuple, columns: dict, hours: int | None = None) -> dict:
+        """Append one member per family of `columns` under `key`.
+
+        `columns` maps family -> (lo, hi, obj). With `hours`, each family
+        gets `hours` columns (scalars broadcast, arrays have length
+        `hours`), interleaved hour by hour in the order of `columns`.
+        Returns family -> column index (an int, or an array by hour).
+        """
         self._check_mutable()
-        if name in self._col_index:
+        size = 1 if hours is None else hours
+        index = np.arange(self.num_cols, self.num_cols + size * len(columns)).reshape(size, -1)
+        # lo, hi, obj by (hour, family); ravel() of one field is the column order.
+        block = np.empty((3,) + index.shape)
+        for j, (lo, hi, obj) in enumerate(columns.values()):
+            block[0, :, j], block[1, :, j], block[2, :, j] = lo, hi, obj
+        lo, hi, obj = block.reshape(3, -1)
+        self._lo.extend(lo)
+        self._hi.extend(hi)
+        self._obj.extend(obj)
+        self.num_cols += index.size
+        return self._catalog(self.col_families, columns, key, hours, index)
+
+    def add_rows(self, key: tuple, rows: dict, hours: int | None = None) -> dict:
+        """Append one member per family of `rows` under `key`.
+
+        `rows` maps family -> (sense, rhs, terms); each term is a pair
+        (columns, coefficients) whose arrays broadcast against the rows of
+        the family: by hour with `hours`, or all into the single row
+        without. Zero coefficients are dropped and repeated columns of a
+        row summed. Rows interleave hour by hour in the order of `rows`.
+        Returns family -> row index (an int, or an array by hour).
+        """
+        self._check_mutable()
+        size = 1 if hours is None else hours
+        index = np.arange(self.num_rows, self.num_rows + size * len(rows)).reshape(size, -1)
+        sense_b = np.empty(index.shape, dtype="<U1")
+        rhs_b = np.empty(index.shape)
+        for j, (family, (sense, rhs, terms)) in enumerate(rows.items()):
+            if sense not in SENSES:
+                raise LpError(f"row {family} of {key}: sense {sense!r} not in {SENSES}")
+            sense_b[:, j], rhs_b[:, j] = sense, rhs
+            for cols, coefs in terms:
+                cols = np.asarray(cols, dtype=np.int64)
+                coefs = np.asarray(coefs, dtype=float)
+                if not cols.size:
+                    continue
+                count = max(size, cols.size, coefs.size)
+                r, c, v = np.empty(count, np.int64), np.empty(count, np.int64), np.empty(count)
+                r[:], c[:], v[:] = index[:, j], cols, coefs
+                self._entry_rows.extend(r)
+                self._entry_cols.extend(c)
+                self._entry_vals.extend(v)
+        self._sense.extend(sense_b.ravel())
+        self._rhs.extend(rhs_b.ravel())
+        self.num_rows += index.size
+        return self._catalog(self.row_families, rows, key, hours, index)
+
+    def _catalog(self, families: dict, names, key: tuple, hours, index: np.ndarray) -> dict:
+        """File column j of `index` (hour, family) under the j-th of `names`."""
+        self._lazy.clear()
+        out = {}
+        for j, name in enumerate(names):
+            fam = families.get(name)
+            if fam is None:
+                fam = families[name] = Family(name, hours)
+            elif fam.hours != hours:
+                raise LpError(f"family {name!r} mixes {fam.hours} and {hours} hours per key")
+            idx = index[:, j] if hours is not None else int(index[0, j])
+            fam._append(key, idx)
+            out[name] = idx
+        return out
+
+    def add_col(self, name: str, lo: float = 0.0, hi: float = INF, obj: float = 0.0) -> int:
+        """Add one column under its own name (family ``NAMED``)."""
+        if name in self._named_cols:
             raise LpError(f"duplicate column {name!r}")
-        if np.isnan(lo) or np.isnan(hi) or not np.isfinite(obj):
-            raise LpError(f"column {name!r}: bad bounds/objective ({lo}, {hi}, {obj})")
-        if lo > hi:
-            raise LpError(f"column {name!r}: lower {lo} > upper {hi}")
-        idx = len(self.col_names)
-        self.col_names.append(name)
-        self._col_index[name] = idx
-        self.lo.append(float(lo))
-        self.hi.append(float(hi))
-        self.obj.append(float(obj))
+        idx = self.add_cols((name,), {NAMED: (lo, hi, obj)})[NAMED]
+        self._named_cols[name] = idx
         return idx
 
     def add_row(self, name: str, sense: str, rhs: float, entries) -> int:
-        self._check_mutable()
-        if name in self._row_index:
+        """Add one row under its own name; `entries` are (column name or index, coef)."""
+        if name in self._named_rows:
             raise LpError(f"duplicate row {name!r}")
-        if sense not in SENSES:
-            raise LpError(f"row {name!r}: sense {sense!r} not in {SENSES}")
-        if not np.isfinite(rhs):
-            raise LpError(f"row {name!r}: non-finite rhs {rhs}")
-        terms: dict[int, float] = {}
-        for col, coef in entries:
-            idx = self.col(col)
-            coef = float(coef)
-            if not np.isfinite(coef):
-                raise LpError(f"row {name!r}: non-finite coefficient on {col!r}")
-            if coef != 0.0:
-                terms[idx] = terms.get(idx, 0.0) + coef
-        ridx = len(self.row_names)
-        self.row_names.append(name)
-        self._row_index[name] = ridx
-        self.senses.append(sense)
-        self.rhs.append(float(rhs))
-        self.rows.append(sorted(terms.items()))
-        return ridx
+        entries = list(entries)
+        cols = [self.col(col) for col, _ in entries]
+        coefs = [coef for _, coef in entries]
+        idx = self.add_rows((name,), {NAMED: (sense, rhs, [(cols, coefs)])})[NAMED]
+        self._named_rows.add(name)
+        return idx
 
     def freeze(self) -> "LinearProgram":
+        """Check every bound, cost, rhs and coefficient, then make the LP immutable."""
+        if self._frozen:
+            return self
+        lo, hi = self.col_lo, self.col_hi
+        bad = np.isnan(lo) | np.isnan(hi) | ~np.isfinite(self.col_obj) | (lo > hi)
+        if bad.any():
+            raise LpError(f"column {self.col_names[bad.argmax()]!r}: bad bounds/objective")
+        bad = ~np.isfinite(self.row_rhs)
+        if bad.any():
+            raise LpError(f"row {self.row_names[bad.argmax()]!r}: non-finite rhs")
+        bad = ~np.isfinite(self._entry_vals.array())
+        if bad.any():
+            row = self._entry_rows.array()[bad.argmax()]
+            raise LpError(f"row {self.row_names[row]!r}: non-finite coefficient")
+        self.matrix()
+        # From here on the matrix holds the entries.
+        self._entry_rows = self._entry_cols = self._entry_vals = None
         self._frozen = True
         return self
 
@@ -91,47 +256,108 @@ class LinearProgram:
         if self._frozen:
             raise LpError("LinearProgram is frozen")
 
-    # -- catalog ----------------------------------------------------------
+    # -- stored arrays -----------------------------------------------------
+
+    @property
+    def col_lo(self) -> np.ndarray:
+        return self._lo.array()
+
+    @property
+    def col_hi(self) -> np.ndarray:
+        return self._hi.array()
+
+    @property
+    def col_obj(self) -> np.ndarray:
+        return self._obj.array()
+
+    @property
+    def row_sense(self) -> np.ndarray:
+        return self._sense.array()
+
+    @property
+    def row_rhs(self) -> np.ndarray:
+        return self._rhs.array()
+
+    def matrix(self) -> sparse.csr_matrix:
+        """The constraint matrix, CSR with sorted indices; shared, do not modify."""
+        m = self._lazy.get("matrix")
+        if m is None:
+            vals = self._entry_vals.array()
+            keep = vals != 0.0  # a zero given is dropped; terms that cancel stay stored
+            rows, cols = self._entry_rows.array()[keep], self._entry_cols.array()[keep]
+            m = self._lazy["matrix"] = sparse.csr_matrix(
+                (vals[keep], (rows, cols)), shape=(self.num_rows, self.num_cols)
+            )
+        return m
+
+    def stats(self) -> dict:
+        return {"rows": self.num_rows, "cols": self.num_cols, "nnz": self.matrix().nnz}
+
+    def col_family(self, family: str) -> Family:
+        """The catalog entry of a column family; an empty one if absent."""
+        return self.col_families.get(family) or Family(family, None)
+
+    # -- names and per-entry views, built on first use -----------------------
+
+    def _cached(self, what: str, build):
+        value = self._lazy.get(what)
+        if value is None:
+            value = self._lazy[what] = build()
+        return value
+
+    @staticmethod
+    def _names(families: dict, count: int) -> list:
+        names = np.empty(count, dtype=object)
+        for fam in families.values():
+            names[fam.index.ravel()] = np.array(fam.names(), dtype=object)
+        return names.tolist()
+
+    @property
+    def col_names(self) -> list:
+        return self._cached("col_names", lambda: self._names(self.col_families, self.num_cols))
+
+    @property
+    def row_names(self) -> list:
+        return self._cached("row_names", lambda: self._names(self.row_families, self.num_rows))
+
+    @property
+    def rows(self) -> list:
+        """Per row, its sorted (column, coefficient) pairs."""
+
+        def build():
+            m = self.matrix()
+            cols, vals, ptr = m.indices.tolist(), m.data.tolist(), m.indptr.tolist()
+            return [list(zip(cols[a:b], vals[a:b])) for a, b in zip(ptr[:-1], ptr[1:])]
+
+        return self._cached("rows", build)
+
+    # Plain lists, so that entries compare as Python scalars.
+    lo = property(lambda self: self._cached("lo", self.col_lo.tolist))
+    hi = property(lambda self: self._cached("hi", self.col_hi.tolist))
+    obj = property(lambda self: self._cached("obj", self.col_obj.tolist))
+    senses = property(lambda self: self._cached("senses", self.row_sense.tolist))
+    rhs = property(lambda self: self._cached("rhs", self.row_rhs.tolist))
 
     def col(self, name_or_idx) -> int:
-        if isinstance(name_or_idx, str):
-            try:
-                return self._col_index[name_or_idx]
-            except KeyError:
-                raise LpError(f"unknown column {name_or_idx!r}") from None
-        return int(name_or_idx)
+        if not isinstance(name_or_idx, str):
+            return int(name_or_idx)
+        idx = self._named_cols.get(name_or_idx)
+        if idx is None:
+            index = self._cached("col_index", lambda: {n: i for i, n in enumerate(self.col_names)})
+            idx = index.get(name_or_idx)
+            if idx is None:
+                raise LpError(f"unknown column {name_or_idx!r}")
+        return idx
 
     def has_col(self, name: str) -> bool:
-        return name in self._col_index
+        try:
+            self.col(name)
+        except LpError:
+            return False
+        return True
 
     def col_name(self, idx: int) -> str:
         return self.col_names[idx]
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.col_names)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.row_names)
-
-    # -- dense/sparse views -------------------------------------------------
-
-    def matrix(self) -> sparse.csr_matrix:
-        data, indices, indptr = [], [], [0]
-        for row in self.rows:
-            for idx, coef in row:
-                indices.append(idx)
-                data.append(coef)
-            indptr.append(len(indices))
-        return sparse.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-            shape=(self.num_rows, self.num_cols),
-        )
-
-    def stats(self) -> dict:
-        nnz = sum(len(r) for r in self.rows)
-        return {"rows": self.num_rows, "cols": self.num_cols, "nnz": nnz}
 
     def __repr__(self):
         s = self.stats()

@@ -5,7 +5,8 @@ grid is a copper plate; between countries directed flows are capped by
 fixed net-transfer capacities. The LP is built in GW/GWh/EUR units (data
 enters in MW/MWh and is scaled here) to keep the matrix well conditioned.
 
-Column families (catalog prefixes):
+Column families (catalog names; a family's keys are the bracketed fields
+before the hour):
 
     cap[c,g]            generation capacity, GW
     gen[c,g,h]          generation, GW
@@ -161,21 +162,20 @@ class SystemInstance:
         )
 
 
-def _unit_tag(unit) -> str:
-    return ",".join(unit)
-
-
 def build_model(instance: SystemInstance) -> LinearProgram:
-    """Assemble the full cost-minimization LP of one instance."""
+    """Assemble the full cost-minimization LP of one instance.
+
+    Each family is added per key as arrays over the hours of the window;
+    the column and row order is per key, hour by hour within a key.
+    """
     H = instance.window.hours
-    pror = H / HOURS_PER_YEAR
     lp = LinearProgram(name=instance.name)
     countries = sorted(instance.countries)
     techs = sorted(instance.techs)
     storages = sorted(instance.storages)
 
-    # Balance bookkeeping: entries[(c,h)] built incrementally, RHS in GW.
-    balance: dict = {(c, h): [] for c in countries for h in range(H)}
+    # Balance terms per country, (columns by hour, coefficient); RHS in GW.
+    balance: dict = {c: [] for c in countries}
     rhs_gw = {c: np.asarray(instance.loads_mw[c], dtype=float) / MW_PER_GW for c in countries}
 
     # -- generation --------------------------------------------------------
@@ -198,7 +198,7 @@ def build_model(instance: SystemInstance) -> LinearProgram:
                     )
                     * EUR_PER_KEUR_MW
                 )
-            cap = lp.add_col(f"cap[{c},{g}]", lo_gw, up_gw, cap_obj)
+            cap = lp.add_cols((c, g), {"cap": (lo_gw, up_gw, cap_obj)})["cap"]
             if b.pinned:
                 lp.offset += (
                     prorate_fixed_costs(spec.fixed_cost_keur_per_mw_yr, H) * EUR_PER_KEUR_MW * lo_gw
@@ -210,15 +210,12 @@ def build_model(instance: SystemInstance) -> LinearProgram:
                 factor = np.asarray(af, dtype=float)
             else:
                 factor = np.full(H, spec.availability)
-            for h in range(H):
-                if b.pinned:
-                    gcol = lp.add_col(f"gen[{c},{g},{h}]", 0.0, factor[h] * lo_gw, vcost)
-                else:
-                    gcol = lp.add_col(f"gen[{c},{g},{h}]", 0.0, INF, vcost)
-                    lp.add_row(
-                        f"gcap[{c},{g},{h}]", "L", 0.0, [(gcol, 1.0), (cap, -factor[h])]
-                    )
-                balance[(c, h)].append((gcol, 1.0))
+            if b.pinned:
+                gen = lp.add_cols((c, g), {"gen": (0.0, factor * lo_gw, vcost)}, H)["gen"]
+            else:
+                gen = lp.add_cols((c, g), {"gen": (0.0, INF, vcost)}, H)["gen"]
+                lp.add_rows((c, g), {"gcap": ("L", 0.0, [(gen, 1.0), (cap, -factor)])}, H)
+            balance[c].append((gen, 1.0))
 
     # -- electricity storage ------------------------------------------------
     for c in countries:
@@ -247,75 +244,66 @@ def build_model(instance: SystemInstance) -> LinearProgram:
                 continue  # storage absent
             has_charge = b_in.up > 0.0
 
-            def _cap_col(tag, b, overnight):
-                if overnight is None:
-                    overnight = 0.0
+            def _cap(b, overnight):
                 obj = 0.0
                 if not b.pinned:
                     obj = (
                         prorate_fixed_costs(
-                            annuity(overnight, spec.interest_rate, spec.lifetime_yr), H
+                            annuity(overnight or 0.0, spec.interest_rate, spec.lifetime_yr), H
                         )
                         * EUR_PER_KEUR_MW
                     )
-                return lp.add_col(f"{tag}[{c},{s}]", b.low / MW_PER_GW, b.up / MW_PER_GW, obj)
+                return b.low / MW_PER_GW, b.up / MW_PER_GW, obj
 
-            en_cap = _cap_col("sce", b_en, spec.overnight_cost_energy_keur_per_mwh)
-            ch_cap = _cap_col("scc", b_in, spec.overnight_cost_charge_keur_per_mw) if has_charge else None
-            dis_cap = _cap_col("scd", b_out, spec.overnight_cost_discharge_keur_per_mw)
+            caps = {"sce": _cap(b_en, spec.overnight_cost_energy_keur_per_mwh)}
+            if has_charge:
+                caps["scc"] = _cap(b_in, spec.overnight_cost_charge_keur_per_mw)
+            caps["scd"] = _cap(b_out, spec.overnight_cost_discharge_keur_per_mw)
+            cap = lp.add_cols((c, s), caps)
 
             mc_ch = spec.marginal_cost_charge_eur_per_mwh * MW_PER_GW
             mc_dis = spec.marginal_cost_discharge_eur_per_mwh * MW_PER_GW
             share = inflow_weights.get(s, 0.0)
             has_spill = s in ("phs_open", "reservoir") and share > 0.0
 
-            ch_cols, dis_cols, soc_cols, spl_cols = [], [], [], []
-            for h in range(H):
-                if has_charge:
-                    if b_in.pinned:
-                        ch = lp.add_col(
-                            f"ch[{c},{s},{h}]", 0.0, spec.availability * b_in.low / MW_PER_GW, mc_ch
-                        )
-                    else:
-                        ch = lp.add_col(f"ch[{c},{s},{h}]", 0.0, INF, mc_ch)
-                        lp.add_row(
-                            f"sin[{c},{s},{h}]", "L", 0.0,
-                            [(ch, 1.0), (ch_cap, -spec.availability)],
-                        )
-                    ch_cols.append(ch)
-                    balance[(c, h)].append((ch, -1.0))
-                if b_out.pinned:
-                    dis = lp.add_col(
-                        f"dis[{c},{s},{h}]", 0.0, spec.availability * b_out.low / MW_PER_GW, mc_dis
-                    )
-                else:
-                    dis = lp.add_col(f"dis[{c},{s},{h}]", 0.0, INF, mc_dis)
-                    lp.add_row(
-                        f"sout[{c},{s},{h}]", "L", 0.0,
-                        [(dis, 1.0), (dis_cap, -spec.availability)],
-                    )
-                dis_cols.append(dis)
-                balance[(c, h)].append((dis, 1.0))
-                if b_en.pinned:
-                    soc = lp.add_col(f"soc[{c},{s},{h}]", 0.0, b_en.low / MW_PER_GW)
-                else:
-                    soc = lp.add_col(f"soc[{c},{s},{h}]", 0.0, INF)
-                    lp.add_row(f"scap[{c},{s},{h}]", "L", 0.0, [(soc, 1.0), (en_cap, -1.0)])
-                soc_cols.append(soc)
-                if has_spill:
-                    spl_cols.append(lp.add_col(f"spl[{c},{s},{h}]", 0.0, INF))
+            # Pinned power and energy capacities become column bounds.
+            cols = {}
+            if has_charge:
+                ch_up = spec.availability * b_in.low / MW_PER_GW if b_in.pinned else INF
+                cols["ch"] = (0.0, ch_up, mc_ch)
+            dis_up = spec.availability * b_out.low / MW_PER_GW if b_out.pinned else INF
+            cols["dis"] = (0.0, dis_up, mc_dis)
+            cols["soc"] = (0.0, b_en.low / MW_PER_GW if b_en.pinned else INF, 0.0)
+            if has_spill:
+                cols["spl"] = (0.0, INF, 0.0)
+            op = lp.add_cols((c, s), cols, H)
 
-            # Cyclic state dynamics: soc[h] - soc[h-1] - ec*ch + dis/ed + spl = inflow.
-            for h in range(H):
-                prev = soc_cols[h - 1]  # h=0 wraps to the last hour
-                entries = [(soc_cols[h], 1.0), (prev, -1.0), (dis_cols[h], 1.0 / spec.efficiency_discharge)]
-                if has_charge:
-                    entries.append((ch_cols[h], -spec.efficiency_charge))
-                if has_spill:
-                    entries.append((spl_cols[h], 1.0))
-                lp.add_row(
-                    f"sdyn[{c},{s},{h}]", "E", share * inflow_gwh[h], entries
-                )
+            limits = {}
+            if has_charge and not b_in.pinned:
+                limits["sin"] = ("L", 0.0, [(op["ch"], 1.0), (cap["scc"], -spec.availability)])
+            if not b_out.pinned:
+                limits["sout"] = ("L", 0.0, [(op["dis"], 1.0), (cap["scd"], -spec.availability)])
+            if not b_en.pinned:
+                limits["scap"] = ("L", 0.0, [(op["soc"], 1.0), (cap["sce"], -1.0)])
+            if limits:
+                lp.add_rows((c, s), limits, H)
+
+            # Cyclic state dynamics: soc[h] - soc[h-1] - ec*ch + dis/ed + spl = inflow;
+            # hour 0 wraps to the last hour.
+            dyn = [
+                (op["soc"], 1.0),
+                (np.roll(op["soc"], 1), -1.0),
+                (op["dis"], 1.0 / spec.efficiency_discharge),
+            ]
+            if has_charge:
+                dyn.append((op["ch"], -spec.efficiency_charge))
+            if has_spill:
+                dyn.append((op["spl"], 1.0))
+            lp.add_rows((c, s), {"sdyn": ("E", share * inflow_gwh, dyn)}, H)
+
+            if has_charge:
+                balance[c].append((op["ch"], -1.0))
+            balance[c].append((op["dis"], 1.0))
 
     # -- cross-border flows --------------------------------------------------
     inside = set(countries)
@@ -325,10 +313,9 @@ def build_model(instance: SystemInstance) -> LinearProgram:
         limit_gw = instance.ntc.get(a, b) / MW_PER_GW
         if limit_gw <= 0.0:
             continue
-        for h in range(H):
-            col = lp.add_col(f"flw[{a}>{b},{h}]", 0.0, limit_gw)
-            balance[(a, h)].append((col, -1.0))
-            balance[(b, h)].append((col, 1.0))
+        flw = lp.add_cols((f"{a}>{b}",), {"flw": (0.0, limit_gw, 0.0)}, H)["flw"]
+        balance[a].append((flw, -1.0))
+        balance[b].append((flw, 1.0))
 
     # -- heat module ----------------------------------------------------------
     if instance.heat is not None:
@@ -349,52 +336,36 @@ def build_model(instance: SystemInstance) -> LinearProgram:
                     # No tank: E is data; fold into the balance RHS.
                     rhs_gw[c] = rhs_gw[c] + electricity_for_heat(target_gw, cop)
                     continue
-                tag = _unit_tag(unit)
-                out_cap_gw = fu.heat_output_capacity_mw_th / MW_PER_GW
-                tank_gwh = fu.heat_storage_capacity_mwh_th / MW_PER_GW
-                in_cap_gw = fu.electricity_input_capacity_mw_el / MW_PER_GW
-                ho_cols, hi_cols, hl_cols, e_cols = [], [], [], []
-                for h in range(H):
-                    ho_cols.append(
-                        lp.add_col(f"ho[{c},{tag},{h}]", target_gw[h], target_gw[h])
-                    )
-                    hi_cols.append(lp.add_col(f"hi[{c},{tag},{h}]", 0.0, out_cap_gw))
-                    hl_cols.append(lp.add_col(f"hl[{c},{tag},{h}]", 0.0, tank_gwh))
-                    e = lp.add_col(f"e[{c},{tag},{h}]", 0.0, in_cap_gw)
-                    e_cols.append(e)
-                    balance[(c, h)].append((e, -1.0))
-                for h in range(H):
-                    lp.add_row(
-                        f"hdyn[{c},{tag},{h}]", "E", 0.0,
-                        [
-                            (hl_cols[h], 1.0),
-                            (hl_cols[h - 1], -1.0),
-                            (hi_cols[h], -1.0),
-                            (ho_cols[h], 1.0),
-                        ],
-                    )
-                    lp.add_row(
-                        f"hcop[{c},{tag},{h}]", "E", 0.0,
-                        [(hi_cols[h], 1.0), (e_cols[h], -cop[h])],
-                    )
+                key = (c, *unit)
+                hc = lp.add_cols(
+                    key,
+                    {
+                        "ho": (target_gw, target_gw, 0.0),
+                        "hi": (0.0, fu.heat_output_capacity_mw_th / MW_PER_GW, 0.0),
+                        "hl": (0.0, fu.heat_storage_capacity_mwh_th / MW_PER_GW, 0.0),
+                        "e": (0.0, fu.electricity_input_capacity_mw_el / MW_PER_GW, 0.0),
+                    },
+                    H,
+                )
+                balance[c].append((hc["e"], -1.0))
+                hdyn = [(hc["hl"], 1.0), (np.roll(hc["hl"], 1), -1.0), (hc["hi"], -1.0), (hc["ho"], 1.0)]
+                hcop = [(hc["hi"], 1.0), (hc["e"], -cop)]
+                lp.add_rows(key, {"hdyn": ("E", 0.0, hdyn), "hcop": ("E", 0.0, hcop)}, H)
 
     # -- energy balance ---------------------------------------------------------
     for c in countries:
-        for h in range(H):
-            lp.add_row(f"bal[{c},{h}]", "E", rhs_gw[c][h], balance[(c, h)])
+        lp.add_rows((c,), {"bal": ("E", rhs_gw[c], balance[c])}, H)
 
     # -- annual bioenergy energy cap ---------------------------------------------
+    gen = lp.col_family("gen")
     for c in countries:
         cap_mwh = instance.bioenergy_cap_mwh_yr.get(c)
         if cap_mwh is None or not np.isfinite(cap_mwh):
             continue
-        cols = [lp.col(f"gen[{c},bioenergy,{h}]") for h in range(H) if lp.has_col(f"gen[{c},bioenergy,{h}]")]
-        if not cols:
+        cols = gen.member((c, "bioenergy"))
+        if cols is None:
             continue
-        lp.add_row(
-            f"bio[{c}]", "L", prorate_fixed_costs(cap_mwh, H) / MW_PER_GW,
-            [(col, 1.0) for col in cols],
-        )
+        lp.add_rows((c,), {"bio": ("L", prorate_fixed_costs(cap_mwh, H) / MW_PER_GW, [(cols, 1.0)])})
 
     return lp.freeze()
 
@@ -427,56 +398,37 @@ class SolvedSystem:
         return traj.total_electricity_mw()
 
 
+# Capacity column family -> capacity kind in SolvedSystem.capacities_mw.
+CAPACITY_KINDS = {
+    "cap": "generation",
+    "sce": "storage_energy",
+    "scc": "storage_charge",
+    "scd": "storage_discharge",
+}
+
+
 def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
     """Read a solved LP back into physical quantities and a cost breakdown."""
-    H = instance.window.hours
     values = solution.values
-    gen, ch, dis, soc, spl, flw = {}, {}, {}, {}, {}, {}
+
+    def hourly(family):
+        fam = lp.col_family(family)
+        return {key: values[idx] * MW_PER_GW for key, idx in zip(fam.keys, fam.index)}
+
+    gen, ch, dis, soc, spl = (hourly(f) for f in ("gen", "ch", "dis", "soc", "spl"))
+    flw = {tuple(link.split(">")): arr for (link,), arr in hourly("flw").items()}
+    ho_cols, hi_cols, hl_cols, e_cols = (
+        {(key[0], key[1:]): arr for key, arr in hourly(f).items()} for f in ("ho", "hi", "hl", "e")
+    )
+
+    # Capacities per country, in column order.
     caps: dict = {c: {} for c in instance.countries}
-    ho_cols: dict = {}
-    hi_cols: dict = {}
-    hl_cols: dict = {}
-    e_cols: dict = {}
-
-    def _hourly(store, key, h, val):
-        arr = store.get(key)
-        if arr is None:
-            arr = store[key] = np.zeros(H)
-        arr[h] = val
-
-    for idx, name in enumerate(lp.col_names):
-        val = float(values[idx])
-        head, tail = name.split("[", 1)
-        parts = tail[:-1].split(",")
-        if head == "gen":
-            _hourly(gen, (parts[0], parts[1]), int(parts[2]), val * MW_PER_GW)
-        elif head == "cap":
-            caps[parts[0]][("generation", parts[1])] = val * MW_PER_GW
-        elif head == "ch":
-            _hourly(ch, (parts[0], parts[1]), int(parts[2]), val * MW_PER_GW)
-        elif head == "dis":
-            _hourly(dis, (parts[0], parts[1]), int(parts[2]), val * MW_PER_GW)
-        elif head == "soc":
-            _hourly(soc, (parts[0], parts[1]), int(parts[2]), val * MW_PER_GW)
-        elif head == "spl":
-            _hourly(spl, (parts[0], parts[1]), int(parts[2]), val * MW_PER_GW)
-        elif head == "sce":
-            caps[parts[0]][("storage_energy", parts[1])] = val * MW_PER_GW
-        elif head == "scc":
-            caps[parts[0]][("storage_charge", parts[1])] = val * MW_PER_GW
-        elif head == "scd":
-            caps[parts[0]][("storage_discharge", parts[1])] = val * MW_PER_GW
-        elif head == "flw":
-            a, b = parts[0].split(">")
-            _hourly(flw, (a, b), int(parts[1]), val * MW_PER_GW)
-        elif head == "ho":
-            _hourly(ho_cols, (parts[0], (parts[1], parts[2], parts[3])), int(parts[4]), val * MW_PER_GW)
-        elif head == "hi":
-            _hourly(hi_cols, (parts[0], (parts[1], parts[2], parts[3])), int(parts[4]), val * MW_PER_GW)
-        elif head == "hl":
-            _hourly(hl_cols, (parts[0], (parts[1], parts[2], parts[3])), int(parts[4]), val * MW_PER_GW)
-        elif head == "e":
-            _hourly(e_cols, (parts[0], (parts[1], parts[2], parts[3])), int(parts[4]), val * MW_PER_GW)
+    cap_cols = []
+    for family, kind in CAPACITY_KINDS.items():
+        fam = lp.col_family(family)
+        cap_cols += [(int(idx), c, kind, name) for (c, name), idx in zip(fam.keys, fam.index)]
+    for idx, c, kind, name in sorted(cap_cols):
+        caps[c][(kind, name)] = float(values[idx]) * MW_PER_GW
 
     # Heat trajectories: column-backed units plus folded (ep = 0) units.
     heat: dict = {}

@@ -30,6 +30,7 @@ from .lp import INF, LinearProgram
 
 OBJ_NAME = "OBJ"
 _BASE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
+_NON_ALNUM = re.compile(r"[^A-Za-z0-9]")
 
 
 class MpsError(ValueError):
@@ -46,20 +47,33 @@ def _base36(k: int) -> str:
 
 
 def mangle_names(names, reserved=()) -> dict:
-    """Stable bijective original->short (<= 8 chars) name map."""
+    """Stable bijective original->short (<= 8 chars) name map.
+
+    A name's candidates are its base, then the base with base-36 suffix
+    0, 1, ...; it takes the first one not yet used. Used names are never
+    released, so the next name of the same base resumes where the last
+    one stopped, which keeps mangling linear in the number of names.
+    """
     used = set(reserved)
+    resume: dict[str, int] = {}  # base -> position of its next candidate
     out = {}
     for name in names:
-        base = re.sub(r"[^A-Za-z0-9]", "_", name)[:8] or "X"
-        short = base
-        k = 0
+        # One character in, one character out: mangling the first 8 is enough.
+        base = _NON_ALNUM.sub("_", name[:8]) or "X"
+        pos = resume.get(base, 0)
+        short = base if pos == 0 else _suffixed(base, pos - 1)
         while short in used:
-            suffix = _base36(k)
-            short = base[: 8 - len(suffix)] + suffix
-            k += 1
+            short = _suffixed(base, pos)
+            pos += 1
+        resume[base] = pos + 1
         used.add(short)
         out[name] = short
     return out
+
+
+def _suffixed(base: str, k: int) -> str:
+    suffix = _base36(k)
+    return base[: 8 - len(suffix)] + suffix
 
 
 def _num(x: float) -> str:
@@ -77,39 +91,38 @@ def export_mps(lp: LinearProgram, path) -> Path:
     path = Path(path)
     row_map = mangle_names(lp.row_names, reserved=(OBJ_NAME,))
     col_map = mangle_names(lp.col_names)
+    row_short = [row_map[name] for name in lp.row_names]
+    col_short = [col_map[name] for name in lp.col_names]
+    col_lo, col_hi, obj, rhs = (a.tolist() for a in (lp.col_lo, lp.col_hi, lp.col_obj, lp.row_rhs))
 
     lines = [f"NAME          {lp.name[:60]}"]
     lines.append("ROWS")
     lines.append(_line("N", OBJ_NAME))
-    for name, sense in zip(lp.row_names, lp.senses):
-        lines.append(_line(sense, row_map[name]))
+    for short, sense in zip(row_short, lp.row_sense.tolist()):
+        lines.append(_line(sense, short))
 
     lines.append("COLUMNS")
-    entries_by_col: dict[int, list] = {i: [] for i in range(lp.num_cols)}
-    for ridx, row in enumerate(lp.rows):
-        for cidx, coef in row:
-            entries_by_col[cidx].append((ridx, coef))
-    for cidx, cname in enumerate(lp.col_names):
-        short = col_map[cname]
+    csc = lp.matrix().tocsc()
+    ptr, rows, coefs = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
+    for cidx, short in enumerate(col_short):
+        start, end = ptr[cidx], ptr[cidx + 1]
         # A column with no entry at all still needs one line, or import drops it.
-        if lp.obj[cidx] != 0.0 or not entries_by_col[cidx]:
-            lines.append(_line("", short, OBJ_NAME, _num(lp.obj[cidx])))
-        for ridx, coef in entries_by_col[cidx]:
-            lines.append(_line("", short, row_map[lp.row_names[ridx]], _num(coef)))
+        if obj[cidx] != 0.0 or start == end:
+            lines.append(_line("", short, OBJ_NAME, _num(obj[cidx])))
+        for ridx, coef in zip(rows[start:end], coefs[start:end]):
+            lines.append(_line("", short, row_short[ridx], _num(coef)))
 
     lines.append("RHS")
     if lp.offset != 0.0:
         lines.append(_line("", "RHS", OBJ_NAME, _num(-lp.offset)))
-    for name, rhs in zip(lp.row_names, lp.rhs):
-        if rhs != 0.0:
-            lines.append(_line("", "RHS", row_map[name], _num(rhs)))
+    for short, value in zip(row_short, rhs):
+        if value != 0.0:
+            lines.append(_line("", "RHS", short, _num(value)))
 
     lines.append("RANGES")
 
     lines.append("BOUNDS")
-    for cidx, cname in enumerate(lp.col_names):
-        short = col_map[cname]
-        lo, hi = lp.lo[cidx], lp.hi[cidx]
+    for short, lo, hi in zip(col_short, col_lo, col_hi):
         if lo == 0.0 and hi == INF:
             continue  # MPS default
         if lo == hi:

@@ -8,7 +8,8 @@ run with a 25%/two-hour run. Every spec executes once per weather year.
 Results persist one directory per (scenario, year) cell containing
 ``capacities.csv``, ``dispatch.csv``, ``flows.csv``, ``heat.csv``,
 ``costs.csv`` and a ``manifest.json`` (spec, provenance hash, solver
-stats, residuals), plus ``model.mps`` when MPS export is asked for.
+stats, residuals, an error cell's traceback), plus ``model.mps`` when MPS
+export is asked for.
 Writes are atomic (temp dir, then rename), cells are independent, and a
 failing cell is recorded without aborting the batch.
 """
@@ -19,6 +20,7 @@ import csv
 import json
 import os
 import shutil
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -230,6 +232,7 @@ class ScenarioResult:
     solver_stats: dict
     provenance: str
     error: str | None = None
+    traceback: str | None = None  # of the exception that made an error cell
     synth_seed: int | None = None
     lp: LinearProgram | None = None  # kept only for MPS export
 
@@ -300,7 +303,7 @@ def run_cell(
             spec=spec, year=year, status="error", objective=None, solved=None,
             residual_report=None, trajectory_reports={}, solver_stats={},
             provenance=dataset.provenance, error=f"{type(exc).__name__}: {exc}",
-            synth_seed=dataset.synth_seed,
+            traceback=traceback.format_exc(), synth_seed=dataset.synth_seed,
         )
 
 
@@ -483,6 +486,7 @@ def _write_cell_files(result: ScenarioResult, cell_dir: Path) -> None:
         "status": result.status,
         "objective": result.objective,
         "error": result.error,
+        "traceback": result.traceback,
         "provenance": result.provenance,
         "synth_seed": result.synth_seed,
         "solver": result.solver_stats,

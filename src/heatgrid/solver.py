@@ -24,8 +24,8 @@ ITERATION_LIMIT = "iteration_limit"
 
 _FEASIBILITY_TOL = 1e-9
 
-# Row-name prefix -> constraint family used in residual reports.
-FAMILY_BY_PREFIX = {
+# Row family -> constraint family used in residual reports.
+CONSTRAINT_FAMILY = {
     "bal": "balance",
     "gcap": "availability",
     "sdyn": "storage",
@@ -89,8 +89,8 @@ def _row_violations(lp: LinearProgram, values: np.ndarray) -> np.ndarray:
     if lp.num_rows == 0:
         return np.zeros(0)
     activity = lp.matrix() @ values
-    rhs = np.array(lp.rhs)
-    senses = np.array(lp.senses)
+    rhs = lp.row_rhs
+    senses = lp.row_sense
     viol = np.zeros(lp.num_rows)
     is_l = senses == "L"
     is_g = senses == "G"
@@ -102,9 +102,7 @@ def _row_violations(lp: LinearProgram, values: np.ndarray) -> np.ndarray:
 
 
 def _bound_violations(lp: LinearProgram, values: np.ndarray) -> np.ndarray:
-    lo = np.array(lp.lo)
-    hi = np.array(lp.hi)
-    return np.maximum(np.maximum(lo - values, values - hi), 0.0)
+    return np.maximum(np.maximum(lp.col_lo - values, values - lp.col_hi), 0.0)
 
 
 def verify(lp: LinearProgram, solution: Solution | np.ndarray) -> ResidualReport:
@@ -112,7 +110,9 @@ def verify(lp: LinearProgram, solution: Solution | np.ndarray) -> ResidualReport
 
     Violations are grouped by constraint family (balance, availability,
     storage, heat, generation_bound, other) plus a `bounds` family for
-    variable-bound violations. An empty LP yields an empty report.
+    variable-bound violations. Rows are grouped through the LP's row
+    catalog, so rows added one at a time (MPS import) count as `other`.
+    An empty LP yields an empty report.
     """
     values = solution.values if isinstance(solution, Solution) else np.asarray(solution)
     report = ResidualReport()
@@ -121,12 +121,12 @@ def verify(lp: LinearProgram, solution: Solution | np.ndarray) -> ResidualReport
 
     viol = _row_violations(lp, values)
     groups: dict[str, list] = {}
-    for name, v in zip(lp.row_names, viol):
-        prefix = name.split("[", 1)[0]
-        family = FAMILY_BY_PREFIX.get(prefix, "other")
-        groups.setdefault(family, []).append(v)
-    for family, vs in groups.items():
-        arr = np.array(vs)
+    for name, fam in lp.row_families.items():
+        groups.setdefault(CONSTRAINT_FAMILY.get(name, "other"), []).append(fam.index.ravel())
+    members = {family: np.sort(np.concatenate(parts)) for family, parts in groups.items()}
+    # Families in the order of their first row; rows in row order.
+    for family, rows in sorted(members.items(), key=lambda kv: kv[1][0]):
+        arr = viol[rows]
         report.families[family] = FamilyResidual(
             max_violation=float(arr.max()), mean_violation=float(arr.mean()), rows=len(arr)
         )
@@ -139,9 +139,9 @@ def verify(lp: LinearProgram, solution: Solution | np.ndarray) -> ResidualReport
 
 
 def _solve_highs(lp: LinearProgram) -> tuple:
-    senses = np.array(lp.senses)
-    matrix = lp.matrix().tocsr()
-    rhs = np.array(lp.rhs)
+    senses = lp.row_sense
+    matrix = lp.matrix()
+    rhs = lp.row_rhs
     is_e = senses == "E"
     is_l = senses == "L"
     is_g = senses == "G"
@@ -156,9 +156,9 @@ def _solve_highs(lp: LinearProgram) -> tuple:
         ub_rhs.append(-rhs[is_g])
     a_ub = sparse.vstack(ub_blocks) if ub_blocks else None
     b_ub = np.concatenate(ub_rhs) if ub_rhs else None
-    bounds = list(zip(lp.lo, lp.hi))
+    bounds = np.column_stack((lp.col_lo, lp.col_hi))
     res = optimize.linprog(
-        c=np.array(lp.obj),
+        c=lp.col_obj,
         A_ub=a_ub,
         b_ub=b_ub,
         A_eq=a_eq,
@@ -194,7 +194,7 @@ def solve(lp: LinearProgram) -> Solution:
     objective = None
     max_residual = float("nan")
     if status == OPTIMAL:
-        objective = float(np.array(lp.obj) @ x + lp.offset)
+        objective = float(lp.col_obj @ x + lp.offset)
         max_residual = max(
             float(_row_violations(lp, x).max(initial=0.0)),
             float(_bound_violations(lp, x).max(initial=0.0)),

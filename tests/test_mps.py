@@ -161,3 +161,48 @@ ENDATA
     sol = solve(lp)
     # min 2x+3y s.t. x+y >= 4, x <= 10 -> x=4, y=0.
     assert sol.objective == pytest.approx(8.0)
+
+
+def _mangle_restarting(names, reserved=()):
+    """The collision search as first written: restart at suffix 0 for every name."""
+    import re
+
+    def base36(k):
+        s = ""
+        while True:
+            s = "0123456789abcdefghijklmnopqrstuvwxyz"[k % 36] + s
+            k //= 36
+            if k == 0:
+                return s
+
+    used = set(reserved)
+    out = {}
+    for name in names:
+        base = re.sub(r"[^A-Za-z0-9]", "_", name)[:8] or "X"
+        short = base
+        k = 0
+        while short in used:
+            suffix = base36(k)
+            short = base[: 8 - len(suffix)] + suffix
+            k += 1
+        used.add(short)
+        out[name] = short
+    return out
+
+
+def test_mangle_names_matches_restarting_search():
+    # Long same-base runs (past the one- and two-digit suffixes), bases that
+    # end in their own suffix ("gen_DE_0"), names that collide with another
+    # base's suffixed forms, the reserved OBJ, short bases and empty names.
+    names = [f"gen[DE,ccgt,{h}]" for h in range(1400)]
+    names += ["gen_DE_0", "gen_DE_1", "gen_DE_z", "gen_DEz", "gen_DE10", "gen_DE_2x"]
+    names += [f"gen[DE,lignite,{h}]" for h in range(50)]
+    names += ["OBJ", "OBJ[1]", "OBJ0", "obj", "O", "O0", "O1", "O[2]", "O__"]
+    names += ["", "[]", "!", "X", "X0", "X1", "[", "é", "ée"]
+    names += [f"bal[{c},{h}]" for c in ("AT", "DE") for h in range(40)]
+    names += ["bal_AT_0", "bal_AT_1", "bal_AT_2", "bal_AT0", "bal_A10"]
+    names += [f"r{i}" for i in range(40)] + ["r", "r0_", "r1_"]
+    for reserved in ((), ("OBJ",), ("OBJ", "gen_DE_0", "X")):
+        got = mangle_names(names, reserved=reserved)
+        assert got == _mangle_restarting(names, reserved=reserved)
+        assert len(set(got.values()) | set(reserved)) == len(got) + len(reserved)

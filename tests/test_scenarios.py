@@ -1,5 +1,7 @@
 """Scenario specs, variants, and the matrix runner."""
 
+import json
+
 import pytest
 
 from heatgrid.dataset import build_synth_dataset
@@ -146,6 +148,30 @@ class TestRunMatrix:
         assert not results[1].ok
         assert results[1].status == "error"
         assert "CoverageError" in results[1].error
+
+    def test_error_cell_keeps_its_traceback(self, dataset, tmp_path, monkeypatch):
+        import heatgrid.scenarios as scenarios
+
+        def build_model_that_breaks(instance):
+            raise RuntimeError("assembly failed")
+
+        monkeypatch.setattr(scenarios, "build_model", build_model_that_breaks)
+        spec = ScenarioSpec("base-hp00", 0.0, None, "base", [2009], HOURS)
+        (result,) = run_matrix(dataset, [spec], out_dir=tmp_path)
+        assert result.status == "error" and result.error == "RuntimeError: assembly failed"
+        cell = tmp_path / "base-hp00__y2009"
+        manifest = json.loads((cell / "manifest.json").read_text())
+        assert "build_model_that_breaks" in manifest["traceback"]
+        assert manifest["traceback"] == result.traceback
+        assert "run_cell" in manifest["traceback"]
+        header = "country,kind,name,value\n"
+        assert (cell / "capacities.csv").read_text() == header
+
+    def test_optimal_cell_has_no_traceback(self, dataset, tmp_path):
+        spec = ScenarioSpec("base-hp00", 0.0, None, "base", [2009], HOURS)
+        (result,) = run_matrix(dataset, [spec], out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "base-hp00__y2009" / "manifest.json").read_text())
+        assert result.ok and result.traceback is None and manifest["traceback"] is None
 
     def test_feasible_set_ordering_per_year(self, dataset):
         results = run_matrix(dataset, base_specs(YEARS, HOURS))
