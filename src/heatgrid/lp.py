@@ -9,10 +9,12 @@ code reads a family's values by index, never by name.
 
 Build with :meth:`add_cols` / :meth:`add_rows`, which append the entries
 of one key as numpy blocks, then :meth:`freeze`; a frozen program is
-immutable and safe to share across threads. :meth:`add_col` /
-:meth:`add_row` add a single entry under a name of its own (MPS import,
-tests). Names such as ``gen[DE,ccgt,17]`` are derived from the catalog
-only when first asked for (``col_names``, ``row_names``, :meth:`col`).
+immutable and safe to share across threads. :meth:`add_named_cols` /
+:meth:`add_named_rows` add entries under names of their own (MPS
+import), a row ``fam[...]`` filed under family ``fam``; :meth:`add_col` /
+:meth:`add_row` add one such entry (tests). Names such as
+``gen[DE,ccgt,17]`` are derived from the catalog only when first asked
+for (``col_names``, ``row_names``, :meth:`col`).
 
 The program is stored as arrays (``col_lo``, ``col_hi``, ``col_obj``,
 ``row_sense``, ``row_rhs``) and a CSR :meth:`matrix`. ``lo``, ``hi``,
@@ -29,12 +31,21 @@ INF = float("inf")
 
 SENSES = ("L", "E", "G")
 
-# Family of the entries added one by one; its keys are 1-tuples of the names.
+# Family of the columns added under their own names, and of the rows so
+# added whose name gives no family.
 NAMED = ""
 
 
 class LpError(ValueError):
     pass
+
+
+def _check_new(taken, names: list, what: str) -> None:
+    """Raise unless every one of `names` is new: not in `taken`, nor repeated."""
+    if len(set(names)) < len(names) or not taken.isdisjoint(names):
+        seen = set(taken)
+        repeated = next(name for name in names if name in seen or seen.add(name))
+        raise LpError(f"duplicate {what} {repeated!r}")
 
 
 class Family:
@@ -43,19 +54,20 @@ class Family:
     An hourly family has ``hours`` entries per key: ``index`` has shape
     (len(keys), hours) and entry (k, h) is named ``family[key...,h]``.
     Otherwise ``index`` has shape (len(keys),) and entry k is named
-    ``family[key...]``; in the ``NAMED`` family, the key's one element.
+    ``family[key...]``; in a `named` family, the key's one element.
     """
 
-    def __init__(self, name: str, hours: int | None):
+    def __init__(self, name: str, hours: int | None, named: bool = False):
         self.name = name
         self.hours = hours
+        self.named = named
         self.keys: list[tuple] = []
         self._parts: list = []
         self._index = None
         self._position = None
 
-    def _append(self, key: tuple, index) -> None:
-        self.keys.append(key)
+    def _extend(self, keys: list, index: np.ndarray) -> None:
+        self.keys.extend(keys)
         self._parts.append(index)
         self._index = self._position = None
 
@@ -63,7 +75,8 @@ class Family:
     def index(self) -> np.ndarray:
         if self._index is None:
             shape = (-1,) if self.hours is None else (-1, self.hours)
-            self._index = np.array(self._parts, dtype=np.int64).reshape(shape)
+            parts = self._parts or [np.zeros(0, dtype=np.int64)]
+            self._index = np.concatenate(parts, dtype=np.int64).reshape(shape)
         return self._index
 
     def member(self, key: tuple):
@@ -75,7 +88,7 @@ class Family:
 
     def names(self) -> list:
         """Entry names in the order of ``index.ravel()``."""
-        if self.name == NAMED:
+        if self.named:
             return [key[0] for key in self.keys]
         if self.hours is None:
             return [f"{self.name}[{','.join(key)}]" for key in self.keys]
@@ -205,31 +218,89 @@ class LinearProgram:
             fam = families.get(name)
             if fam is None:
                 fam = families[name] = Family(name, hours)
+            elif fam.named:
+                raise LpError(f"family {name!r} mixes named and keyed entries")
             elif fam.hours != hours:
                 raise LpError(f"family {name!r} mixes {fam.hours} and {hours} hours per key")
-            idx = index[:, j] if hours is not None else int(index[0, j])
-            fam._append(key, idx)
-            out[name] = idx
+            fam._extend([key], index[:, j])
+            out[name] = index[:, j] if hours is not None else int(index[0, j])
         return out
+
+    def add_named_cols(self, names: list, lo, hi, obj) -> np.ndarray:
+        """Append one column per name, filed under ``NAMED`` by that name.
+
+        `lo`, `hi` and `obj` are arrays aligned with `names`. Returns the
+        new columns' indices.
+        """
+        self._check_mutable()
+        _check_new(self._named_cols.keys(), names, "column")
+        start = self.num_cols
+        index = np.arange(start, start + len(names))
+        self._named_cols.update(zip(names, index.tolist()))
+        for store, values in ((self._lo, lo), (self._hi, hi), (self._obj, obj)):
+            store.extend(np.array(values, dtype=float).reshape(index.shape))
+        self.num_cols += index.size
+        self._file_named(self.col_families, {NAMED: range(len(names))}, names, start)
+        return index
+
+    def add_named_rows(self, names: list, senses, rhs, entries=((), (), ())) -> np.ndarray:
+        """Append one row per name; `entries` are (row, column, coefficient) arrays.
+
+        `senses` and `rhs` are aligned with `names`, and an entry's row
+        counts from 0 within `names`. Zero coefficients are dropped and
+        repeated columns of a row summed. A row named ``fam[...]`` is filed
+        under family ``fam``, any other under ``NAMED``, each keyed by its
+        name. Returns the new rows' indices.
+        """
+        self._check_mutable()
+        _check_new(self._named_rows, names, "row")
+        start = self.num_rows
+        index = np.arange(start, start + len(names))
+        senses = np.array(senses, dtype=str).reshape(index.shape)
+        bad = ~np.isin(senses, SENSES)
+        if bad.any():
+            k = bad.argmax()
+            raise LpError(f"row {names[k]!r}: sense {senses[k]!r} not in {SENSES}")
+        self._named_rows.update(names)
+        rows, cols, coefs = entries
+        self._entry_rows.extend(np.array(rows, dtype=np.int64) + start)
+        self._entry_cols.extend(np.array(cols, dtype=np.int64))
+        self._entry_vals.extend(np.array(coefs, dtype=float))
+        self._sense.extend(senses)
+        self._rhs.extend(np.array(rhs, dtype=float).reshape(index.shape))
+        self.num_rows += index.size
+        members: dict[str, list] = {}
+        for i, name in enumerate(names):
+            head, bracket, _ = name.partition("[")
+            members.setdefault(head if head and bracket else NAMED, []).append(i)
+        self._file_named(self.row_families, members, names, start)
+        return index
+
+    def _file_named(self, families: dict, members: dict, names: list, start: int) -> None:
+        """File the entries at `start` + positions under each family of `members`."""
+        self._lazy.clear()
+        for family, positions in members.items():
+            fam = families.get(family)
+            if fam is None:
+                fam = families[family] = Family(family, None, named=True)
+            elif not fam.named:
+                raise LpError(f"family {family!r} mixes named and keyed entries")
+            keys = [(name,) for name in map(names.__getitem__, positions)]
+            fam._extend(keys, np.asarray(positions, dtype=np.int64) + start)
 
     def add_col(self, name: str, lo: float = 0.0, hi: float = INF, obj: float = 0.0) -> int:
         """Add one column under its own name (family ``NAMED``)."""
-        if name in self._named_cols:
-            raise LpError(f"duplicate column {name!r}")
-        idx = self.add_cols((name,), {NAMED: (lo, hi, obj)})[NAMED]
-        self._named_cols[name] = idx
-        return idx
+        return int(self.add_named_cols([name], [lo], [hi], [obj])[0])
 
     def add_row(self, name: str, sense: str, rhs: float, entries) -> int:
-        """Add one row under its own name; `entries` are (column name or index, coef)."""
-        if name in self._named_rows:
-            raise LpError(f"duplicate row {name!r}")
+        """Add one row under its own name (filed as by :meth:`add_named_rows`).
+
+        `entries` are (column name or index, coefficient) pairs.
+        """
         entries = list(entries)
         cols = [self.col(col) for col, _ in entries]
         coefs = [coef for _, coef in entries]
-        idx = self.add_rows((name,), {NAMED: (sense, rhs, [(cols, coefs)])})[NAMED]
-        self._named_rows.add(name)
-        return idx
+        return int(self.add_named_rows([name], [sense], [rhs], ([0] * len(cols), cols, coefs))[0])
 
     def freeze(self) -> "LinearProgram":
         """Check every bound, cost, rhs and coefficient, then make the LP immutable."""

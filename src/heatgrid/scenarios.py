@@ -8,8 +8,8 @@ run with a 25%/two-hour run. Every spec executes once per weather year.
 Results persist one directory per (scenario, year) cell containing
 ``capacities.csv``, ``dispatch.csv``, ``flows.csv``, ``heat.csv``,
 ``costs.csv`` and a ``manifest.json`` (spec, provenance hash, solver
-stats, residuals, an error cell's traceback), plus ``model.mps`` when MPS
-export is asked for.
+stats, per-stage timings, residuals, an error cell's traceback), plus
+``model.mps`` when MPS export is asked for.
 Writes are atomic (temp dir, then rename), cells are independent, and a
 failing cell is recorded without aborting the batch.
 """
@@ -20,9 +20,11 @@ import csv
 import json
 import os
 import shutil
+import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +237,7 @@ class ScenarioResult:
     traceback: str | None = None  # of the exception that made an error cell
     synth_seed: int | None = None
     lp: LinearProgram | None = None  # kept only for MPS export
+    timings: dict = field(default_factory=dict)  # stage -> seconds, of the stages that ran
 
     @property
     def ok(self) -> bool:
@@ -270,41 +273,59 @@ def run_cell(
     """Build, solve, verify, and validate one matrix cell. Never raises.
 
     With `export_mps`, an optimal result keeps its LP in `lp`, and
-    :func:`persist_result` writes it as ``model.mps``.
+    :func:`persist_result` writes it as ``model.mps``. `timings` holds the
+    wall time of each stage that ran, in seconds.
     """
+    timings: dict = {}
     try:
-        instance = make_instance(dataset, spec, year)
-        lp = build_model(instance)
-        solution = solve(lp)
+        with _stage(timings, "make_instance_s"):
+            instance = make_instance(dataset, spec, year)
+        with _stage(timings, "build_s"):
+            lp = build_model(instance)
+        with _stage(timings, "solve_s"):
+            solution = solve(lp)
         if solution.status != "optimal":
             return ScenarioResult(
                 spec=spec, year=year, status=solution.status, objective=None,
                 solved=None, residual_report=None, trajectory_reports={},
                 solver_stats=_stats(solution, lp), provenance=dataset.provenance,
-                synth_seed=dataset.synth_seed,
+                synth_seed=dataset.synth_seed, timings=timings,
             )
-        solved = extract_solved(instance, lp, solution)
-        report = verify(lp, solution)
+        with _stage(timings, "extract_s"):
+            solved = extract_solved(instance, lp, solution)
+        with _stage(timings, "verify_s"):
+            report = verify(lp, solution)
         traj_reports = {}
-        if instance.heat is not None:
-            for c, traj in solved.heat.items():
-                traj_reports[c] = validate_trajectory(
-                    traj, instance.heat.fleet, instance.heat.targets_mw.get(c, {}),
-                    instance.heat.cops[c], c,
-                )
+        with _stage(timings, "validate_s"):
+            if instance.heat is not None:
+                for c, traj in solved.heat.items():
+                    traj_reports[c] = validate_trajectory(
+                        traj, instance.heat.fleet, instance.heat.targets_mw.get(c, {}),
+                        instance.heat.cops[c], c,
+                    )
         return ScenarioResult(
             spec=spec, year=year, status="optimal", objective=solution.objective,
             solved=solved, residual_report=report, trajectory_reports=traj_reports,
             solver_stats=_stats(solution, lp), provenance=dataset.provenance,
-            synth_seed=dataset.synth_seed, lp=lp if export_mps else None,
+            synth_seed=dataset.synth_seed, lp=lp if export_mps else None, timings=timings,
         )
     except Exception as exc:  # cell isolation: record, don't abort the batch
         return ScenarioResult(
             spec=spec, year=year, status="error", objective=None, solved=None,
             residual_report=None, trajectory_reports={}, solver_stats={},
             provenance=dataset.provenance, error=f"{type(exc).__name__}: {exc}",
-            traceback=traceback.format_exc(), synth_seed=dataset.synth_seed,
+            traceback=traceback.format_exc(), synth_seed=dataset.synth_seed, timings=timings,
         )
+
+
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Record the wall time of the enclosed stage in `timings[name]`, also when it raises."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = time.perf_counter() - start
 
 
 def _stats(solution: Solution, lp) -> dict:
@@ -490,6 +511,7 @@ def _write_cell_files(result: ScenarioResult, cell_dir: Path) -> None:
         "provenance": result.provenance,
         "synth_seed": result.synth_seed,
         "solver": result.solver_stats,
+        "timings": result.timings,
         "residuals": {
             family: {
                 "max": fam.max_violation,

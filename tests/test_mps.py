@@ -4,17 +4,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from desk import random_desk_instance
+from heatgrid.dataset import build_synth_dataset
 from heatgrid.lp import LinearProgram
 from heatgrid.model import build_model
 from heatgrid.mps import (
+    MpsError,
     export_mps,
     import_mps,
     mangle_names,
     read_solution_csv,
     write_solution_csv,
 )
+from heatgrid.scenarios import base_specs, make_instance
 from heatgrid.solver import solve, verify
 
 INF = float("inf")
@@ -206,3 +211,264 @@ def test_mangle_names_matches_restarting_search():
         got = mangle_names(names, reserved=reserved)
         assert got == _mangle_restarting(names, reserved=reserved)
         assert len(set(got.values()) | set(reserved)) == len(got) + len(reserved)
+
+
+# -- import behaviour, pinned -------------------------------------------------
+
+
+def _import_text(tmp_path, text):
+    path = tmp_path / "t.mps"
+    path.write_text(text)
+    return import_mps(path)
+
+
+def _mps(columns, bounds="", rows=" G  r\n", rhs="", ranges=""):
+    return (
+        f"NAME          t\nROWS\n N  OBJ\n{rows}COLUMNS\n{columns}"
+        f"RHS\n{rhs}RANGES\n{ranges}BOUNDS\n{bounds}ENDATA\n"
+    )
+
+
+def _one_entry_each(names):
+    return "".join(f"    {n:<9} r         1\n" for n in names)
+
+
+def _bounds(lp):
+    return dict(zip(lp.col_names, zip(lp.lo, lp.hi)))
+
+
+def test_import_bound_types_mi_pl_fr_fx(tmp_path):
+    bounds = """ MI BND       a
+ UP BND       a         5
+ UP BND       b         4
+ PL BND       b
+ FR BND       c
+ FX BND       d         2.5
+ LO BND       e         -3
+ MI BND       e
+ LO BND       f         -1
+ UP BND       f         0
+"""
+    lp = _import_text(tmp_path, _mps(_one_entry_each("abcdefg"), bounds))
+    assert _bounds(lp) == {
+        "a": (-INF, 5.0),
+        "b": (0.0, INF),
+        "c": (-INF, INF),
+        "d": (2.5, 2.5),
+        "e": (-INF, INF),
+        "f": (-1.0, 0.0),
+        "g": (0.0, INF),  # no bound line: the MPS default
+    }
+
+
+def test_import_negative_upper_bound_without_lower_frees_the_lower_bound(tmp_path):
+    bounds = """ UP BND       a         -2
+ LO BND       b         -10
+ UP BND       b         -2
+ UP BND       c         -2
+ LO BND       c         -5
+ MI BND       d
+ UP BND       d         -2
+ FX BND       e         3
+ UP BND       e         -1
+"""
+    lp = _import_text(tmp_path, _mps(_one_entry_each("abcde"), bounds))
+    assert _bounds(lp) == {
+        "a": (-INF, -2.0),
+        "b": (-10.0, -2.0),  # an explicit LO keeps it, before the UP
+        "c": (-5.0, -2.0),  # ... or after it
+        "d": (-INF, -2.0),
+        "e": (-INF, -1.0),  # FX is not LO: the negative UP frees it
+    }
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_mps(_one_entry_each("a"), " BV BND       a\n"), "binary"),
+        (_mps(_one_entry_each("a"), " XX BND       a         1\n"), "unknown bound type"),
+        (_mps(_one_entry_each("a"), rows=" Q  r\n"), "unknown row sense"),
+        (_mps("    a         nosuch    1\n"), "unknown row"),
+        (_mps("    a         r\n"), "bad COLUMNS line"),
+        (_mps("    a         r         1          OBJ\n"), "bad COLUMNS line"),
+        (_mps(_one_entry_each("a"), rhs="    RHS       r\n"), "bad RHS line"),
+    ],
+    ids=["BV", "unknown-bound", "unknown-sense", "unknown-row", "short-line", "long-line", "rhs"],
+)
+def test_import_rejects_malformed_input(tmp_path, text, message):
+    with pytest.raises(MpsError, match=message):
+        _import_text(tmp_path, text)
+
+
+def test_import_non_contiguous_column_and_repeated_entries(tmp_path):
+    columns = """    x         OBJ       1
+    x         r         1
+    y         r         2
+    x         OBJ       2
+    x         s         3
+    x         s         0.5
+    y         OBJ       -1
+"""
+    lp = _import_text(tmp_path, _mps(columns, rows=" G  r\n L  s\n"))
+    assert lp.col_names == ["x", "y"]  # order of first appearance
+    assert lp.obj == [3.0, -1.0]  # objective entries are summed
+    assert lp.row_names == ["r", "s"]
+    assert lp.rows == [[(0, 1.0), (1, 2.0)], [(0, 3.5)]]  # so are repeated matrix entries
+
+
+def test_import_ranges_on_every_sense(tmp_path):
+    rows = " E  eneg\n E  epos\n L  lim\n G  atl\n E  plain\n"
+    columns = "".join(f"    x         {r:<9} 1\n" for r in ("eneg", "epos", "lim", "atl", "plain"))
+    rhs = """    RHS       eneg      5
+    RHS       epos      5
+    RHS       lim       5
+    RHS       atl       5
+    RHS       plain     5
+"""
+    ranges = """    RNG       eneg      -2
+    RNG       epos      2
+    RNG       lim       -2
+    RNG       atl       -2
+"""
+    lp = _import_text(tmp_path, _mps(columns, rows=rows, rhs=rhs, ranges=ranges))
+    got = list(zip(lp.row_names, lp.senses, lp.rhs))
+    assert got == [
+        ("eneg#lo", "G", 3.0), ("eneg#hi", "L", 5.0),  # E, negative range: [b + r, b]
+        ("epos#lo", "G", 5.0), ("epos#hi", "L", 7.0),  # E, positive range: [b, b + r]
+        ("lim#lo", "G", 3.0), ("lim#hi", "L", 5.0),  # L: [b - |r|, b]
+        ("atl#lo", "G", 5.0), ("atl#hi", "L", 7.0),  # G: [b, b + |r|]
+        ("plain", "E", 5.0),
+    ]
+    assert all(entries == [(0, 1.0)] for entries in lp.rows)
+
+
+def test_round_trip_keeps_verify_families(tmp_path):
+    # Imported rows are filed under the family of their original name, so
+    # the residual report reads as it does on the built program.
+    dataset = build_synth_dataset(3, ["AT", "DE"], [2009], 24)
+    spec = base_specs([2009], 24)[2]  # heat pumps and a tank: every row family
+    lp = build_model(make_instance(dataset, spec, 2009))
+    back = import_mps(export_mps(lp, tmp_path / "cell.mps"))
+    values = solve(lp).values
+    want, got = verify(lp, values), verify(back, values)
+    assert {"balance", "availability", "storage", "heat"} <= set(want.families)
+    assert list(got.families) == list(want.families)
+    for family, residual in want.families.items():
+        assert got.families[family].max_violation == residual.max_violation, family
+        assert got.families[family].rows == residual.rows, family
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False).filter(lambda v: v != 0.0)
+
+
+@st.composite
+def _random_lps(draw):
+    """Small LPs whose long names collide after mangling, with every bound kind."""
+    lp = LinearProgram(draw(st.sampled_from(["rand", "x" * 70])))
+    heads = ["gen[DE,ccgt,", "gen[DE,cc", "bal[DE,", "x", "[", "é"]
+    n_cols = draw(st.integers(1, 12))
+    for j in range(n_cols):
+        lo = draw(st.sampled_from([0.0, -INF, -2.5, 1.0, 0.1]))
+        hi = draw(st.sampled_from([INF, 0.0, 3.0, 1e6, lo if lo != -INF else 7.0]))
+        if lo > hi:
+            lo, hi = hi, lo
+        obj = draw(st.one_of(st.just(0.0), _FINITE))
+        lp.add_col(f"{draw(st.sampled_from(heads))}{j}]", lo, hi, obj)
+    for i in range(draw(st.integers(0, 8))):
+        cols = draw(st.lists(st.integers(0, n_cols - 1), max_size=4, unique=True))
+        entries = [(c, draw(_FINITE)) for c in cols]  # some rows stay empty
+        sense = draw(st.sampled_from("LEG"))
+        rhs = draw(st.one_of(st.just(0.0), _FINITE))
+        lp.add_row(f"{draw(st.sampled_from(heads))}{i}]", sense, rhs, entries)
+    lp.offset = draw(st.one_of(st.just(0.0), _FINITE))
+    return lp.freeze()
+
+
+@given(_random_lps())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_lps_survive_export_and_import(tmp_path, lp):
+    back = import_mps(export_mps(lp, tmp_path / "rand.mps"))
+    assert back.name == lp.name[:60]
+    assert (back.col_names, back.lo, back.hi, back.obj) == (lp.col_names, lp.lo, lp.hi, lp.obj)
+    assert (back.row_names, back.senses, back.rhs, back.rows) == (lp.row_names, lp.senses, lp.rhs, lp.rows)
+    assert back.offset == lp.offset
+
+
+def _reference_mps_text(lp):
+    """The MPS text as the one-line-at-a-time writer composed it (kept to pin the format)."""
+
+    def line(f1, f2="", f3="", f4=""):
+        return (" " + f1.ljust(2) + " " + f2.ljust(9) + " " + f3.ljust(9) + " " + f4).rstrip()
+
+    def num(x):
+        return "%.17g" % x
+
+    row_map = mangle_names(lp.row_names, reserved=("OBJ",))
+    col_map = mangle_names(lp.col_names)
+    row_short = [row_map[n] for n in lp.row_names]
+    lines = [f"NAME          {lp.name[:60]}", "ROWS", line("N", "OBJ")]
+    lines += [line(sense, short) for short, sense in zip(row_short, lp.senses)]
+    lines.append("COLUMNS")
+    csc = lp.matrix().tocsc()
+    for c, name in enumerate(lp.col_names):
+        start, end = csc.indptr[c], csc.indptr[c + 1]
+        if lp.obj[c] != 0.0 or start == end:
+            lines.append(line("", col_map[name], "OBJ", num(lp.obj[c])))
+        for r, coef in zip(csc.indices[start:end].tolist(), csc.data[start:end].tolist()):
+            lines.append(line("", col_map[name], row_short[r], num(coef)))
+    lines.append("RHS")
+    if lp.offset != 0.0:
+        lines.append(line("", "RHS", "OBJ", num(-lp.offset)))
+    lines += [line("", "RHS", s, num(v)) for s, v in zip(row_short, lp.rhs) if v != 0.0]
+    lines += ["RANGES", "BOUNDS"]
+    for name, lo, hi in zip(lp.col_names, lp.lo, lp.hi):
+        short = col_map[name]
+        if lo == 0.0 and hi == INF:
+            continue
+        if lo == hi:
+            lines.append(line("FX", "BND", short, num(lo)))
+            continue
+        if lo == -INF and hi == INF:
+            lines.append(line("FR", "BND", short))
+            continue
+        if lo == -INF:
+            lines.append(line("MI", "BND", short))
+        elif lo != 0.0:
+            lines.append(line("LO", "BND", short, num(lo)))
+        if hi != INF:
+            lines.append(line("UP", "BND", short, num(hi)))
+    lines.append("ENDATA")
+    sidecar = {
+        "rows": {short: name for name, short in row_map.items()},
+        "cols": {short: name for name, short in col_map.items()},
+        "objective_row": "OBJ",
+    }
+    return "\n".join(lines) + "\n", json.dumps(sidecar, indent=1, sort_keys=True)
+
+
+def _assert_reference_bytes(lp, path):
+    export_mps(lp, path)
+    text, sidecar = _reference_mps_text(lp)
+    assert path.read_text() == text
+    assert (path.parent / (path.name + ".names.json")).read_text() == sidecar
+
+
+def test_export_matches_reference_format_on_a_cell(tmp_path):
+    dataset = build_synth_dataset(3, ["AT", "DE"], [2009], 24)
+    for spec in base_specs([2009], 24):
+        _assert_reference_bytes(build_model(make_instance(dataset, spec, 2009)), tmp_path / "cell.mps")
+
+
+def test_export_matches_reference_format_on_odd_names(tmp_path):
+    lp = LinearProgram('quote " and \\ and é')
+    for j, name in enumerate(['a"b', "c\\d", "é[1]", "tab\tx", "\x01", "long name number %d" % 0]):
+        lp.add_col(name, -INF if j % 2 else -0.0, -0.0 if j % 3 == 0 else INF, 0.0)
+    lp.freeze()
+    _assert_reference_bytes(lp, tmp_path / "odd.mps")  # no rows: an empty map
+    assert '"rows": {}' in (tmp_path / "odd.mps.names.json").read_text()
+
+
+@given(_random_lps())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_lps_export_in_reference_format(tmp_path, lp):
+    _assert_reference_bytes(lp, tmp_path / "rand.mps")

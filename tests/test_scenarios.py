@@ -231,6 +231,26 @@ class TestPersistence:
         results = load_results(tmp_path)
         assert len(results) == 1
 
+    def test_manifest_carries_stage_timings(self, dataset, tmp_path, monkeypatch):
+        import heatgrid.scenarios as scenarios
+
+        stages = ["make_instance_s", "build_s", "solve_s", "extract_s", "verify_s", "validate_s"]
+        result = run_cell(dataset, base_specs([2009], HOURS)[2], 2009)
+        manifest = json.loads((persist_result(result, tmp_path / "ok") / "manifest.json").read_text())
+        assert list(manifest["timings"]) == sorted(stages)
+        assert manifest["timings"] == result.timings
+        assert all(seconds >= 0.0 for seconds in result.timings.values())
+        assert result.timings["solve_s"] >= manifest["solver"]["wall_time_s"]  # the stage holds the solve
+
+        # An error cell keeps the times of the stages that ran, the failing one included.
+        def solve_that_breaks(lp):
+            raise RuntimeError("solver gone")
+
+        monkeypatch.setattr(scenarios, "solve", solve_that_breaks)
+        broken = run_cell(dataset, base_specs([2009], HOURS)[2], 2009)
+        assert broken.status == "error"
+        assert list(broken.timings) == ["make_instance_s", "build_s", "solve_s"]
+
 
 class TestCostDecomposition:
     def test_breakdown_sums_to_objective(self, dataset):
