@@ -13,12 +13,13 @@ written by default).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
 
 from .dataset import build_ingested_dataset, build_synth_dataset
-from .ingest import emit_csv, ingest_file, sha256_text
+from .ingest import csv_chunks, ingest_file
 from .scenarios import load_results, run_matrix, specs_for_selector
 from .series import SeriesError
 from .staticdata import load_static
@@ -55,11 +56,14 @@ def cmd_ingest(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    canonical = emit_csv(series_map)
-    (out / CACHE_SERIES).write_text(canonical)
+    digest = hashlib.sha256()
+    with (out / CACHE_SERIES).open("wb") as fh:
+        for data in map(str.encode, csv_chunks(series_map)):
+            fh.write(data)
+            digest.update(data)
     manifest = {
         "schema": "heatgrid-cache-v1",
-        "sha256": sha256_text(canonical),
+        "sha256": digest.hexdigest(),
         "series": len(series_map),
         "countries": sorted({c for c, _ in series_map}),
     }

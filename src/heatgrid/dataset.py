@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .ingest import CountryBundle, assemble_bundles, bundles_to_series_map, emit_csv
+from .ingest import CountryBundle, assemble_bundles, bundles_to_series_map, csv_chunks
 from .staticdata import Bounds, BoundsTable, NtcMatrix, StaticData, load_static
 from .synth import synth_profiles
 
@@ -51,7 +51,8 @@ def _provenance(bundles: dict, static: StaticData, bounds: BoundsTable, ntc: Ntc
     digest = hashlib.sha256()
     for year in sorted(bundles):
         digest.update(str(year).encode())
-        digest.update(emit_csv(bundles_to_series_map(bundles[year])).encode())
+        for chunk in csv_chunks(bundles_to_series_map(bundles[year])):
+            digest.update(chunk.encode())
     from .staticdata import emit_static
 
     digest.update(emit_static(static.raw).encode())

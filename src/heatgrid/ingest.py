@@ -27,8 +27,7 @@ values with ``repr`` so ingest -> emit round trips are byte-identical.
 from __future__ import annotations
 
 import csv
-import hashlib
-import io
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -52,6 +51,7 @@ from .series import (
     SeriesError,
     is_leap_hour,
     noleap_hours_between,
+    noleap_stamps,
     window_july_june,
 )
 
@@ -176,40 +176,27 @@ def ingest_series(path, schema: str) -> HourlySeries:
     return matches[0]
 
 
-def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def csv_chunks(series_map: dict[tuple[str, str], HourlySeries]) -> Iterator[str]:
+    """Canonical CSV text for a series map: the header, then one chunk per series.
 
-
-def _format_value(x: float) -> str:
-    # repr() is the shortest string that round-trips the float exactly.
-    return repr(float(x))
-
-
-def _next_noleap_hour(ts: datetime) -> datetime:
-    from datetime import timedelta
-
-    nxt = ts + timedelta(hours=1)
-    if is_leap_hour(nxt):
-        return nxt.replace(day=1, month=3, hour=0)
-    return nxt
+    A bundle's series share one timestamp column, formatted once per (start,
+    length). No field needs quoting: names are checked, values are float reprs.
+    """
+    yield ",".join(HEADER) + "\n"
+    stamps: dict = {}
+    for country, fullq in sorted(series_map):
+        ser = series_map[(country, fullq)]
+        shape = (ser.start, len(ser))
+        if shape not in stamps:
+            stamps[shape] = np.datetime_as_string(noleap_stamps(*shape), unit="s").tolist()
+        # A line is stamp + "Z,country,quantity," + repr(value), the shortest exact float text.
+        sep = f"Z,{country},{fullq},"
+        yield "\n".join(map(sep.join, zip(stamps[shape], map(repr, ser.values.tolist())))) + "\n"
 
 
 def emit_csv(series_map: dict[tuple[str, str], HourlySeries]) -> str:
     """Canonical CSV text for a series map (inverse of ingest_file)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(HEADER)
-    for (country, fullq) in sorted(series_map):
-        ser = series_map[(country, fullq)]
-        ts = ser.start
-        for value in ser.values:
-            writer.writerow([format_timestamp(ts), country, fullq, _format_value(value)])
-            ts = _next_noleap_hour(ts)
-    return buf.getvalue()
-
-
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    return "".join(csv_chunks(series_map))
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,9 @@ class LinearProgram:
                 count = max(size, cols.size, coefs.size)
                 r, c, v = np.empty(count, np.int64), np.empty(count, np.int64), np.empty(count)
                 r[:], c[:], v[:] = index[:, j], cols, coefs
+                if not v.all():  # a zero given is dropped; terms that cancel stay stored
+                    keep = v != 0.0
+                    r, c, v = r[keep], c[keep], v[keep]
                 self._entry_rows.extend(r)
                 self._entry_cols.extend(c)
                 self._entry_vals.extend(v)
@@ -247,10 +250,10 @@ class LinearProgram:
         """Append one row per name; `entries` are (row, column, coefficient) arrays.
 
         `senses` and `rhs` are aligned with `names`, and an entry's row
-        counts from 0 within `names`. Zero coefficients are dropped and
-        repeated columns of a row summed. A row named ``fam[...]`` is filed
-        under family ``fam``, any other under ``NAMED``, each keyed by its
-        name. Returns the new rows' indices.
+        counts from 0 within `names`. Every entry is stored, zeros too (MPS
+        may list them), and repeated columns of a row summed. A row named
+        ``fam[...]`` is filed under family ``fam``, any other under
+        ``NAMED``, each keyed by its name. Returns the new rows' indices.
         """
         self._check_mutable()
         _check_new(self._named_rows, names, "row")
@@ -353,11 +356,9 @@ class LinearProgram:
         """The constraint matrix, CSR with sorted indices; shared, do not modify."""
         m = self._lazy.get("matrix")
         if m is None:
-            vals = self._entry_vals.array()
-            keep = vals != 0.0  # a zero given is dropped; terms that cancel stay stored
-            rows, cols = self._entry_rows.array()[keep], self._entry_cols.array()[keep]
+            entries = (self._entry_rows.array(), self._entry_cols.array())
             m = self._lazy["matrix"] = sparse.csr_matrix(
-                (vals[keep], (rows, cols)), shape=(self.num_rows, self.num_cols)
+                (self._entry_vals.array(), entries), shape=(self.num_rows, self.num_cols)
             )
         return m
 
@@ -419,13 +420,6 @@ class LinearProgram:
             if idx is None:
                 raise LpError(f"unknown column {name_or_idx!r}")
         return idx
-
-    def has_col(self, name: str) -> bool:
-        try:
-            self.col(name)
-        except LpError:
-            return False
-        return True
 
     def col_name(self, idx: int) -> str:
         return self.col_names[idx]

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lp import INF, LinearProgram
+from .lp import INF, LinearProgram, LpError
 
 OBJ_NAME = "OBJ"
 _BASE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -429,7 +429,8 @@ def read_solution_csv(lp: LinearProgram, path) -> np.ndarray:
         for row in reader:
             if not row:
                 continue
-            if not lp.has_col(row[0]):
-                raise MpsError(f"{path}: unknown column {row[0]!r}")
-            values[lp.col(row[0])] = float(row[1])
+            try:
+                values[lp.col(row[0])] = float(row[1])
+            except LpError:
+                raise MpsError(f"{path}: unknown column {row[0]!r}") from None
     return values

@@ -73,6 +73,22 @@ def is_leap_hour(ts: datetime) -> bool:
     return ts.month == 2 and ts.day == 29
 
 
+def noleap_stamps(start: datetime, hours: int) -> np.ndarray:
+    """UTC times (``datetime64[s]``) of no-leap hours ``0 .. hours-1`` from `start`.
+
+    Hour 0 is `start` itself; every later hour on a Feb 29 is skipped.
+    """
+    first = np.datetime64(start.astimezone(timezone.utc).replace(tzinfo=None), "s")
+    # Each skipped Feb 29 costs 24 real hours; the span holds hours // 8760 + 1 at most.
+    span = hours + 24 * (hours // 8760 + 1)
+    stamps = first + np.arange(span) * np.timedelta64(3600, "s")
+    days = stamps.astype("M8[D]")
+    months = days.astype("M8[M]")
+    leap = (months.astype(np.int64) % 12 == 1) & ((days - months).astype(np.int64) == 28)
+    leap[0] = False
+    return stamps[~leap][:hours]
+
+
 _NONNEGATIVE = {"electric_load_MW", "heat_demand_MWth", "hydro_inflow_MWh"}
 
 
@@ -176,10 +192,6 @@ class ModelWindow:
     def __post_init__(self):
         if self.hours < 1:
             raise ValueError("window must contain at least one hour")
-
-    @property
-    def hour_range(self) -> range:
-        return range(self.first_hour, self.first_hour + self.hours)
 
 
 def window_july_june(series: HourlySeries, year: int, hours: int = 8760) -> HourlySeries:

@@ -111,7 +111,8 @@ def verify(lp: LinearProgram, solution: Solution | np.ndarray) -> ResidualReport
     Violations are grouped by constraint family (balance, availability,
     storage, heat, generation_bound, other) plus a `bounds` family for
     variable-bound violations. Rows are grouped through the LP's row
-    catalog, so rows added one at a time (MPS import) count as `other`.
+    catalog, so a row added under its own name ``fam[...]`` (MPS import)
+    counts with family ``fam``, and one with no such family as `other`.
     An empty LP yields an empty report.
     """
     values = solution.values if isinstance(solution, Solution) else np.asarray(solution)

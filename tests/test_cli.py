@@ -1,5 +1,6 @@
 """CLI: exit codes, cache determinism, result trees, analyze outputs."""
 
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,9 @@ def test_ingest_valid_bundle(tmp_path, capsys):
     assert (out / "series.csv").exists()
     manifest = json.loads((out / "cache.json").read_text())
     first_hash = manifest["sha256"]
+    # The canonical bytes are pinned, and the manifest hashes the file written.
+    assert first_hash == "8c3cea241125a6e787ada7a7b96828524da60294a6fa12052909d06774936f7c"
+    assert hashlib.sha256((out / "series.csv").read_bytes()).hexdigest() == first_hash
     # Re-running on unchanged inputs leaves the cache hash unchanged.
     assert main(["ingest", str(src), "--out", str(out)]) == 0
     assert json.loads((out / "cache.json").read_text())["sha256"] == first_hash

@@ -1,17 +1,24 @@
 """CSV ingestion: schema checks, gap detection, canonical round trips."""
 
+import csv
+import io
+from datetime import timedelta, timezone
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatgrid.ingest import (
     BadHeader,
     assemble_bundles,
+    csv_chunks,
     emit_csv,
     ingest_file,
     ingest_series,
     parse_quantity,
 )
-from heatgrid.series import MissingValue, OutOfRange, SeriesError
+from heatgrid.series import HourlySeries, MissingValue, OutOfRange, SeriesError, is_leap_hour, utc
 from heatgrid.synth import synth_profiles
 
 
@@ -175,3 +182,102 @@ def test_multi_year_series_window_across_leap_boundary():
         win12.heat_demand.profiles[key].values,
         year_b[("DE", "heat_demand_MWth.single_family.space")].values[:48],
     )
+
+
+def _reference_csv(series_map):
+    """Canonical CSV as the row-at-a-time writer composed it (kept to pin the bytes)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("timestamp", "country", "quantity", "value"))
+    for country, fullq in sorted(series_map):
+        ser = series_map[(country, fullq)]
+        ts = ser.start
+        for value in ser.values:
+            stamp = ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+            writer.writerow([stamp, country, fullq, repr(float(value))])
+            ts += timedelta(hours=1)
+            if is_leap_hour(ts):
+                ts = ts.replace(day=1, month=3, hour=0)
+    return buf.getvalue()
+
+
+def _assert_same_text(got, want):
+    # Name the first line that differs: pytest's diff of two texts of
+    # 20,000 lines would take minutes.
+    if got != want:
+        got, want = got.splitlines(), want.splitlines()
+        k = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+        k = min(len(got), len(want)) if k is None else k
+        pytest.fail(f"line {k}: {got[k:k + 1]} != {want[k:k + 1]} ({len(got)} vs {len(want)} lines)")
+
+
+_STARTS = [
+    utc(2009, 7, 1),
+    utc(2012, 2, 28, 20),  # crosses Feb 29 2012 after four hours
+    utc(2012, 2, 29),  # on Feb 29 itself: hour 0 keeps it
+    utc(2012, 2, 29, 13),
+    utc(2015, 12, 31, 23),  # crosses into a leap year
+]
+_QUANTITIES = [
+    "electric_load_MW",
+    "hydro_inflow_MWh",
+    "heat_demand_MWth.single_family.space",
+    "availability_factor.solar_pv",
+]
+_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, 1 / 3, 1.0]),
+    st.floats(0.0, 1e300),
+)
+
+
+@st.composite
+def _series_maps(draw):
+    shapes = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_STARTS),
+                st.one_of(st.integers(1, 60), st.integers(1, 20_000)),
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    keys = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["AT", "DE", "FR"]), st.sampled_from(_QUANTITIES)),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    out = {}
+    for country, fullq in keys:
+        start, hours = draw(st.sampled_from(shapes))
+        values = np.resize(draw(st.lists(_VALUES, min_size=1, max_size=8)), hours)
+        base, _ = parse_quantity(fullq)
+        if base == "availability_factor":
+            values = np.minimum(values, 1.0)
+        out[(country, fullq)] = HourlySeries(country, base, start, values)
+    return out
+
+
+@given(_series_maps())
+@settings(max_examples=40, deadline=None)
+def test_emit_csv_matches_row_at_a_time_writer(series_map):
+    _assert_same_text(emit_csv(series_map), _reference_csv(series_map))
+
+
+@pytest.mark.parametrize("start", _STARTS)
+def test_emit_csv_matches_row_at_a_time_writer_over_20000_hours(start):
+    values = np.resize([-0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, 7.25], 20_000)
+    series_map = {("FR", "electric_load_MW"): HourlySeries("FR", "electric_load_MW", start, values)}
+    _assert_same_text(emit_csv(series_map), _reference_csv(series_map))
+
+
+def test_csv_chunks_are_the_header_then_one_per_series():
+    series_map = synth_profiles(5, ["DE", "CH"], 24)
+    chunks = list(csv_chunks(series_map))
+    assert chunks[0] == HEADER
+    assert len(chunks) == len(series_map) + 1
+    assert all(chunk.count("\n") == 24 for chunk in chunks[1:])
+    _assert_same_text("".join(chunks), _reference_csv(series_map))

@@ -358,6 +358,32 @@ def test_round_trip_keeps_verify_families(tmp_path):
         assert got.families[family].rows == residual.rows, family
 
 
+def test_one_hour_window_round_trips_its_explicit_zeros(tmp_path):
+    # A 1-hour window cancels every cyclic storage self-term to a stored
+    # zero; export writes those zeros and import must keep them.
+    dataset = build_synth_dataset(7, ["AT", "DE", "FR"], [2009], 24)
+    spec = next(s for s in base_specs([2009], 1) if s.name == "base-hp25-ep2")
+    lp = build_model(make_instance(dataset, spec, 2009))
+    back = import_mps(export_mps(lp, tmp_path / "hour.mps"))
+    want, got = lp.matrix(), back.matrix()
+    assert (want.nnz, got.nnz) == (271, 271)
+    assert (want.data == 0.0).any()
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
+def test_named_rows_keep_zeros_and_keyed_rows_drop_them():
+    lp = LinearProgram("zeros")
+    x, y = lp.add_col("x"), lp.add_col("y")
+    lp.add_row("named", "G", 1.0, [(x, 0.0), (y, 1.0)])
+    cols = lp.add_cols(("DE",), {"gen": (0.0, INF, 1.0)}, hours=2)["gen"]
+    lp.add_rows(("DE",), {"bal": ("E", 1.0, [(cols, 0.0), (cols, [1.0, 2.0]), (x, [1.0, -1.0])])}, hours=2)
+    lp.add_rows(("DE",), {"cyc": ("E", 0.0, [(cols[0], 1.0), (cols[0], -1.0)])})
+    lp.freeze()
+    assert lp.rows == [[(0, 0.0), (1, 1.0)], [(0, 1.0), (2, 1.0)], [(0, -1.0), (3, 2.0)], [(2, 0.0)]]
+
+
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False).filter(lambda v: v != 0.0)
 
 

@@ -14,6 +14,7 @@ from heatgrid.series import (
     OutOfRange,
     add_noleap_hours,
     noleap_hours_between,
+    noleap_stamps,
     utc,
     window_july_june,
 )
@@ -123,3 +124,25 @@ def test_cop_at_or_below_one_warns_but_passes():
     with pytest.warns(UserWarning, match="dips to"):
         ser = make("cop", [2.0, 0.9, 3.0])
     assert list(ser.values) == [2.0, 0.9, 3.0]
+
+
+@pytest.mark.parametrize(
+    "start", [utc(2009, 7, 1), utc(2012, 2, 28, 20), utc(2015, 12, 31, 23), utc(2099, 7, 1)]
+)
+def test_noleap_stamps_step_as_add_noleap_hours(start):
+    hours = 2 * 8760 + 30
+    stamps = noleap_stamps(start, hours)
+    assert len(stamps) == hours
+    for k in (0, 1, 4, 5, 1440, 8759, 8760, hours - 1):
+        want = add_noleap_hours(start, k).replace(tzinfo=None)
+        assert stamps[k] == np.datetime64(want, "s"), k
+
+
+def test_noleap_stamps_keep_a_feb29_start_only():
+    stamps = noleap_stamps(utc(2012, 2, 29, 22), 4)
+    assert np.datetime_as_string(stamps).tolist() == [
+        "2012-02-29T22:00:00",
+        "2012-03-01T00:00:00",
+        "2012-03-01T01:00:00",
+        "2012-03-01T02:00:00",
+    ]

@@ -77,3 +77,11 @@ def test_synth_dataset_structure():
     assert ds2.provenance == ds.provenance
     ds3 = build_synth_dataset(10, ["AT", "DE"], [2009, 2010], 48)
     assert ds3.provenance != ds.provenance
+
+
+def test_provenance_is_pinned():
+    # Hashes of the canonical bytes; any change to them must show here.
+    ds = build_synth_dataset(7, ["AT", "DE", "FR"], [2009], 336)
+    assert ds.provenance == "73c987cdc0a9aba36c1bb79c17c64c9276e8394f02f9131d89d31036c0272aa8"
+    ds = build_synth_dataset(9, ["AT", "DE"], [2009, 2010], 48)
+    assert ds.provenance == "fe3bd2cc7df55e5ff95a43541598372351df2718c115b0f247a66196cdd2f50f"
