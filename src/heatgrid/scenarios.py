@@ -335,6 +335,7 @@ def _stats(solution: Solution, lp) -> dict:
         "status": solution.status,
         "iterations": solution.iterations,
         "wall_time_s": solution.wall_time_s,
+        "highs_run_time_s": solution.highs_run_time_s,
         "max_residual": None if np.isnan(solution.max_residual) else solution.max_residual,
         "rows": s["rows"],
         "cols": s["cols"],

@@ -1,10 +1,15 @@
 """Solve front-end, solution container, and residual verification.
 
-Every LP is solved by HiGHS through ``scipy.optimize.linprog(method="highs")``
-with primal and dual feasibility tolerances of 1e-9. :func:`verify`
-recomputes every row activity and bound from scratch and reports
-violations by constraint family; it never trusts solver-reported
-residuals.
+Every LP is solved by HiGHS' dual simplex, called natively through
+scipy's bundled HiGHS (``scipy.optimize._highspy``) in the row layout and
+with the options of ``scipy.optimize.linprog(method="highs")``: presolve
+on, primal and dual feasibility tolerances of 1e-9. Keeping linprog's
+layout keeps its pivot path, so every ``x`` is bitwise the one linprog
+gives and the result CSVs stay byte-identical; passing the rows as built
+takes another path and moves ``x`` by up to about 1e-12. An optimum
+carries HiGHS' row duals and reduced costs. :func:`verify` recomputes
+every row activity and bound from scratch and reports violations by
+constraint family; it never trusts solver-reported residuals.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy.optimize._highspy import _core as _highs
 
 from .lp import LinearProgram
 
@@ -21,8 +26,33 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
+TIME_LIMIT = "time_limit"
 
 _FEASIBILITY_TOL = 1e-9
+# linprog's check of a reported optimum: bounds and rows within sqrt(tol) * 10.
+_OPTIMUM_CHECK_TOL = float(np.sqrt(_FEASIBILITY_TOL) * 10)
+
+# The options linprog(method="highs") passes; no time or iteration limit.
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "simplex_strategy": 1,  # dual simplex
+    "primal_feasibility_tolerance": _FEASIBILITY_TOL,
+    "dual_feasibility_tolerance": _FEASIBILITY_TOL,
+    "highs_debug_level": 0,
+    "output_flag": False,
+    "log_to_console": False,
+}
+
+# HiGHS model status -> solution status, as linprog maps it, except that a
+# time limit is its own status; any other model status raises SolverError.
+_STATUS = {
+    _highs.HighsModelStatus.kOptimal: OPTIMAL,
+    _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    _highs.HighsModelStatus.kModelError: INFEASIBLE,
+    _highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+    _highs.HighsModelStatus.kIterationLimit: ITERATION_LIMIT,
+    _highs.HighsModelStatus.kTimeLimit: TIME_LIMIT,
+}
 
 # Row family -> constraint family used in residual reports.
 CONSTRAINT_FAMILY = {
@@ -46,7 +76,7 @@ class SolverError(RuntimeError):
 class Solution:
     """Solved column values plus status and solve statistics."""
 
-    status: str  # optimal | infeasible | unbounded | iteration_limit
+    status: str  # optimal | infeasible | unbounded | iteration_limit | time_limit
     objective: float | None
     values: np.ndarray
     lp: LinearProgram
@@ -54,9 +84,12 @@ class Solution:
     wall_time_s: float
     backend: str  # "highs" from solve()
     max_residual: float
-
-    def value(self, name: str) -> float:
-        return float(self.values[self.lp.col(name)])
+    # Of an optimum from solve(): HiGHS' row duals in built-row order, signed
+    # for the rows as built, and its reduced costs, so that
+    # ``c - A.T @ row_duals - col_duals`` vanishes.
+    row_duals: np.ndarray | None = None
+    col_duals: np.ndarray | None = None
+    highs_run_time_s: float | None = None  # HiGHS' own run time, from solve()
 
 
 @dataclass
@@ -78,11 +111,6 @@ class ResidualReport:
 
     def within(self, tol: float) -> bool:
         return self.max_violation <= tol
-
-    def worst_family(self) -> str | None:
-        if not self.families:
-            return None
-        return max(self.families.items(), key=lambda kv: kv[1].max_violation)[0]
 
 
 def _row_violations(lp: LinearProgram, values: np.ndarray) -> np.ndarray:
@@ -140,56 +168,74 @@ def verify(lp: LinearProgram, solution: Solution | np.ndarray) -> ResidualReport
 
 
 def _solve_highs(lp: LinearProgram) -> tuple:
+    """One HiGHS run on `lp` in ``linprog``'s row layout.
+
+    Rows go in as L rows, then G rows negated (entries and rhs), then E
+    rows, with row bounds ``[-inf, b]`` for the first two groups and
+    ``[b, b]`` for E, under ``linprog``'s options. Returns the status,
+    ``x``, the iteration count, the row duals (in built-row order, signed
+    for the rows as built) and reduced costs of an optimum, or ``None``
+    for both otherwise, and HiGHS' own run time.
+    """
     senses = lp.row_sense
-    matrix = lp.matrix()
-    rhs = lp.row_rhs
-    is_e = senses == "E"
-    is_l = senses == "L"
-    is_g = senses == "G"
-    a_eq = matrix[is_e] if is_e.any() else None
-    b_eq = rhs[is_e] if is_e.any() else None
-    ub_blocks, ub_rhs = [], []
-    if is_l.any():
-        ub_blocks.append(matrix[is_l])
-        ub_rhs.append(rhs[is_l])
-    if is_g.any():
-        ub_blocks.append(-matrix[is_g])
-        ub_rhs.append(-rhs[is_g])
-    a_ub = sparse.vstack(ub_blocks) if ub_blocks else None
-    b_ub = np.concatenate(ub_rhs) if ub_rhs else None
-    bounds = np.column_stack((lp.col_lo, lp.col_hi))
-    res = optimize.linprog(
-        c=lp.col_obj,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-        options={
-            "presolve": True,
-            "primal_feasibility_tolerance": _FEASIBILITY_TOL,
-            "dual_feasibility_tolerance": _FEASIBILITY_TOL,
-        },
+    order = np.concatenate([np.flatnonzero(senses == s) for s in "LGE"])
+    n_l = int(np.count_nonzero(senses == "L"))
+    n_ub = n_l + int(np.count_nonzero(senses == "G"))
+    a = lp.matrix()[order]
+    a.data[a.indptr[n_l] : a.indptr[n_ub]] *= -1.0
+    upper = lp.row_rhs[order]
+    upper[n_l:n_ub] *= -1.0
+    lower = upper.copy()
+    lower[:n_ub] = -np.inf
+    highs = _highs._Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        if highs.setOptionValue(key, value) != _highs.HighsStatus.kOk:
+            raise SolverError(f"HiGHS rejected option {key}={value!r}")
+    passed = highs.passModel(
+        lp.num_cols, lp.num_rows, a.nnz, int(_highs.MatrixFormat.kRowwise),
+        int(_highs.ObjSense.kMinimize), 0.0,
+        lp.col_obj, _highs_inf(lp.col_lo), _highs_inf(lp.col_hi), _highs_inf(lower), _highs_inf(upper),
+        a.indptr.astype(np.int32, copy=False), a.indices.astype(np.int32, copy=False), a.data,
+        np.zeros(lp.num_cols, dtype=np.int32),  # integrality: HiGHS reads one per column
     )
-    status_map = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
-    status = status_map.get(res.status)
+    del a, lower, upper  # HiGHS holds its own copy; free ours before the solve
+    if passed == _highs.HighsStatus.kError:
+        model_status, iterations = _highs.HighsModelStatus.kModelError, 0
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+        info = highs.getInfo()
+        iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
+    status = _STATUS.get(model_status)
     if status is None:
-        raise SolverError(f"HiGHS failed: {res.message}")
-    x = res.x if res.x is not None else np.zeros(lp.num_cols)
-    iters = int(getattr(res, "nit", 0) or 0)
-    return status, np.asarray(x, dtype=float), iters
+        raise SolverError(f"HiGHS failed: {highs.modelStatusToString(model_status)}")
+    x, row_duals, col_duals = np.zeros(lp.num_cols), None, None
+    if status == OPTIMAL:
+        sol = highs.getSolution()
+        x = np.asarray(sol.col_value, dtype=float)
+        col_duals = np.asarray(sol.col_dual, dtype=float)
+        row_duals = np.empty(lp.num_rows)
+        row_duals[order] = sol.row_dual
+        row_duals[order[n_l:n_ub]] *= -1.0
+    return status, x, iterations, row_duals, col_duals, highs.getRunTime()
+
+
+def _highs_inf(values: np.ndarray) -> np.ndarray:
+    """`values` with every infinite bound replaced by HiGHS' infinity of the same sign."""
+    return np.clip(values, -_highs.kHighsInf, _highs.kHighsInf)
 
 
 def solve(lp: LinearProgram) -> Solution:
     """Solve an LP with HiGHS; never raises on infeasible/unbounded (see `status`).
 
-    An optimal solution carries its objective ``c·x + offset`` and the
-    largest row or bound violation of ``x``; other statuses carry neither.
-    Raises :class:`SolverError` when HiGHS reports any other status.
+    An optimal solution carries its objective ``c·x + offset``, its duals
+    and the largest row or bound violation of ``x``; other statuses carry
+    none of them. Raises :class:`SolverError` when HiGHS reports any other
+    status, or an optimum that violates a row or bound by more than
+    linprog's check allows.
     """
     t0 = time.perf_counter()
-    status, x, iterations = _solve_highs(lp)
+    status, x, iterations, row_duals, col_duals, run_time = _solve_highs(lp)
     wall = time.perf_counter() - t0
 
     objective = None
@@ -200,6 +246,8 @@ def solve(lp: LinearProgram) -> Solution:
             float(_row_violations(lp, x).max(initial=0.0)),
             float(_bound_violations(lp, x).max(initial=0.0)),
         )
+        if not max_residual <= _OPTIMUM_CHECK_TOL:
+            raise SolverError(f"HiGHS reported an optimum that violates the LP by {max_residual:.3e}")
     return Solution(
         status=status,
         objective=objective,
@@ -209,4 +257,7 @@ def solve(lp: LinearProgram) -> Solution:
         wall_time_s=wall,
         backend="highs",
         max_residual=max_residual,
+        row_duals=row_duals,
+        col_duals=col_duals,
+        highs_run_time_s=run_time,
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from heatgrid.heat import HeatConfig, size_fleet
+from heatgrid.lp import LinearProgram
 from heatgrid.model import HeatBlock, SystemInstance
 from heatgrid.series import CopSet, HeatDemandSet, HourlySeries, ModelWindow, utc
 from heatgrid.staticdata import Bounds, BoundsTable, NtcMatrix, TechnologySpec
@@ -172,3 +173,29 @@ def random_desk_instance(seed: int) -> SystemInstance:
         ntc_mw=ntc,
         heat=heat,
     )
+
+
+def random_lp(seed: int) -> LinearProgram:
+    """A frozen LP of 1-15 rows and 2-15 columns with every bound kind and sense.
+
+    Some are infeasible and some unbounded; each has an offset.
+    """
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 16)), int(rng.integers(2, 16))
+    lp = LinearProgram(f"rand{seed}")
+    for j in range(n):
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            lo, hi = 0.0, INF
+        elif kind == 1:
+            lo, hi = float(-rng.random() * 3), float(rng.random() * 5)
+        elif kind == 2:
+            lo, hi = -INF, float(rng.random() * 4)
+        else:
+            lo, hi = -INF, INF
+        lp.add_col(f"x{j}", lo, hi, float(rng.normal()))
+    for i in range(m):
+        entries = [(j, float(rng.normal())) for j in range(n) if rng.random() < 0.6]
+        lp.add_row(f"r{i}", str(rng.choice(["L", "E", "G"])), float(rng.normal()), entries)
+    lp.offset = float(rng.normal())
+    return lp.freeze()

@@ -202,7 +202,7 @@ def test_criterion_09_interconnection_value():
     isolated = instance("isolated", loads, techs, bounds, ntc_mw={})
     sol_linked = solve(build_model(linked))
     sol_isolated = solve(build_model(isolated))
-    flow_out = max(sol_linked.value(f"flw[DE>FR,{h}]") for h in range(2))
+    flow_out = max(sol_linked.values[sol_linked.lp.col(f"flw[DE>FR,{h}]")] for h in range(2))
     binds = flow_out >= 1.0 - 1e-9  # 1 GW limit saturated
     ok = (
         sol_isolated.objective >= sol_linked.objective

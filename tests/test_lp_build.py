@@ -37,9 +37,9 @@ def test_hand_solved_two_hour_instance():
         + variable_cost(spec, 150.0) * 1e3 * 3.0
     )
     assert sol.objective == pytest.approx(expected, rel=1e-9)
-    assert sol.value("cap[DE,ccgt]") == pytest.approx(2.0)
-    assert sol.value("gen[DE,ccgt,0]") == pytest.approx(1.0)
-    assert sol.value("gen[DE,ccgt,1]") == pytest.approx(2.0)
+    assert sol.values[sol.lp.col("cap[DE,ccgt]")] == pytest.approx(2.0)
+    assert sol.values[sol.lp.col("gen[DE,ccgt,0]")] == pytest.approx(1.0)
+    assert sol.values[sol.lp.col("gen[DE,ccgt,1]")] == pytest.approx(2.0)
 
 
 def test_tankless_heat_folds_into_balance_rhs():
@@ -106,7 +106,7 @@ def test_dispatchable_availability_derates_uniformly():
         gen_bounds={("DE", "ccgt"): (0.0, INF)},
     )
     sol = solve(build_model(inst))
-    assert sol.value("cap[DE,ccgt]") == pytest.approx(1.0)  # 0.9 GW / 0.9
+    assert sol.values[sol.lp.col("cap[DE,ccgt]")] == pytest.approx(1.0)  # 0.9 GW / 0.9
 
 
 def test_vre_uses_hourly_factors():
@@ -120,9 +120,9 @@ def test_vre_uses_hourly_factors():
         availability={("DE", "solar_pv"): np.array([0.5, 0.0])},
     )
     sol = solve(build_model(inst))
-    assert sol.value("gen[DE,solar_pv,0]") == pytest.approx(0.1)  # covers hour 0
-    assert sol.value("gen[DE,solar_pv,1]") == pytest.approx(0.0)
-    assert sol.value("gen[DE,other,1]") == pytest.approx(0.1)
+    assert sol.values[sol.lp.col("gen[DE,solar_pv,0]")] == pytest.approx(0.1)  # covers hour 0
+    assert sol.values[sol.lp.col("gen[DE,solar_pv,1]")] == pytest.approx(0.0)
+    assert sol.values[sol.lp.col("gen[DE,other,1]")] == pytest.approx(0.1)
 
 
 def test_bioenergy_annual_cap_prorated():
@@ -136,7 +136,7 @@ def test_bioenergy_annual_cap_prorated():
         bio_caps={"DE": 8760.0 / 4.0 * 200.0},  # prorates to 200 MWh over 4 h
     )
     sol = solve(build_model(inst))
-    total_bio = sum(sol.value(f"gen[DE,bioenergy,{h}]") for h in range(4))
+    total_bio = sum(sol.values[sol.lp.col(f"gen[DE,bioenergy,{h}]")] for h in range(4))
     assert total_bio == pytest.approx(0.2, abs=1e-9)  # 200 MWh in GWh
 
 

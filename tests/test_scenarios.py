@@ -241,6 +241,8 @@ class TestPersistence:
         assert manifest["timings"] == result.timings
         assert all(seconds >= 0.0 for seconds in result.timings.values())
         assert result.timings["solve_s"] >= manifest["solver"]["wall_time_s"]  # the stage holds the solve
+        # HiGHS' own time is part of the solve.
+        assert 0.0 < manifest["solver"]["highs_run_time_s"] <= manifest["solver"]["wall_time_s"]
 
         # An error cell keeps the times of the stages that ran, the failing one included.
         def solve_that_breaks(lp):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from desk import random_lp
 from heatgrid.lp import LinearProgram
 from heatgrid.solver import solve, verify
 
@@ -28,7 +29,7 @@ def test_minimal_example():
     assert sol.status == "optimal"
     assert sol.backend == "highs"
     assert sol.objective == pytest.approx(1.0)
-    assert sol.value("x") == pytest.approx(1.0)
+    assert sol.values[sol.lp.col("x")] == pytest.approx(1.0)
 
 
 def test_contradictory_bounds_infeasible():
@@ -57,8 +58,8 @@ def test_equality_and_free_variables():
     assert sol.status == "optimal"
     # x = 4 - y turns the objective into 8 + y, so y = 0 and x = 4.
     assert sol.objective == pytest.approx(8.0, rel=1e-9)
-    assert sol.value("x") == pytest.approx(4.0)
-    assert sol.value("y") == pytest.approx(0.0, abs=1e-9)
+    assert sol.values[lp.col("x")] == pytest.approx(4.0)
+    assert sol.values[lp.col("y")] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_degenerate_vertex_terminates():
@@ -93,25 +94,7 @@ def test_determinism_identical_runs():
 
 @pytest.mark.parametrize("seed", range(60))
 def test_random_lps_match_highs(seed):
-    rng = np.random.default_rng(seed)
-    m, n = int(rng.integers(1, 16)), int(rng.integers(2, 16))
-    lp = LinearProgram(f"rand{seed}")
-    for j in range(n):
-        kind = rng.integers(0, 4)
-        if kind == 0:
-            lo, hi = 0.0, INF
-        elif kind == 1:
-            lo, hi = float(-rng.random() * 3), float(rng.random() * 5)
-        elif kind == 2:
-            lo, hi = -INF, float(rng.random() * 4)
-        else:
-            lo, hi = -INF, INF
-        lp.add_col(f"x{j}", lo, hi, float(rng.normal()))
-    for i in range(m):
-        entries = [(j, float(rng.normal())) for j in range(n) if rng.random() < 0.6]
-        lp.add_row(f"r{i}", str(rng.choice(["L", "E", "G"])), float(rng.normal()), entries)
-    lp.offset = float(rng.normal())
-    lp.freeze()
+    lp = random_lp(seed)
     sol = solve(lp)
     assert sol.status in ("optimal", "infeasible", "unbounded")
     if sol.status == "optimal":
