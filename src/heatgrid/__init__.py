@@ -10,7 +10,7 @@ The package is organized in layers:
 * ``heat``       -- heat-pump module: coverage, thermal storage, COP, sizing
 * ``lp``         -- generic sparse linear-program container
 * ``model``      -- cost arithmetic and assembly of the system LP
-* ``mps``        -- MPS export / import and solution CSV round-trip
+* ``mps``        -- MPS export / import with a name-map sidecar
 * ``solver``     -- HiGHS solve front-end and constraint-residual verification
 * ``scenarios``  -- scenario matrix, variants, batch runner, persistence
 * ``analysis``   -- residual load, RLDCs, events, peaks, cost reports

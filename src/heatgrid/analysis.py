@@ -1,7 +1,9 @@
 """Diagnostics: residual load, RLDCs, peaks, events, deltas, cost reports.
 
-All functions are pure and operate on plain arrays (or objects exposing
-``.values``); emitters at the bottom turn persisted results into tidy,
+The series functions are pure and operate on plain arrays (or objects
+exposing ``.values``). Firm-capacity deltas, cost reports, pairing and
+the emitters at the bottom read saved cells, as loaded back by
+:func:`heatgrid.scenarios.load_results`, and the emitters write tidy,
 plot-ready CSV/JSON. Conventions:
 
 * Residual load = electric load minus all variable-renewable generation;
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ids import VARIABLE_RENEWABLES
+from .ids import DISPATCHABLE_TECHNOLOGIES, VARIABLE_RENEWABLES
 from .series import AlignmentError
 
 
@@ -111,35 +113,12 @@ def peak_records(series_by_country: dict, quantity: str) -> list:
     return records
 
 
-def top_k_records(series_by_country: dict, quantity: str, k: int) -> dict:
-    """Top-k hours per country (and `total`), largest first.
-
-    Companion to `peak_records` for looking past the single maximum; no
-    particular cross-country statistic is claimed for k > 1.
-    """
-    out = {}
-    total = None
-    for country in sorted(series_by_country):
-        arr = _values(series_by_country[country])
-        total = arr.copy() if total is None else total + arr
-        order = np.argsort(-arr, kind="stable")[:k]
-        out[country] = [PeakRecord(country, quantity, int(h), float(arr[h])) for h in order]
-    if total is not None:
-        order = np.argsort(-total, kind="stable")[:k]
-        out["total"] = [PeakRecord("total", quantity, int(h), float(total[h])) for h in order]
-    return out
-
-
 @dataclass(frozen=True)
 class Event:
     start_hour: int
     end_hour: int  # exclusive
     magnitude_mwh: float
     normalized: float  # in (0, 1]; exactly one event per series is 1.0
-
-    @property
-    def length(self) -> int:
-        return self.end_hour - self.start_hour
 
 
 def _runs(mask: np.ndarray):
@@ -198,6 +177,22 @@ def residual_events(residual) -> list:
     return _normalize(out)
 
 
+def firm_capacity_mw(capacities_mw: dict) -> dict:
+    """Country-aggregated firm capacities: dispatchable gen + storage discharge.
+
+    `capacities_mw` maps country -> {(kind, name): MW}, as in a saved cell
+    and in ``SolvedSystem.capacities_mw``.
+    """
+    out: dict = {}
+    for caps in capacities_mw.values():
+        for (kind, name), mw in caps.items():
+            if kind == "storage_discharge" or (
+                kind == "generation" and name in DISPATCHABLE_TECHNOLOGIES
+            ):
+                out[name] = out.get(name, 0.0) + mw
+    return out
+
+
 def firm_capacity_delta(with_hp, without_hp) -> dict:
     """Capacity(with) - capacity(without), aggregated over countries.
 
@@ -209,23 +204,14 @@ def firm_capacity_delta(with_hp, without_hp) -> dict:
         raise MismatchedScenario(
             f"year {with_hp.year} vs {without_hp.year}"
         )
-    if _variant_of(with_hp) != _variant_of(without_hp):
-        raise MismatchedScenario(
-            f"variant {_variant_of(with_hp)} vs {_variant_of(without_hp)}"
-        )
-    a = with_hp.firm_capacity_mw()
-    b = without_hp.firm_capacity_mw()
+    if with_hp.variant != without_hp.variant:
+        raise MismatchedScenario(f"variant {with_hp.variant} vs {without_hp.variant}")
+    a = firm_capacity_mw(with_hp.capacities_mw)
+    b = firm_capacity_mw(without_hp.capacities_mw)
     names = sorted(set(a) | set(b))
     deltas = {name: a.get(name, 0.0) - b.get(name, 0.0) for name in names}
     deltas["firm_total"] = sum(deltas[n] for n in names)
     return deltas
-
-
-def _variant_of(result) -> str:
-    spec = getattr(result, "spec", None)
-    if spec is not None:
-        return spec.variant
-    return result.variant
 
 
 def heat_cost_eur_per_mwh(delta_cost_eur: float, heat_supplied_mwh: float):
@@ -263,17 +249,9 @@ def cost_report(result, baseline=None) -> dict:
 
 
 def _costs_of(result) -> dict:
-    # ScenarioResult (in memory) and PersistedResult (read back) both work.
-    if hasattr(result, "costs_eur"):
-        costs = dict(result.costs_eur)
-        costs.setdefault("objective", costs.get("total"))
-        return costs
-    breakdown = dict(result.cost_breakdown)
-    breakdown["objective"] = result.objective
-    breakdown["heat_supplied_mwh"] = (
-        result.solved.heat_supplied_mwh if result.solved else 0.0
-    )
-    return breakdown
+    costs = dict(result.costs_eur)
+    costs.setdefault("objective", costs.get("total"))
+    return costs
 
 
 # ---------------------------------------------------------------------------
@@ -389,27 +367,16 @@ def pair_results(results) -> list:
     """(with_hp, without_hp) pairs sharing (variant, year, window)."""
     by_key = {}
     for result in results:
-        key = (_variant_of(result), result.year)
-        by_key.setdefault(key, []).append(result)
+        by_key.setdefault((result.variant, result.year), []).append(result)
     pairs = []
     for key in sorted(by_key):
         group = by_key[key]
-        base = [r for r in group if _share_of(r) == 0.0]
-        with_hp = [r for r in group if _share_of(r) > 0.0]
-        for w in sorted(with_hp, key=lambda r: _name_of(r)):
+        base = [r for r in group if r.heat_share == 0.0]
+        with_hp = [r for r in group if r.heat_share > 0.0]
+        for w in sorted(with_hp, key=lambda r: r.name):
             if base:
                 pairs.append((w, base[0]))
     return pairs
-
-
-def _share_of(result) -> float:
-    spec = getattr(result, "spec", None)
-    return spec.heat_share if spec is not None else result.heat_share
-
-
-def _name_of(result) -> str:
-    spec = getattr(result, "spec", None)
-    return spec.name if spec is not None else result.name
 
 
 def emit_firm_delta_csv(results, path) -> Path:
@@ -421,19 +388,19 @@ def emit_firm_delta_csv(results, path) -> Path:
         for with_hp, without_hp in pairs:
             for name, delta in sorted(firm_capacity_delta(with_hp, without_hp).items()):
                 writer.writerow(
-                    [_name_of(with_hp), _name_of(without_hp), with_hp.year, name, repr(float(delta))]
+                    [with_hp.name, without_hp.name, with_hp.year, name, repr(float(delta))]
                 )
     return path
 
 
 def emit_cost_report_json(results, path) -> Path:
     path = Path(path)
-    pairs = {( _name_of(w), w.year): b for w, b in pair_results(results)}
+    pairs = {(w.name, w.year): b for w, b in pair_results(results)}
     out = []
     for result in results:
-        baseline = pairs.get((_name_of(result), result.year))
+        baseline = pairs.get((result.name, result.year))
         report = cost_report(result, baseline=baseline)
-        report["scenario"] = _name_of(result)
+        report["scenario"] = result.name
         report["year"] = result.year
         out.append(report)
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")

@@ -34,8 +34,12 @@ CACHE_MANIFEST = "cache.json"
 def _parse_years(text: str) -> list:
     if text.startswith("synth:"):
         count = int(text.split(":", 1)[1])
-        return [SYNTH_FIRST_YEAR + i for i in range(count)]
-    return [int(y) for y in text.split(",") if y]
+        years = [SYNTH_FIRST_YEAR + i for i in range(count)]
+    else:
+        years = [int(y) for y in text.split(",") if y]
+    if not years:
+        raise ValueError(f"--years {text!r} names no weather year")
+    return years
 
 
 def cmd_ingest(args) -> int:
@@ -76,8 +80,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _build_dataset(args):
-    years = _parse_years(args.years)
+def _build_dataset(args, years: list):
     static = load_static(args.static) if args.static else load_static()
     if args.synth_seed is not None:
         countries = args.countries.split(",")
@@ -90,9 +93,13 @@ def _build_dataset(args):
 
 
 def cmd_run(args) -> int:
-    dataset = _build_dataset(args)
-    years = _parse_years(args.years)
-    specs = specs_for_selector(args.scenario, years, args.hours)
+    try:
+        years = _parse_years(args.years)
+        specs = specs_for_selector(args.scenario, years, args.hours)
+    except ValueError as exc:  # UnknownVariant and ScenarioError included
+        print(f"run error: {exc}", file=sys.stderr)
+        return 1
+    dataset = _build_dataset(args, years)
     out_dir = Path(args.out)
     results = run_matrix(
         dataset, specs, out_dir=out_dir, export_mps=args.export_mps, jobs=args.jobs

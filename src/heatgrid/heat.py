@@ -141,11 +141,6 @@ def required_heat_output(config: HeatConfig, demand: HeatDemandSet) -> dict:
     return out
 
 
-def storage_step(hl_prev: float, hi_h: float, ho_h: float) -> float:
-    """One step of the tank recursion: HL[h] = HL[h-1] + HI[h] - HO[h]."""
-    return hl_prev + hi_h - ho_h
-
-
 def electricity_for_heat(hi_h, cop_h):
     """Electricity drawn to generate HI at the given COP: E = HI / cop."""
     cop = np.asarray(cop_h, dtype=float)

@@ -150,32 +150,6 @@ def ingest_file(path) -> dict[tuple[str, str], HourlySeries]:
     return out
 
 
-def ingest_series(path, schema: str) -> HourlySeries:
-    """Ingest the single series matching `schema` carried by `path`.
-
-    `schema` may be a base quantity (e.g. ``availability_factor``) or a
-    full dotted quantity; either way exactly one series must match.
-    """
-    base = schema.split(".", 1)[0]
-    if base not in QUANTITIES:
-        raise BadHeader(f"unknown quantity {schema!r}")
-    if "." in schema:
-        parse_quantity(schema)
-    matches = [
-        ser
-        for (country, fullq), ser in ingest_file(path).items()
-        if fullq == schema or parse_quantity(fullq)[0] == schema
-    ]
-    if not matches:
-        raise SeriesError(f"{path}: no series of quantity {schema!r}")
-    if len(matches) > 1:
-        raise SeriesError(
-            f"{path}: {len(matches)} series match quantity {schema!r}; "
-            "use ingest_file for multi-series files"
-        )
-    return matches[0]
-
-
 def csv_chunks(series_map: dict[tuple[str, str], HourlySeries]) -> Iterator[str]:
     """Canonical CSV text for a series map: the header, then one chunk per series.
 

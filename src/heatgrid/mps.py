@@ -1,4 +1,4 @@
-"""MPS export/import and solution-CSV round-tripping.
+"""MPS export and import of a :class:`LinearProgram`.
 
 Export writes fixed-format MPS with ROWS/COLUMNS/RHS/RANGES/BOUNDS
 sections. Names longer than 8 characters are mangled: non-alphanumerics
@@ -30,7 +30,6 @@ Two practical notes on the fixed format:
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from array import array
@@ -40,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lp import INF, LinearProgram, LpError
+from .lp import INF, LinearProgram
 
 OBJ_NAME = "OBJ"
 _BASE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -401,36 +400,3 @@ def _range_interval(sense: str, b: float, r: float) -> tuple[float, float]:
     if r >= 0:
         return b, b + r
     return b + r, b
-
-
-def write_solution_csv(lp: LinearProgram, values: np.ndarray, path) -> Path:
-    """External-solver interchange: one `column_name,value` row per column."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["column_name", "value"])
-        for name, value in zip(lp.col_names, values):
-            writer.writerow([name, repr(float(value))])
-    return path
-
-
-def read_solution_csv(lp: LinearProgram, path) -> np.ndarray:
-    """Read a solution CSV back into an array aligned with `lp` columns.
-
-    Columns absent from the file default to 0.0.
-    """
-    path = Path(path)
-    values = np.zeros(lp.num_cols)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["column_name", "value"]:
-            raise MpsError(f"{path}: header {header} != ['column_name', 'value']")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                values[lp.col(row[0])] = float(row[1])
-            except LpError:
-                raise MpsError(f"{path}: unknown column {row[0]!r}") from None
-    return values

@@ -31,7 +31,6 @@ import numpy as np
 
 from .dataset import Dataset
 from .heat import HeatConfig, HeatPumpFleet, size_fleet, validate_trajectory
-from .ids import DISPATCHABLE_TECHNOLOGIES
 from .lp import LinearProgram
 from .model import HeatBlock, SolvedSystem, SystemInstance, build_model, extract_solved
 from .mps import export_mps as write_mps
@@ -242,29 +241,6 @@ class ScenarioResult:
     @property
     def ok(self) -> bool:
         return self.status == "optimal" and self.error is None
-
-    @property
-    def capacities_mw(self) -> dict:
-        return self.solved.capacities_mw if self.solved else {}
-
-    @property
-    def cost_breakdown(self) -> dict:
-        return self.solved.cost_breakdown if self.solved else {}
-
-    def firm_capacity_mw(self) -> dict:
-        return _firm_capacity_mw(self.capacities_mw)
-
-
-def _firm_capacity_mw(capacities_mw: dict) -> dict:
-    """Country-aggregated firm capacities: dispatchable gen + storage discharge."""
-    out: dict = {}
-    for caps in capacities_mw.values():
-        for (kind, name), mw in caps.items():
-            if kind == "storage_discharge" or (
-                kind == "generation" and name in DISPATCHABLE_TECHNOLOGIES
-            ):
-                out[name] = out.get(name, 0.0) + mw
-    return out
 
 
 def run_cell(
@@ -591,9 +567,6 @@ class PersistedResult:
         return self.dispatch_mw.get(
             (country, "generation", tech), np.zeros(self.hours)
         )
-
-    def firm_capacity_mw(self) -> dict:
-        return _firm_capacity_mw(self.capacities_mw)
 
 
 def load_result(cell_dir) -> PersistedResult:

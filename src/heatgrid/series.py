@@ -145,11 +145,6 @@ class HourlySeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def end(self) -> datetime:
-        """Timestamp one hour past the last value (no-leap calendar)."""
-        return add_noleap_hours(self.start, len(self.values))
-
     def hour_index(self, ts: datetime) -> int:
         return noleap_hours_between(self.start, ts)
 

@@ -190,10 +190,6 @@ class NtcMatrix:
     def pairs(self) -> list:
         return sorted(self.limits_mw)
 
-    @property
-    def empty(self) -> bool:
-        return not self.limits_mw
-
     def restrict(self, countries) -> "NtcMatrix":
         keep = set(countries)
         return NtcMatrix(

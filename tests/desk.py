@@ -183,6 +183,7 @@ def random_lp(seed: int) -> LinearProgram:
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(1, 16)), int(rng.integers(2, 16))
     lp = LinearProgram(f"rand{seed}")
+    cols = []  # (lo, hi, obj) per column
     for j in range(n):
         kind = rng.integers(0, 4)
         if kind == 0:
@@ -193,9 +194,27 @@ def random_lp(seed: int) -> LinearProgram:
             lo, hi = -INF, float(rng.random() * 4)
         else:
             lo, hi = -INF, INF
-        lp.add_col(f"x{j}", lo, hi, float(rng.normal()))
-    for i in range(m):
-        entries = [(j, float(rng.normal())) for j in range(n) if rng.random() < 0.6]
-        lp.add_row(f"r{i}", str(rng.choice(["L", "E", "G"])), float(rng.normal()), entries)
+        cols.append((lo, hi, float(rng.normal())))
+    lp.add_named_cols([f"x{j}" for j in range(n)], *zip(*cols))
+    lp.add_named_rows([f"r{i}" for i in range(m)], *random_rows(rng, m, n, 0.6, "LEG"))
     lp.offset = float(rng.normal())
     return lp.freeze()
+
+
+def random_rows(rng, m: int, n: int, density: float, senses: str) -> tuple:
+    """Senses, rhs and (row, column, coefficient) entries of `m` random rows.
+
+    Per row: each of the `n` columns enters with probability `density` and a
+    normal coefficient, then the sense is drawn from `senses` and the rhs
+    from a normal.
+    """
+    row_senses, rhs, rows, cols, coefs = [], [], [], [], []
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < density:
+                rows.append(i)
+                cols.append(j)
+                coefs.append(float(rng.normal()))
+        row_senses.append(str(rng.choice(list(senses))))
+        rhs.append(float(rng.normal()))
+    return row_senses, rhs, (rows, cols, coefs)

@@ -16,6 +16,7 @@ from desk import TECH_CATALOG, instance, random_desk_instance
 from heatgrid.analysis import (
     deviation_events,
     deviation_threshold,
+    firm_capacity_mw,
     residual_events,
 )
 from heatgrid.cli import main as cli_main
@@ -171,8 +172,9 @@ def test_criterion_07_thermal_storage_direction(matrix):
         ep2 = by[("base-hp25-ep2", year)]
         peak0 = float(_system_residual_incl_hp(ep0).max())
         peak2 = float(_system_residual_incl_hp(ep2).max())
-        firm0 = sum(ep0.firm_capacity_mw().values()) - sum(hp0.firm_capacity_mw().values())
-        firm2 = sum(ep2.firm_capacity_mw().values()) - sum(hp0.firm_capacity_mw().values())
+        base = sum(firm_capacity_mw(hp0.solved.capacities_mw).values())
+        firm0 = sum(firm_capacity_mw(ep0.solved.capacities_mw).values()) - base
+        firm2 = sum(firm_capacity_mw(ep2.solved.capacities_mw).values()) - base
         ok &= peak2 <= peak0 + 1e-6
         ok &= firm2 <= firm0 + 1e-6
         details.append(f"y{year}: peak {peak2:.0f}<={peak0:.0f}, firm {firm2:.0f}<={firm0:.0f}")

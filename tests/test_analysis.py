@@ -16,8 +16,8 @@ from heatgrid.analysis import (
     residual_events,
     residual_load,
     rldc,
-    top_k_records,
 )
+from heatgrid.ids import STORAGES
 from heatgrid.series import AlignmentError
 
 
@@ -97,11 +97,6 @@ class TestPeakRecords:
         scaled = peak_records({c: 7.5 * v for c, v in series.items()}, "x")
         assert [r.hour for r in base] == [r.hour for r in scaled]
 
-    def test_top_k_variant(self):
-        out = top_k_records({"A": np.array([3.0, 9.0, 5.0])}, "x", k=2)
-        assert [r.hour for r in out["A"]] == [1, 2]
-        assert [r.hour for r in out["total"]] == [1, 2]
-
 
 class TestDeviationEvents:
     def test_hand_trace_two_singletons(self):
@@ -171,18 +166,19 @@ def test_event_partition_and_magnitude_sum(values, use_deviation):
 
 
 class _FakeResult:
-    def __init__(self, year, variant, firm, costs, heat_mwh=0.0):
+    """A saved cell with one country, its capacities given by name in MW."""
+
+    def __init__(self, year, variant, caps, costs, heat_mwh=0.0):
         self.year = year
         self.variant = variant
         self.heat_share = 0.25 if heat_mwh else 0.0
-        self._firm = firm
+        self.capacities_mw = {
+            "DE": {("storage_discharge" if n in STORAGES else "generation", n): mw for n, mw in caps.items()}
+        }
         self.costs_eur = dict(costs)
         self.costs_eur.setdefault("objective", costs["total"])
         self.costs_eur["heat_supplied_mwh"] = heat_mwh
         self.name = f"fake-{variant}-{year}"
-
-    def firm_capacity_mw(self):
-        return dict(self._firm)
 
 
 class TestFirmDelta:
@@ -192,11 +188,12 @@ class TestFirmDelta:
         assert all(v == 0.0 for v in deltas.values())
 
     def test_delta_and_firm_subtotal(self):
-        a = _FakeResult(2009, "base", {"ccgt": 7.0, "li_ion": 3.0}, {"total": 12.0})
-        b = _FakeResult(2009, "base", {"ccgt": 5.0, "li_ion": 4.0}, {"total": 10.0})
+        a = _FakeResult(2009, "base", {"ccgt": 7.0, "li_ion": 3.0, "solar_pv": 50.0}, {"total": 12.0})
+        b = _FakeResult(2009, "base", {"ccgt": 5.0, "li_ion": 4.0, "solar_pv": 10.0}, {"total": 10.0})
         deltas = firm_capacity_delta(a, b)
         assert deltas["ccgt"] == 2.0
         assert deltas["li_ion"] == -1.0
+        assert "solar_pv" not in deltas  # variable renewables are not firm
         assert deltas["firm_total"] == 1.0
 
     def test_mismatched_pairs_raise(self):
@@ -289,10 +286,7 @@ def test_firm_delta_on_hand_solved_pair():
             lp = build_model(inst)
             sol = solve(lp)
             assert sol.status == "optimal"
-            self._caps = extract_solved(inst, lp, sol).capacities_mw
-
-        def firm_capacity_mw(self):
-            return {"ccgt": self._caps["DE"][("generation", "ccgt")]}
+            self.capacities_mw = extract_solved(inst, lp, sol).capacities_mw
 
     deltas = firm_capacity_delta(_Shim(withhp), _Shim(without))
     assert deltas["ccgt"] == pytest.approx(500.0, abs=1e-6)

@@ -161,6 +161,24 @@ def test_run_with_failing_cell_exits_two(tmp_path, capsys):
     assert "CoverageError" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--scenario", "bogus"], "unknown scenario selector 'bogus'"),
+        (["--years", "synth:0"], "names no weather year"),
+    ],
+)
+def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message):
+    out = tmp_path / "run"
+    code = main(["run", "--synth-seed", "5", "--countries", "DE", "--hours", "24", "--out", str(out), *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()]  # one line
+    assert captured.err.startswith("run error: ") and message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_analyze_delta_without_pair_exits_three(run_dir, tmp_path):
     # Copy only a heat-pump cell: no 0% baseline available.
     import shutil

@@ -15,7 +15,6 @@ from heatgrid.heat import (
     fixed_trajectory,
     required_heat_output,
     size_fleet,
-    storage_step,
     validate_trajectory,
 )
 from heatgrid.series import CopSet, HeatDemandSet, HourlySeries, utc
@@ -56,12 +55,6 @@ class TestRequiredHeatOutput:
     def test_empty_demand_country(self):
         out = required_heat_output(config(0.25, 0.0), HeatDemandSet("CH", {}))
         assert out == {}
-
-
-class TestStorageStep:
-    @pytest.mark.parametrize("prev,hi,ho,expected", [(5, 2, 3, 4), (0, 0, 0, 0), (0, 3, 1, 2)])
-    def test_arithmetic(self, prev, hi, ho, expected):
-        assert storage_step(prev, hi, ho) == expected
 
 
 class TestElectricityForHeat:

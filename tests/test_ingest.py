@@ -15,7 +15,6 @@ from heatgrid.ingest import (
     csv_chunks,
     emit_csv,
     ingest_file,
-    ingest_series,
     parse_quantity,
 )
 from heatgrid.series import HourlySeries, MissingValue, OutOfRange, SeriesError, is_leap_hour, utc
@@ -39,7 +38,7 @@ def test_availability_passthrough(tmp_path):
         + "2009-07-01T01:00:00Z,DE,availability_factor.solar_pv,0.5\n"
         + "2009-07-01T02:00:00Z,DE,availability_factor.solar_pv,1.0\n",
     )
-    ser = ingest_series(path, "availability_factor")
+    ser = ingest_file(path)[("DE", "availability_factor.solar_pv")]
     assert list(ser.values) == [0.0, 0.5, 1.0]
     assert ser.country == "DE"
 
@@ -107,7 +106,7 @@ def test_leap_day_rows_are_dropped(tmp_path):
         "2012-03-01T01:00:00Z",
     ]
     text = HEADER + "".join(f"{ts},DE,electric_load_MW,{i}\n" for i, ts in enumerate(stamps))
-    ser = ingest_series(write(tmp_path, text), "electric_load_MW")
+    ser = ingest_file(write(tmp_path, text))[("DE", "electric_load_MW")]
     assert list(ser.values) == [0.0, 3.0, 4.0]
     # A full Feb 29 plus a real gap (Mar 1 01:00 missing) still errors.
     bad = HEADER + "".join(
@@ -142,10 +141,11 @@ def test_assemble_bundles_collects_families():
 
 def test_ingest_series_requires_unique_match(tmp_path):
     series_map = synth_profiles(5, ["DE"], 24)
-    path = write(tmp_path, emit_csv(series_map), "all.csv")
-    with pytest.raises(SeriesError, match="series match"):
-        ingest_series(path, "cop")
-    load = ingest_series(path, "electric_load_MW")
+    read = ingest_file(write(tmp_path, emit_csv(series_map), "all.csv"))
+    # A base quantity such as cop matches several series; a full (country, quantity) key picks one.
+    cops = [q for (_, q) in read if parse_quantity(q)[0] == "cop"]
+    assert len(cops) > 1
+    load = read[("DE", "electric_load_MW")]
     assert load.quantity == "electric_load_MW"
 
 

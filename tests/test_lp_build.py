@@ -76,7 +76,6 @@ def test_catalog_round_trips_names():
     lp = build_model(simple_instance())
     for idx, name in enumerate(lp.col_names):
         assert lp.col(name) == idx
-        assert lp.col_name(idx) == name
     with pytest.raises(LpError):
         lp.col("gen[XX,nope,0]")
 

@@ -1,4 +1,4 @@
-"""MPS export/import: canonical snippet, round trips, mangling, solutions."""
+"""MPS export/import: canonical snippet, round trips, mangling, name lookup."""
 
 import json
 
@@ -9,16 +9,9 @@ from hypothesis import strategies as st
 
 from desk import random_desk_instance
 from heatgrid.dataset import build_synth_dataset
-from heatgrid.lp import LinearProgram
+from heatgrid.lp import LinearProgram, LpError
 from heatgrid.model import build_model
-from heatgrid.mps import (
-    MpsError,
-    export_mps,
-    import_mps,
-    mangle_names,
-    read_solution_csv,
-    write_solution_csv,
-)
+from heatgrid.mps import MpsError, export_mps, import_mps, mangle_names
 from heatgrid.scenarios import base_specs, make_instance
 from heatgrid.solver import solve, verify
 
@@ -27,8 +20,8 @@ INF = float("inf")
 
 def test_minimal_snippet_structure(tmp_path):
     lp = LinearProgram("mini")
-    x = lp.add_col("x", 1.0, INF, 1.0)
-    lp.add_row("atleast", "G", 1.0, [(x, 1.0)])
+    lp.add_named_cols(["x"], [1.0], [INF], [1.0])
+    lp.add_named_rows(["atleast"], ["G"], [1.0], ([0], [0], [1.0]))
     lp.freeze()
     path = export_mps(lp, tmp_path / "mini.mps")
     text = path.read_text()
@@ -58,8 +51,8 @@ def test_mangling_truncates_and_suffixes_deterministically():
 
 def test_offset_round_trips_via_objective_rhs(tmp_path):
     lp = LinearProgram("off")
-    x = lp.add_col("x", 0.0, INF, 2.0)
-    lp.add_row("r", "G", 3.0, [(x, 1.0)])
+    lp.add_named_cols(["x"], [0.0], [INF], [2.0])
+    lp.add_named_rows(["r"], ["G"], [3.0], ([0], [0], [1.0]))
     lp.offset = 123.456
     lp.freeze()
     lp2 = import_mps(export_mps(lp, tmp_path / "off.mps"))
@@ -71,14 +64,16 @@ def test_offset_round_trips_via_objective_rhs(tmp_path):
 
 def test_sidecar_restores_original_names(tmp_path):
     lp = LinearProgram("names")
-    lp.add_col("gen[DE,ccgt,0]", 0.0, 4.0, 1.5)
-    lp.add_col("gen[DE,ccgt,1]", 0.0, 4.0, 1.5)
-    lp.add_row("bal[DE,0]", "E", 2.0, [("gen[DE,ccgt,0]", 1.0)])
-    lp.add_row("bal[DE,1]", "E", 1.0, [("gen[DE,ccgt,1]", 1.0)])
+    lp.add_named_cols(["gen[DE,ccgt,0]", "gen[DE,ccgt,1]"], [0.0, 0.0], [4.0, 4.0], [1.5, 1.5])
+    lp.add_named_rows(["bal[DE,0]", "bal[DE,1]"], ["E", "E"], [2.0, 1.0], ([0, 1], [0, 1], [1.0, 1.0]))
     lp.freeze()
     lp2 = import_mps(export_mps(lp, tmp_path / "n.mps"))
     assert lp2.col_names == lp.col_names
     assert lp2.row_names == lp.row_names
+    # Each restored name resolves to its own column; a name never exported raises.
+    assert [lp2.col(name) for name in lp2.col_names] == list(range(lp2.num_cols))
+    with pytest.raises(LpError, match="unknown column"):
+        lp2.col("gen[DE,ccgt,2]")
 
 
 @pytest.mark.parametrize("seed", [100, 104, 109, 113, 118])
@@ -96,9 +91,8 @@ def test_fixed_column_without_entries_round_trips(tmp_path):
     # A pinned column that appears in no row and costs nothing must still
     # come back, with its bound.
     lp = LinearProgram("pinned")
-    x = lp.add_col("x", 0.0, INF, 1.0)
-    lp.add_col("cap[DE,nuclear]", 4.5, 4.5, 0.0)
-    lp.add_row("r", "G", 1.0, [(x, 1.0)])
+    lp.add_named_cols(["x", "cap[DE,nuclear]"], [0.0, 4.5], [INF, 4.5], [1.0, 0.0])
+    lp.add_named_rows(["r"], ["G"], [1.0], ([0], [0], [1.0]))
     lp.freeze()
     lp2 = import_mps(export_mps(lp, tmp_path / "pinned.mps"))
     assert lp2.col_names == lp.col_names
@@ -127,18 +121,6 @@ ENDATA
     # L row with rhs 5 and range 2 -> 3 <= x <= 5; minimizing x gives 3.
     sol = solve(lp)
     assert sol.objective == pytest.approx(3.0)
-
-
-def test_solution_csv_round_trip(tmp_path):
-    inst = random_desk_instance(101)
-    lp = build_model(inst)
-    sol = solve(lp)
-    path = write_solution_csv(lp, sol.values, tmp_path / "sol.csv")
-    values = read_solution_csv(lp, path)
-    np.testing.assert_array_equal(values, sol.values)
-    # An externally produced solution can be verified without re-solving.
-    report = verify(lp, values)
-    assert report.max_violation <= 1e-7
 
 
 def test_two_pairs_per_line_and_comments_parse(tmp_path):
@@ -375,8 +357,8 @@ def test_one_hour_window_round_trips_its_explicit_zeros(tmp_path):
 
 def test_named_rows_keep_zeros_and_keyed_rows_drop_them():
     lp = LinearProgram("zeros")
-    x, y = lp.add_col("x"), lp.add_col("y")
-    lp.add_row("named", "G", 1.0, [(x, 0.0), (y, 1.0)])
+    x, y = lp.add_named_cols(["x", "y"], [0.0, 0.0], [INF, INF], [0.0, 0.0])
+    lp.add_named_rows(["named"], ["G"], [1.0], ([0, 0], [x, y], [0.0, 1.0]))
     cols = lp.add_cols(("DE",), {"gen": (0.0, INF, 1.0)}, hours=2)["gen"]
     lp.add_rows(("DE",), {"bal": ("E", 1.0, [(cols, 0.0), (cols, [1.0, 2.0]), (x, [1.0, -1.0])])}, hours=2)
     lp.add_rows(("DE",), {"cyc": ("E", 0.0, [(cols[0], 1.0), (cols[0], -1.0)])})
@@ -393,19 +375,26 @@ def _random_lps(draw):
     lp = LinearProgram(draw(st.sampled_from(["rand", "x" * 70])))
     heads = ["gen[DE,ccgt,", "gen[DE,cc", "bal[DE,", "x", "[", "é"]
     n_cols = draw(st.integers(1, 12))
+    names, bounds = [], []  # bounds: (lo, hi, obj) per column
     for j in range(n_cols):
         lo = draw(st.sampled_from([0.0, -INF, -2.5, 1.0, 0.1]))
         hi = draw(st.sampled_from([INF, 0.0, 3.0, 1e6, lo if lo != -INF else 7.0]))
         if lo > hi:
             lo, hi = hi, lo
-        obj = draw(st.one_of(st.just(0.0), _FINITE))
-        lp.add_col(f"{draw(st.sampled_from(heads))}{j}]", lo, hi, obj)
+        bounds.append((lo, hi, draw(st.one_of(st.just(0.0), _FINITE))))
+        names.append(f"{draw(st.sampled_from(heads))}{j}]")
+    lp.add_named_cols(names, *zip(*bounds))
+    names, senses, rhs, entries = [], [], [], ([], [], [])
     for i in range(draw(st.integers(0, 8))):
-        cols = draw(st.lists(st.integers(0, n_cols - 1), max_size=4, unique=True))
-        entries = [(c, draw(_FINITE)) for c in cols]  # some rows stay empty
-        sense = draw(st.sampled_from("LEG"))
-        rhs = draw(st.one_of(st.just(0.0), _FINITE))
-        lp.add_row(f"{draw(st.sampled_from(heads))}{i}]", sense, rhs, entries)
+        cols = draw(st.lists(st.integers(0, n_cols - 1), max_size=4, unique=True))  # some rows stay empty
+        for c in cols:
+            entries[0].append(i)
+            entries[1].append(c)
+            entries[2].append(draw(_FINITE))
+        senses.append(draw(st.sampled_from("LEG")))
+        rhs.append(draw(st.one_of(st.just(0.0), _FINITE)))
+        names.append(f"{draw(st.sampled_from(heads))}{i}]")
+    lp.add_named_rows(names, senses, rhs, entries)
     lp.offset = draw(st.one_of(st.just(0.0), _FINITE))
     return lp.freeze()
 
@@ -487,8 +476,10 @@ def test_export_matches_reference_format_on_a_cell(tmp_path):
 
 def test_export_matches_reference_format_on_odd_names(tmp_path):
     lp = LinearProgram('quote " and \\ and é')
-    for j, name in enumerate(['a"b', "c\\d", "é[1]", "tab\tx", "\x01", "long name number %d" % 0]):
-        lp.add_col(name, -INF if j % 2 else -0.0, -0.0 if j % 3 == 0 else INF, 0.0)
+    names = ['a"b', "c\\d", "é[1]", "tab\tx", "\x01", "long name number %d" % 0]
+    lo = [-INF if j % 2 else -0.0 for j in range(len(names))]
+    hi = [-0.0 if j % 3 == 0 else INF for j in range(len(names))]
+    lp.add_named_cols(names, lo, hi, [0.0] * len(names))
     lp.freeze()
     _assert_reference_bytes(lp, tmp_path / "odd.mps")  # no rows: an empty map
     assert '"rows": {}' in (tmp_path / "odd.mps.names.json").read_text()

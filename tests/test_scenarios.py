@@ -102,8 +102,8 @@ class TestApplyVariant:
     def test_no_ntc_empties_the_matrix(self, dataset):
         spec0 = ScenarioSpec("b", 0.0, None, "base", YEARS, HOURS)
         inst = make_instance(dataset, spec0, 2009)
-        assert not inst.ntc.empty
-        assert apply_variant(inst, spec_for("no_ntc", dataset)).ntc.empty
+        assert inst.ntc.limits_mw
+        assert not apply_variant(inst, spec_for("no_ntc", dataset)).ntc.limits_mw
 
     @pytest.mark.parametrize("variant", ["gas_free", "half_nuc", "no_coal", "no_ntc", "wind_cap"])
     def test_idempotent(self, dataset, variant):
@@ -217,7 +217,7 @@ class TestPersistence:
         assert loaded.load_mw("DE").shape == (HOURS,)
         assert loaded.hp_load_mw("DE").sum() > 0.0
         got = loaded.capacities_mw["DE"][("generation", "ccgt")]
-        want = result.capacities_mw["DE"][("generation", "ccgt")]
+        want = result.solved.capacities_mw["DE"][("generation", "ccgt")]
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_manifest_carries_provenance_and_residuals(self, dataset, tmp_path):
@@ -262,12 +262,10 @@ class TestCostDecomposition:
         for spec in base_specs([2009], HOURS):
             result = run_cell(dataset, spec, 2009)
             assert result.ok
-            total = sum(
-                result.cost_breakdown[k]
-                for k in ("investment", "fixed_om", "variable", "storage_marginal")
-            )
+            breakdown = result.solved.cost_breakdown
+            total = sum(breakdown[k] for k in ("investment", "fixed_om", "variable", "storage_marginal"))
             assert total == pytest.approx(result.objective, rel=1e-6)
-            assert result.cost_breakdown["total"] == pytest.approx(total, rel=1e-12)
+            assert breakdown["total"] == pytest.approx(total, rel=1e-12)
 
     def test_heat_supplied_matches_share_of_demand(self, dataset):
         spec = base_specs([2009], HOURS)[2]  # 25%, two-hour tank

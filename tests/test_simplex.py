@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from desk import random_lp
+from desk import random_lp, random_rows
 from heatgrid.lp import LinearProgram
 from heatgrid.solver import solve, verify
 
@@ -19,8 +19,8 @@ INF = float("inf")
 
 def lp_min_x_ge_1():
     lp = LinearProgram("t")
-    x = lp.add_col("x", 0.0, INF, 1.0)
-    lp.add_row("r", "G", 1.0, [(x, 1.0)])
+    lp.add_named_cols(["x"], [0.0], [INF], [1.0])
+    lp.add_named_rows(["r"], ["G"], [1.0], ([0], [0], [1.0]))
     return lp.freeze()
 
 
@@ -34,8 +34,8 @@ def test_minimal_example():
 
 def test_contradictory_bounds_infeasible():
     lp = LinearProgram("t")
-    x = lp.add_col("x", 0.0, 1.0, 1.0)
-    lp.add_row("r", "G", 5.0, [(x, 1.0)])
+    lp.add_named_cols(["x"], [0.0], [1.0], [1.0])
+    lp.add_named_rows(["r"], ["G"], [5.0], ([0], [0], [1.0]))
     sol = solve(lp.freeze())
     assert sol.status == "infeasible"
     assert sol.objective is None
@@ -43,17 +43,15 @@ def test_contradictory_bounds_infeasible():
 
 def test_unbounded():
     lp = LinearProgram("t")
-    x = lp.add_col("x", -INF, INF, 1.0)
-    lp.add_row("r", "L", 3.0, [(x, 1.0)])
+    lp.add_named_cols(["x"], [-INF], [INF], [1.0])
+    lp.add_named_rows(["r"], ["L"], [3.0], ([0], [0], [1.0]))
     assert solve(lp.freeze()).status == "unbounded"
 
 
 def test_equality_and_free_variables():
     lp = LinearProgram("t")
-    x = lp.add_col("x", -INF, INF, 2.0)
-    y = lp.add_col("y", 0.0, INF, 3.0)
-    lp.add_row("r1", "E", 4.0, [(x, 1.0), (y, 1.0)])
-    lp.add_row("r2", "G", -2.0, [(x, 1.0), (y, -1.0)])
+    lp.add_named_cols(["x", "y"], [-INF, 0.0], [INF, INF], [2.0, 3.0])
+    lp.add_named_rows(["r1", "r2"], ["E", "G"], [4.0, -2.0], ([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, -1.0]))
     sol = solve(lp.freeze())
     assert sol.status == "optimal"
     # x = 4 - y turns the objective into 8 + y, so y = 0 and x = 4.
@@ -65,10 +63,13 @@ def test_equality_and_free_variables():
 def test_degenerate_vertex_terminates():
     # Many redundant rows through the same vertex.
     lp = LinearProgram("degen")
-    x = lp.add_col("x", 0.0, INF, 1.0)
-    y = lp.add_col("y", 0.0, INF, 1.0)
-    for i in range(30):
-        lp.add_row(f"r{i}", "G", 1.0, [(x, 1.0 + i * 1e-9), (y, 1.0)])
+    lp.add_named_cols(["x", "y"], [0.0, 0.0], [INF, INF], [1.0, 1.0])
+    rows = np.arange(30)
+    coefs = np.stack([1.0 + rows * 1e-9, np.ones(30)], axis=1)
+    lp.add_named_rows(
+        [f"r{i}" for i in rows], ["G"] * 30, [1.0] * 30,
+        (np.repeat(rows, 2), np.tile([0, 1], 30), coefs.ravel()),
+    )
     sol = solve(lp.freeze())
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, rel=1e-6)
@@ -77,11 +78,10 @@ def test_degenerate_vertex_terminates():
 def test_determinism_identical_runs():
     rng = np.random.default_rng(42)
     lp = LinearProgram("det")
-    for j in range(40):
-        lp.add_col(f"x{j}", 0.0, float(rng.uniform(1, 5)), float(rng.normal()))
-    for i in range(25):
-        entries = [(j, float(rng.normal())) for j in range(40) if rng.random() < 0.4]
-        lp.add_row(f"r{i}", str(rng.choice(["L", "G", "E"])), float(rng.normal()), entries)
+    bounds = [(float(rng.uniform(1, 5)), float(rng.normal())) for _ in range(40)]
+    hi, obj = zip(*bounds)
+    lp.add_named_cols([f"x{j}" for j in range(40)], [0.0] * 40, hi, obj)
+    lp.add_named_rows([f"r{i}" for i in range(25)], *random_rows(rng, 25, 40, 0.4, "LGE"))
     lp.freeze()
     a = solve(lp)
     b = solve(lp)
@@ -132,8 +132,7 @@ def _reference_solve(lp):
 
 def test_empty_constraint_matrix_boxed_minimization():
     lp = LinearProgram("boxed")
-    lp.add_col("a", 1.0, 2.0, 3.0)
-    lp.add_col("b", -1.0, 5.0, -2.0)
+    lp.add_named_cols(["a", "b"], [1.0, -1.0], [2.0, 5.0], [3.0, -2.0])
     sol = solve(lp.freeze())
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(3.0 * 1.0 - 2.0 * 5.0)
