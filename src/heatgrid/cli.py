@@ -32,11 +32,13 @@ CACHE_MANIFEST = "cache.json"
 
 
 def _parse_years(text: str) -> list:
-    if text.startswith("synth:"):
-        count = int(text.split(":", 1)[1])
-        years = [SYNTH_FIRST_YEAR + i for i in range(count)]
-    else:
-        years = [int(y) for y in text.split(",") if y]
+    try:
+        if text.startswith("synth:"):
+            years = [SYNTH_FIRST_YEAR + i for i in range(int(text.split(":", 1)[1]))]
+        else:
+            years = [int(y) for y in text.split(",") if y]
+    except ValueError:
+        raise ValueError(f"--years {text!r} is neither synth:N nor a comma list of years") from None
     if not years:
         raise ValueError(f"--years {text!r} names no weather year")
     return years
@@ -86,7 +88,7 @@ def _build_dataset(args, years: list):
         countries = args.countries.split(",")
         return build_synth_dataset(args.synth_seed, countries, years, args.hours, static=static)
     if not args.dataset:
-        raise SystemExit("either --dataset <cache dir> or --synth-seed is required")
+        raise ValueError("either --dataset <cache dir> or --synth-seed is required")
     cache = Path(args.dataset)
     series_map = ingest_file(cache / CACHE_SERIES)
     return build_ingested_dataset(series_map, years, args.hours, static=static)
@@ -96,10 +98,10 @@ def cmd_run(args) -> int:
     try:
         years = _parse_years(args.years)
         specs = specs_for_selector(args.scenario, years, args.hours)
-    except ValueError as exc:  # UnknownVariant and ScenarioError included
+        dataset = _build_dataset(args, years)
+    except (OSError, ValueError) as exc:  # unreadable inputs; bad flags, series or static data
         print(f"run error: {exc}", file=sys.stderr)
         return 1
-    dataset = _build_dataset(args, years)
     out_dir = Path(args.out)
     results = run_matrix(
         dataset, specs, out_dir=out_dir, export_mps=args.export_mps, jobs=args.jobs
@@ -127,7 +129,11 @@ def cmd_run(args) -> int:
 def cmd_analyze(args) -> int:
     from . import analysis
 
-    results = load_results(args.results)
+    try:
+        results = load_results(args.results)
+    except (OSError, ValueError) as exc:  # a missing directory; a cell not in the saved layout
+        print(f"analysis error: {exc}", file=sys.stderr)
+        return 1
     skipped = [r for r in results if r.manifest["status"] != "optimal"]
     results = [r for r in results if r.manifest["status"] == "optimal"]
     if skipped:

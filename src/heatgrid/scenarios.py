@@ -5,26 +5,28 @@ without thermal storage, and 25% with a two-hour tank. Each robustness
 variant (gas_free, half_nuc, no_coal, no_ntc, wind_cap) pairs a no-heat
 run with a 25%/two-hour run. Every spec executes once per weather year.
 
-Results persist one directory per (scenario, year) cell containing
-``capacities.csv``, ``dispatch.csv``, ``flows.csv``, ``heat.csv``,
-``costs.csv`` and a ``manifest.json`` (spec, provenance hash, solver
-stats, per-stage timings, residuals, an error cell's traceback), plus
-``model.mps`` when MPS export is asked for.
-Writes are atomic (temp dir, then rename), cells are independent, and a
-failing cell is recorded without aborting the batch.
+Results persist one directory per (scenario, year) cell: the five tables
+of :data:`CELL_TABLES` (``capacities.csv``, ``dispatch.csv``,
+``flows.csv``, ``heat.csv``, ``costs.csv``), each written and read back
+through its one declared layout, and a ``manifest.json`` (spec,
+provenance hash, solver stats, per-stage timings, residuals, an error
+cell's traceback), plus ``model.mps`` when MPS export is asked for.
+Writes are atomic (temp dir, then rename), cells are independent and may
+run on threads of one process, and a failing cell is recorded without
+aborting the batch.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import shutil
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -319,44 +321,63 @@ def _stats(solution: Solution, lp) -> dict:
     }
 
 
-def _run_cell_job(args):
-    dataset, spec, year, export_mps, out_dir = args
-    result = run_cell(dataset, spec, year, export_mps=export_mps)
-    if out_dir is not None:
-        persist_result(result, out_dir)
-    result.lp = None  # already written; not held or sent back by the batch
-    return result
-
-
-def run_matrix(
-    dataset: Dataset,
-    specs,
-    out_dir=None,
-    export_mps: bool = False,
-    jobs: int = 1,
-) -> list:
+def run_matrix(dataset: Dataset, specs, out_dir=None, export_mps: bool = False, jobs: int = 1) -> list:
     """Run every (spec, weather year) cell; persist when `out_dir` given.
 
     Cells are independent; failures are recorded per cell and the batch
-    always completes. Results are returned in deterministic (spec, year)
-    order regardless of worker scheduling. With `export_mps` and an
+    always completes. With `jobs` > 1 the cells run on that many threads of
+    this process (HiGHS releases the interpreter lock while it solves), and
+    results still come back in (spec, year) order. With `export_mps` and an
     `out_dir`, every optimal cell also gets ``model.mps`` and its name-map
     sidecar, written from the LP the cell was solved on.
     """
     out_dir = Path(out_dir) if out_dir is not None else None
+
+    def run(cell) -> ScenarioResult:
+        result = run_cell(dataset, *cell, export_mps=export_mps)
+        if out_dir is not None:
+            persist_result(result, out_dir)
+        result.lp = None  # already written; not held by the batch
+        return result
+
     cells = [(spec, year) for spec in specs for year in spec.weather_years]
-    tasks = [(dataset, spec, year, export_mps, out_dir) for spec, year in cells]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell_job, tasks))
-    else:
-        results = [_run_cell_job(t) for t in tasks]
-    return results
+    if jobs > 1 and len(cells) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run, cells))
+    return [run(cell) for cell in cells]
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """The layout of one result CSV: key columns, value columns, hourly or not.
+
+    A row is its key fields, then its values as float reprs. An hourly table
+    leads with an ``hour`` column and holds each key as one contiguous run
+    of hours ``0..H-1``.
+    """
+
+    file: str
+    keys: tuple
+    values: tuple
+    hourly: bool
+
+    @property
+    def columns(self) -> tuple:
+        return ("hour",) * self.hourly + self.keys + self.values
+
+
+CAPACITIES = CellTable("capacities.csv", ("country", "kind", "name"), ("value",), False)
+DISPATCH = CellTable("dispatch.csv", ("country", "kind", "name"), ("value_mw",), True)
+FLOWS = CellTable("flows.csv", ("from", "to"), ("value_mw",), True)
+HEAT = CellTable("heat.csv", ("country", "building_type", "sink", "heat_pump_type"), (
+    "heat_output_mw_th", "heat_generated_mw_th", "storage_level_mwh_th", "electricity_mw_el"), True)
+COSTS = CellTable("costs.csv", ("component",), ("value_eur",), False)
+CELL_TABLES = (CAPACITIES, DISPATCH, FLOWS, HEAT, COSTS)
 
 
 def result_dirname(spec_name: str, year: int) -> str:
@@ -368,7 +389,7 @@ def persist_result(result: ScenarioResult, out_dir: Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     final = out_dir / result_dirname(result.spec.name, result.year)
-    tmp = out_dir / f".{result_dirname(result.spec.name, result.year)}.tmp-{os.getpid()}"
+    tmp = out_dir / f".{final.name}.tmp-{os.getpid()}"  # one per cell, so threads never share it
     if tmp.exists():
         shutil.rmtree(tmp)
     tmp.mkdir()
@@ -383,93 +404,54 @@ def persist_result(result: ScenarioResult, out_dir: Path) -> Path:
     return final
 
 
-def _csv_writer(path: Path):
-    fh = path.open("w", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _cell_blocks(result: ScenarioResult) -> dict:
+    """Each table's ``(key, values)`` blocks of a solved cell, in file order."""
+    solved, instance = result.solved, result.solved.instance
+    kinds = {
+        "generation": solved.generation_mw, "charge": solved.charge_mw,
+        "discharge": solved.discharge_mw, "soc_mwh": solved.soc_mwh, "spill_mwh": solved.spill_mwh,
+    }
+    dispatch = [((c, kind, name), (block[(c, name)],)) for kind, block in kinds.items() for c, name in sorted(block)]
+    for c in sorted(instance.countries):
+        dispatch.append(((c, "load", "electric"), (instance.loads_mw[c],)))
+        if solved.heat.get(c):
+            dispatch.append(((c, "load", "heat_pump"), (solved.hp_load_mw(c),)))
+    costs = {k: solved.cost_breakdown[k] for k in ("investment", "fixed_om", "variable", "storage_marginal", "total")}
+    costs.update(objective=result.objective, heat_supplied_mwh=solved.heat_supplied_mwh)
+    return {
+        CAPACITIES: [((c, *kind_name), (mw,)) for c, caps in sorted(solved.capacities_mw.items())
+                     for kind_name, mw in sorted(caps.items())],
+        DISPATCH: dispatch,
+        FLOWS: [(link, (arr,)) for link, arr in sorted(solved.flows_mw.items())],
+        HEAT: [((c, *unit), (traj.heat_output_mw[unit], traj.heat_generated_mw[unit],
+                             traj.storage_level_mwh[unit], traj.electricity_mw[unit]))
+               for c, traj in sorted(solved.heat.items()) for unit in traj.keys],
+        COSTS: [((component,), (value,)) for component, value in costs.items()],
+    }
+
+
+def _table_chunks(table: CellTable, blocks, hours: int):
+    """CSV text of one table: the header, then one chunk per block.
+
+    Key fields are checked ids and values are float reprs, so no field is
+    quoted; a key that would need quoting raises.
+    """
+    yield ",".join(table.columns) + "\n"
+    prefixes = [f"{h}," for h in range(hours)] if table.hourly else [""]
+    for key, values in blocks:
+        key_text = ",".join(map(str, key))
+        if key_text.count(",") >= len(key) or any(ch in key_text for ch in '"\r\n'):
+            raise ValueError(f"{table.file}: key {key!r} would need CSV quoting")
+        value_texts = (map(repr, np.asarray(v, dtype=float).ravel().tolist()) for v in values)
+        fields = map(",".join, zip(*value_texts, strict=True))
+        yield "\n".join(map(f"{key_text},".join, zip(prefixes, fields, strict=True))) + "\n"
 
 
 def _write_cell_files(result: ScenarioResult, cell_dir: Path) -> None:
-    solved = result.solved
-
-    fh, w = _csv_writer(cell_dir / "capacities.csv")
-    with fh:
-        w.writerow(["country", "kind", "name", "value"])
-        if solved:
-            for c in sorted(solved.capacities_mw):
-                for (kind, name), mw in sorted(solved.capacities_mw[c].items()):
-                    w.writerow([c, kind, name, repr(float(mw))])
-
-    fh, w = _csv_writer(cell_dir / "dispatch.csv")
-    with fh:
-        w.writerow(["hour", "country", "kind", "name", "value_mw"])
-        if solved:
-            H = solved.instance.window.hours
-            blocks = [
-                ("generation", solved.generation_mw),
-                ("charge", solved.charge_mw),
-                ("discharge", solved.discharge_mw),
-                ("soc_mwh", solved.soc_mwh),
-                ("spill_mwh", solved.spill_mwh),
-            ]
-            for kind, block in blocks:
-                for (c, name) in sorted(block):
-                    arr = block[(c, name)]
-                    for h in range(H):
-                        w.writerow([h, c, kind, name, repr(float(arr[h]))])
-            for c in sorted(solved.instance.countries):
-                load = solved.instance.loads_mw[c]
-                hp = solved.hp_load_mw(c)
-                for h in range(H):
-                    w.writerow([h, c, "load", "electric", repr(float(load[h]))])
-                if solved.heat.get(c):
-                    for h in range(H):
-                        w.writerow([h, c, "load", "heat_pump", repr(float(hp[h]))])
-
-    fh, w = _csv_writer(cell_dir / "flows.csv")
-    with fh:
-        w.writerow(["hour", "from", "to", "value_mw"])
-        if solved:
-            H = solved.instance.window.hours
-            for (a, b) in sorted(solved.flows_mw):
-                arr = solved.flows_mw[(a, b)]
-                for h in range(H):
-                    w.writerow([h, a, b, repr(float(arr[h]))])
-
-    fh, w = _csv_writer(cell_dir / "heat.csv")
-    with fh:
-        w.writerow(
-            [
-                "hour", "country", "building_type", "sink", "heat_pump_type",
-                "heat_output_mw_th", "heat_generated_mw_th",
-                "storage_level_mwh_th", "electricity_mw_el",
-            ]
-        )
-        if solved:
-            for c in sorted(solved.heat):
-                traj = solved.heat[c]
-                for unit in traj.keys:
-                    bt, st, hpt = unit
-                    ho = traj.heat_output_mw[unit]
-                    hi = traj.heat_generated_mw[unit]
-                    hl = traj.storage_level_mwh[unit]
-                    e = traj.electricity_mw[unit]
-                    for h in range(len(ho)):
-                        w.writerow(
-                            [
-                                h, c, bt, st, hpt,
-                                repr(float(ho[h])), repr(float(hi[h])),
-                                repr(float(hl[h])), repr(float(e[h])),
-                            ]
-                        )
-
-    fh, w = _csv_writer(cell_dir / "costs.csv")
-    with fh:
-        w.writerow(["component", "value_eur"])
-        if solved:
-            for component in ("investment", "fixed_om", "variable", "storage_marginal", "total"):
-                w.writerow([component, repr(float(solved.cost_breakdown[component]))])
-            w.writerow(["objective", repr(float(result.objective))])
-            w.writerow(["heat_supplied_mwh", repr(float(solved.heat_supplied_mwh))])
+    blocks = _cell_blocks(result) if result.solved else {}
+    for table in CELL_TABLES:
+        with (cell_dir / table.file).open("w", newline="") as fh:
+            fh.writelines(_table_chunks(table, blocks.get(table, ()), result.spec.window_hours))
 
     manifest = {
         "schema": MANIFEST_SCHEMA,
@@ -490,21 +472,13 @@ def _write_cell_files(result: ScenarioResult, cell_dir: Path) -> None:
         "solver": result.solver_stats,
         "timings": result.timings,
         "residuals": {
-            family: {
-                "max": fam.max_violation,
-                "mean": fam.mean_violation,
-                "rows": fam.rows,
-            }
+            family: {"max": fam.max_violation, "mean": fam.mean_violation, "rows": fam.rows}
             for family, fam in (result.residual_report.families if result.residual_report else {}).items()
         },
         "heat_trajectory_max_violation": {
             c: rep.max_violation for c, rep in result.trajectory_reports.items()
         },
-        "ntc_pairs": (
-            sorted(f"{a}>{b}" for (a, b) in result.solved.instance.ntc.limits_mw)
-            if result.solved
-            else []
-        ),
+        "ntc_pairs": sorted(f"{a}>{b}" for a, b in result.solved.instance.ntc.limits_mw) if result.solved else [],
     }
     (cell_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     if result.lp is not None:
@@ -559,89 +533,73 @@ class PersistedResult:
         return self.dispatch_mw[(country, "load", "electric")]
 
     def hp_load_mw(self, country: str) -> np.ndarray:
-        return self.dispatch_mw.get(
-            (country, "load", "heat_pump"), np.zeros(self.hours)
-        )
+        return self.dispatch_mw.get((country, "load", "heat_pump"), np.zeros(self.hours))
 
     def generation_mw(self, country: str, tech: str) -> np.ndarray:
-        return self.dispatch_mw.get(
-            (country, "generation", tech), np.zeros(self.hours)
-        )
+        return self.dispatch_mw.get((country, "generation", tech), np.zeros(self.hours))
+
+
+def _read_table(cell_dir: Path, table: CellTable, hours: int) -> dict:
+    """Map each key of a saved table to its values, one per value column.
+
+    A value is a float, or an array of `hours` floats in an hourly table.
+    Raises ValueError naming the file where it departs from `table`.
+    """
+    path = cell_dir / table.file
+    header, _, body = path.read_text().partition("\n")
+    names = table.columns
+    if header != ",".join(names):
+        raise ValueError(f"{path}: header {header!r} is not {','.join(names)!r}")
+    *rows, last = body.split("\n")
+    if last or set(map(str.count, rows, repeat(","))) - {len(names) - 1}:
+        raise ValueError(f"{path}: a row does not have the {len(names)} fields of the header")
+    fields = body.replace("\n", ",").split(",")[:-1]
+    columns = [fields[i :: len(names)] for i in range(len(names))]
+    key_columns = columns[table.hourly : table.hourly + len(table.keys)]
+    try:
+        values = [list(map(float, col)) for col in columns[table.hourly + len(table.keys) :]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if table.hourly:
+        starts = [col[::hours] for col in key_columns]  # the key of each run of `hours` rows
+        runs = len(rows) // hours
+        if columns[0] != [str(h) for h in range(hours)] * runs or any(
+            col[h::hours] != first for col, first in zip(key_columns, starts) for h in range(1, hours)
+        ):
+            raise ValueError(f"{path}: each key must be one run of hours 0..{hours - 1}")
+        key_columns, values = starts, [np.array(col).reshape(runs, hours) for col in values]
+    keys = list(zip(*key_columns))
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"{path}: a key appears in more than one run of rows")
+    return dict(zip(keys, zip(*values)))
 
 
 def load_result(cell_dir) -> PersistedResult:
     cell_dir = Path(cell_dir)
-    manifest = json.loads((cell_dir / "manifest.json").read_text())
-    hours = manifest["scenario"]["window_hours"]
-
+    manifest_path = cell_dir / "manifest.json"
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("schema") != MANIFEST_SCHEMA:
+        raise ValueError(f"{manifest_path}: not a {MANIFEST_SCHEMA} manifest")
+    caps, dispatch, flows, heat, costs = (
+        _read_table(cell_dir, table, manifest["scenario"]["window_hours"]).items() for table in CELL_TABLES
+    )
     capacities: dict = {}
-    with (cell_dir / "capacities.csv").open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for c, kind, name, value in reader:
-            capacities.setdefault(c, {})[(kind, name)] = float(value)
-
-    dispatch: dict = {}
-    with (cell_dir / "dispatch.csv").open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for h, c, kind, name, value in reader:
-            key = (c, kind, name)
-            if key not in dispatch:
-                dispatch[key] = np.zeros(hours)
-            dispatch[key][int(h)] = float(value)
-
-    flows: dict = {}
-    with (cell_dir / "flows.csv").open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for h, a, b, value in reader:
-            key = (a, b)
-            if key not in flows:
-                flows[key] = np.zeros(hours)
-            flows[key][int(h)] = float(value)
-
-    heat: dict = {}
-    with (cell_dir / "heat.csv").open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for h, c, bt, st, hpt, ho, hi, hl, e in reader:
-            key = (c, (bt, st, hpt))
-            if key not in heat:
-                heat[key] = {
-                    "heat_output_mw_th": np.zeros(hours),
-                    "heat_generated_mw_th": np.zeros(hours),
-                    "storage_level_mwh_th": np.zeros(hours),
-                    "electricity_mw_el": np.zeros(hours),
-                }
-            hh = int(h)
-            heat[key]["heat_output_mw_th"][hh] = float(ho)
-            heat[key]["heat_generated_mw_th"][hh] = float(hi)
-            heat[key]["storage_level_mwh_th"][hh] = float(hl)
-            heat[key]["electricity_mw_el"][hh] = float(e)
-
-    costs: dict = {}
-    with (cell_dir / "costs.csv").open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for component, value in reader:
-            costs[component] = float(value)
-
+    for (c, kind, name), (mw,) in caps:
+        capacities.setdefault(c, {})[(kind, name)] = mw
     return PersistedResult(
         path=cell_dir,
         manifest=manifest,
         capacities_mw=capacities,
-        dispatch_mw=dispatch,
-        flows_mw=flows,
-        heat_mw=heat,
-        costs_eur=costs,
+        dispatch_mw={key: arr for key, (arr,) in dispatch},
+        flows_mw={key: arr for key, (arr,) in flows},
+        heat_mw={(c, tuple(unit)): dict(zip(HEAT.values, arrays)) for (c, *unit), arrays in heat},
+        costs_eur={component: value for (component,), (value,) in costs},
     )
 
 
 def load_results(out_dir) -> list:
-    out_dir = Path(out_dir)
-    results = []
-    for child in sorted(out_dir.iterdir()):
-        if child.is_dir() and (child / "manifest.json").exists():
-            results.append(load_result(child))
-    return results
+    cells = sorted(Path(out_dir).iterdir())
+    return [load_result(cell) for cell in cells if cell.is_dir() and (cell / "manifest.json").exists()]

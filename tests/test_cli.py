@@ -166,6 +166,8 @@ def test_run_with_failing_cell_exits_two(tmp_path, capsys):
     [
         (["--scenario", "bogus"], "unknown scenario selector 'bogus'"),
         (["--years", "synth:0"], "names no weather year"),
+        (["--years", "x"], "--years 'x' is neither synth:N nor a comma list of years"),
+        (["--countries", "XX"], "unknown country code 'XX'"),
     ],
 )
 def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message):
@@ -177,6 +179,59 @@ def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message)
     assert captured.err.startswith("run error: ") and message in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_run_without_series_cache_exits_one(tmp_path, capsys):
+    code = main(["run", "--dataset", str(tmp_path), "--hours", "24", "--out", str(tmp_path / "run")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("run error: ") and captured.err.count("\n") == 1
+    assert "series.csv" in captured.err and captured.out == ""
+
+
+def _truncate_dispatch(cell):
+    lines = (cell / "dispatch.csv").read_text().splitlines(keepends=True)
+    (cell / "dispatch.csv").write_text("".join(lines[: 1 + 36 * 3 + 5]))  # mid-way through a key's hours
+
+
+def _swap_header(cell):
+    text = (cell / "flows.csv").read_text()
+    (cell / "flows.csv").write_text(text.replace("hour,from,to,", "hour,to,from,", 1))
+
+
+def _foreign_schema(cell):
+    manifest = json.loads((cell / "manifest.json").read_text())
+    manifest["schema"] = "other-result-v9"
+    (cell / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_truncate_dispatch, "dispatch.csv: each key must be one run of hours 0..35"),
+        (_swap_header, "flows.csv: header 'hour,to,from,value_mw' is not 'hour,from,to,value_mw'"),
+        (_foreign_schema, "manifest.json: not a heatgrid-result-v1 manifest"),
+    ],
+)
+def test_analyze_rejects_a_cell_not_in_the_saved_layout(run_dir, tmp_path, capsys, corrupt, message):
+    import shutil
+
+    results = tmp_path / "results"
+    shutil.copytree(run_dir, results)
+    corrupt(results / "base-hp25-ep2__y2010")
+    code = main(["analyze", "--results", str(results), "--out", str(tmp_path / "a")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error: ") and err.count("\n") == 1
+    assert f"base-hp25-ep2__y2010/{message}" in err
+    assert not (tmp_path / "a").exists()
+
+
+def test_analyze_missing_results_exits_one(tmp_path, capsys):
+    code = main(["analyze", "--results", str(tmp_path / "missing"), "--out", str(tmp_path / "a")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error: ") and err.count("\n") == 1 and "missing" in err
 
 
 def test_analyze_delta_without_pair_exits_three(run_dir, tmp_path):

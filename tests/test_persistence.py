@@ -1,0 +1,203 @@
+"""Result-cell persistence: the declared table layout against row-at-a-time references.
+
+`reference_write` and `reference_load` are the csv-module writer and reader
+that the declared layout replaced, one row per `writerow` and one parse
+loop per table. The layout must reproduce their bytes and their arrays.
+"""
+
+import csv
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from heatgrid.dataset import build_synth_dataset
+from heatgrid.scenarios import CELL_TABLES, ScenarioSpec, base_specs, load_result, persist_result, run_cell
+
+HOURS = 30
+CELLS = ("base-hp25-ep2", "base-hp25-ep0", "base-hp00", "error")
+
+
+@pytest.fixture(scope="module")
+def results():
+    ds = build_synth_dataset(17, ["AT", "DE"], [2009], HOURS)
+    out = {spec.name: run_cell(ds, spec, 2009) for spec in base_specs([2009], HOURS)}
+    out["error"] = run_cell(ds, ScenarioSpec("error", 0.0, None, "base", [2009], HOURS * 10), 2009)
+    assert out["error"].status == "error"
+    assert all(out[name].ok for name in CELLS[:3])
+    assert any(level.any() for level in out["base-hp25-ep2"].solved.heat["DE"].storage_level_mwh.values())
+    return out
+
+
+def _rows(path, rows, header):
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def reference_write(result, cell_dir):
+    """The five CSVs of a cell, written one `writerow` per row."""
+    cell_dir.mkdir()
+    solved = result.solved
+    caps, dispatch, flows, heat, costs = [], [], [], [], []
+    if solved:
+        H = solved.instance.window.hours
+        for c in sorted(solved.capacities_mw):
+            for (kind, name), mw in sorted(solved.capacities_mw[c].items()):
+                caps.append([c, kind, name, repr(float(mw))])
+        blocks = [
+            ("generation", solved.generation_mw),
+            ("charge", solved.charge_mw),
+            ("discharge", solved.discharge_mw),
+            ("soc_mwh", solved.soc_mwh),
+            ("spill_mwh", solved.spill_mwh),
+        ]
+        for kind, block in blocks:
+            for (c, name) in sorted(block):
+                arr = block[(c, name)]
+                for h in range(H):
+                    dispatch.append([h, c, kind, name, repr(float(arr[h]))])
+        for c in sorted(solved.instance.countries):
+            load = solved.instance.loads_mw[c]
+            hp = solved.hp_load_mw(c)
+            for h in range(H):
+                dispatch.append([h, c, "load", "electric", repr(float(load[h]))])
+            if solved.heat.get(c):
+                for h in range(H):
+                    dispatch.append([h, c, "load", "heat_pump", repr(float(hp[h]))])
+        for (a, b) in sorted(solved.flows_mw):
+            arr = solved.flows_mw[(a, b)]
+            for h in range(H):
+                flows.append([h, a, b, repr(float(arr[h]))])
+        for c in sorted(solved.heat):
+            traj = solved.heat[c]
+            for unit in traj.keys:
+                bt, st, hpt = unit
+                ho = traj.heat_output_mw[unit]
+                hi = traj.heat_generated_mw[unit]
+                hl = traj.storage_level_mwh[unit]
+                e = traj.electricity_mw[unit]
+                for h in range(len(ho)):
+                    heat.append(
+                        [h, c, bt, st, hpt, repr(float(ho[h])), repr(float(hi[h])),
+                         repr(float(hl[h])), repr(float(e[h]))]
+                    )
+        for component in ("investment", "fixed_om", "variable", "storage_marginal", "total"):
+            costs.append([component, repr(float(solved.cost_breakdown[component]))])
+        costs.append(["objective", repr(float(result.objective))])
+        costs.append(["heat_supplied_mwh", repr(float(solved.heat_supplied_mwh))])
+    _rows(cell_dir / "capacities.csv", caps, ["country", "kind", "name", "value"])
+    _rows(cell_dir / "dispatch.csv", dispatch, ["hour", "country", "kind", "name", "value_mw"])
+    _rows(cell_dir / "flows.csv", flows, ["hour", "from", "to", "value_mw"])
+    _rows(
+        cell_dir / "heat.csv", heat,
+        ["hour", "country", "building_type", "sink", "heat_pump_type", "heat_output_mw_th",
+         "heat_generated_mw_th", "storage_level_mwh_th", "electricity_mw_el"],
+    )
+    _rows(cell_dir / "costs.csv", costs, ["component", "value_eur"])
+
+
+def _body(path):
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        yield from reader
+
+
+def reference_load(cell_dir, hours):
+    """The tables of a saved cell, parsed one row at a time into zero-filled arrays."""
+    capacities, dispatch, flows, heat, costs = {}, {}, {}, {}, {}
+    for c, kind, name, value in _body(cell_dir / "capacities.csv"):
+        capacities.setdefault(c, {})[(kind, name)] = float(value)
+    for h, c, kind, name, value in _body(cell_dir / "dispatch.csv"):
+        key = (c, kind, name)
+        if key not in dispatch:
+            dispatch[key] = np.zeros(hours)
+        dispatch[key][int(h)] = float(value)
+    for h, a, b, value in _body(cell_dir / "flows.csv"):
+        if (a, b) not in flows:
+            flows[(a, b)] = np.zeros(hours)
+        flows[(a, b)][int(h)] = float(value)
+    fields = ("heat_output_mw_th", "heat_generated_mw_th", "storage_level_mwh_th", "electricity_mw_el")
+    for h, c, bt, st, hpt, *values in _body(cell_dir / "heat.csv"):
+        key = (c, (bt, st, hpt))
+        if key not in heat:
+            heat[key] = {f: np.zeros(hours) for f in fields}
+        for f, value in zip(fields, values):
+            heat[key][f][int(h)] = float(value)
+    for component, value in _body(cell_dir / "costs.csv"):
+        costs[component] = float(value)
+    return {"capacities_mw": capacities, "dispatch_mw": dispatch, "flows_mw": flows,
+            "heat_mw": heat, "costs_eur": costs}
+
+
+def assert_bitwise_equal(got, want, where=""):
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_bitwise_equal(got[key], want[key], f"{where}/{key}")
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype, where
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), where
+    else:
+        assert type(got) is type(want) and got.hex() == want.hex(), where
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_files_match_row_writer(results, tmp_path, cell):
+    cell_dir = persist_result(results[cell], tmp_path / "new")
+    reference_write(results[cell], tmp_path / "ref")
+    for table in CELL_TABLES:
+        assert (cell_dir / table.file).read_bytes() == (tmp_path / "ref" / table.file).read_bytes(), table.file
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_load_matches_row_loader(results, tmp_path, cell):
+    loaded = load_result(persist_result(results[cell], tmp_path))
+    want = reference_load(loaded.path, HOURS if cell != "error" else HOURS * 10)
+    for name, table in want.items():
+        assert_bitwise_equal(getattr(loaded, name), table, name)
+    if cell == "error":
+        assert not any(want.values())  # headers only
+
+
+def test_concurrent_persists_into_one_directory(results, tmp_path):
+    # More writer threads than cores, switching often, all into one out_dir.
+    cells = [dataclasses.replace(results[name], year=2009 + i) for i in range(3) for name in CELLS]
+    for result in cells:
+        persist_result(result, tmp_path / "serial")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(persist_result, result, tmp_path / "threads") for result in cells]
+            written = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(p.name for p in (tmp_path / "threads").iterdir()) == sorted(p.name for p in written)
+    assert len(written) == len(cells) == len(set(written))  # no temporary directory left behind
+    for cell_dir in written:
+        for table in CELL_TABLES:
+            want = (tmp_path / "serial" / cell_dir.name / table.file).read_bytes()
+            assert (cell_dir / table.file).read_bytes() == want, f"{cell_dir.name}/{table.file}"
+
+
+def test_writer_rejects_a_key_that_needs_quoting(results, tmp_path):
+    result = results["base-hp00"]
+    solved = dataclasses.replace(result.solved, flows_mw={("AT", "D,E"): np.zeros(HOURS)})
+    with pytest.raises(ValueError, match="would need CSV quoting"):
+        persist_result(dataclasses.replace(result, solved=solved), tmp_path)
+    assert not list(tmp_path.iterdir())  # the temporary directory is gone
+
+
+def test_reader_rejects_a_key_split_into_two_runs(results, tmp_path):
+    cell_dir = persist_result(results["base-hp00"], tmp_path)
+    path = cell_dir / "flows.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    rows[HOURS // 2], rows[HOURS] = rows[HOURS], rows[HOURS // 2]  # a row of the second key moves up
+    path.write_text(header + "".join(rows))
+    with pytest.raises(ValueError, match="flows.csv: each key must be one run of hours 0..29"):
+        load_result(cell_dir)
