@@ -53,7 +53,7 @@ def cmd_ingest(args) -> int:
             if dup:
                 raise SeriesError(f"{path}: duplicate series {sorted(dup)[:3]}")
             series_map.update(part)
-    except SeriesError as exc:
+    except (OSError, ValueError) as exc:  # an unreadable file; a bad row or series
         print(f"ingest error: {exc}", file=sys.stderr)
         return 1
     if not series_map:

@@ -4,7 +4,8 @@ Input schema (one file may carry several countries and quantities):
 
     timestamp,country,quantity,value
 
-* ``timestamp``: ISO-8601 hourly UTC, e.g. ``2009-07-01T13:00:00Z``.
+* ``timestamp``: ISO-8601 on the hour, e.g. ``2009-07-01T13:00:00Z``; an
+  offset is converted to UTC and a naive stamp is read as UTC.
 * ``country``: canonical two-letter code.
 * ``quantity``: a base quantity, optionally extended with dot-separated
   subkeys that identify the member of a family:
@@ -18,10 +19,11 @@ Input schema (one file may carry several countries and quantities):
 * ``value``: decimal number in canonical units (MW, MW_th, MWh, or
   dimensionless).
 
-Rows of a (country, quantity) group must form a gapless hourly sequence;
-rows falling on Feb 29 are dropped so every series lives on the no-leap
-calendar. Canonical emission sorts groups lexicographically and formats
-values with ``repr`` so ingest -> emit round trips are byte-identical.
+Rows falling on Feb 29 are dropped so every series lives on the no-leap
+calendar of :mod:`heatgrid.series`; the rest of a (country, quantity)
+group must form a gapless hourly sequence without duplicates. Canonical
+emission sorts groups lexicographically and formats values with ``repr``
+so ingest -> emit round trips are byte-identical.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import csv
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import compress, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +53,7 @@ from .series import (
     HourlySeries,
     MissingValue,
     SeriesError,
-    is_leap_hour,
-    noleap_hours_between,
+    noleap_hour,
     noleap_stamps,
     window_july_june,
 )
@@ -97,57 +100,92 @@ def _parse_timestamp(text: str) -> datetime:
     return ts
 
 
+_CHUNK_ROWS = 1 << 14  # bounds the rows held as Python lists at once
+_FEB29 = np.iinfo(np.int64).min  # the hour number of a dropped Feb 29 row
+
+
 def ingest_file(path) -> dict[tuple[str, str], HourlySeries]:
-    """Parse one CSV file into {(country, full_quantity): HourlySeries}."""
+    """Parse one CSV file into {(country, full_quantity): HourlySeries}.
+
+    Rows are read in chunks and handled as columns. Each distinct timestamp
+    text is parsed once and each distinct (country, quantity) pair is
+    checked once. A series is ordered by the :func:`noleap_hour` numbers of
+    its rows, so a duplicate or a gap is a step other than 1 between them.
+    """
     path = Path(path)
+    hour_of: dict = {}  # timestamp text -> no-leap hour number, or _FEB29
+    moment: dict = {}  # no-leap hour number -> UTC datetime
+    series_of: dict = {}  # (country, quantity) text -> index of its key
+    keys: dict = {}  # (country, full quantity) -> index, in order of first appearance
+
+    def columns(rows: list, line: int):
+        """Hour numbers, series indices and values of the rows off Feb 29; `line` numbers the first row."""
+        widths = np.fromiter(map(len, rows), np.intp, len(rows))
+        bad = np.flatnonzero((widths != 4) & (widths != 0))
+        if bad.size:
+            raise BadHeader(f"{path}:{line + bad[0]}: expected 4 fields, got {widths[bad[0]]}")
+        lines = line + np.flatnonzero(widths)  # a blank line holds no row
+        stamps, countries, quantities, texts = (list(map(itemgetter(i), filter(None, rows))) for i in range(4))
+        for text in [text for text in dict.fromkeys(stamps) if text not in hour_of]:
+            ts = _parse_timestamp(text)
+            hour_of[text] = _FEB29 if (ts.month, ts.day) == (2, 29) else noleap_hour(ts)
+            moment[hour_of[text]] = ts
+        hours = np.fromiter(map(hour_of.__getitem__, stamps), np.int64, len(stamps))
+        keep = hours != _FEB29  # no-leap calendar
+        countries, quantities, texts = (list(compress(col, keep)) for col in (countries, quantities, texts))
+        hours, lines = hours[keep], lines[keep]
+        pairs = list(zip(countries, quantities))
+        for pair in [pair for pair in dict.fromkeys(pairs) if pair not in series_of]:
+            key = (check_country(pair[0].strip()), pair[1].strip())
+            parse_quantity(key[1])
+            series_of[pair] = keys.setdefault(key, len(keys))
+        series = np.fromiter(map(series_of.__getitem__, pairs), np.intp, len(pairs))
+        try:
+            return hours, series, np.fromiter(map(float, texts), float, len(texts))
+        except ValueError:
+            k = next(k for k, text in enumerate(texts) if not _is_float(text))
+            raise SeriesError(f"{path}:{lines[k]}: bad value {texts[k]!r}") from None
+
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise BadHeader(f"{path}: empty file") from None
-        if header != HEADER:
-            raise BadHeader(f"{path}: header {header} != {HEADER}")
-        groups: dict[tuple[str, str], list[tuple[datetime, float]]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise BadHeader(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            ts = _parse_timestamp(row[0])
-            if is_leap_hour(ts):
-                continue  # no-leap calendar
-            country = check_country(row[1].strip())
-            parse_quantity(row[2].strip())
-            try:
-                value = float(row[3])
-            except ValueError:
-                raise SeriesError(f"{path}:{lineno}: bad value {row[3]!r}") from None
-            groups.setdefault((country, row[2].strip()), []).append((ts, value))
+        header = next(reader, None)
+        if header is None:
+            raise BadHeader(f"{path}: empty file")
+        if tuple(header) != HEADER:
+            raise BadHeader(f"{path}: header {tuple(header)} != {HEADER}")
+        chunks, line = [], 2
+        while rows := list(islice(reader, _CHUNK_ROWS)):
+            chunks.append(columns(rows, line))
+            line += len(rows)
+    if not chunks:
+        return {}
+    hours, series, values = map(np.concatenate, zip(*chunks))
 
     out: dict[tuple[str, str], HourlySeries] = {}
-    for (country, fullq), rows in groups.items():
-        rows.sort(key=lambda r: r[0])
-        start = rows[0][0]
-        values = np.empty(len(rows))
-        for i, (ts, value) in enumerate(rows):
-            expected = noleap_hours_between(start, ts)
-            if expected < i:
-                raise SeriesError(
-                    f"{path}: duplicate timestamp {ts.isoformat()} in "
-                    f"({country}, {fullq})"
-                )
-            if expected > i:
-                raise MissingValue(
-                    f"{path}: gap before {ts.isoformat()} in ({country}, {fullq}); "
-                    f"expected hour index {i}, found {expected}"
-                )
-            values[i] = value
-        base, _ = parse_quantity(fullq)
-        out[(country, fullq)] = HourlySeries(
-            country=country, quantity=base, start=start, values=values
-        )
+    order = np.lexsort((hours, series))
+    bounds = np.searchsorted(series[order], np.arange(len(keys) + 1))
+    for (country, fullq), lo, hi in zip(keys, bounds, bounds[1:]):
+        run = order[lo:hi]
+        step = np.diff(hours[run])
+        if (step != 1).any():
+            k = int(np.argmax(step != 1))  # row k + 1 does not follow row k
+            ts = moment[hours[run[k + 1]]].isoformat()
+            if step[k] == 0:
+                raise SeriesError(f"{path}: duplicate timestamp {ts} in ({country}, {fullq})")
+            raise MissingValue(
+                f"{path}: gap before {ts} in ({country}, {fullq}); "
+                f"expected hour index {k + 1}, found {k + step[k]}"
+            )
+        out[(country, fullq)] = HourlySeries(country, parse_quantity(fullq)[0], moment[hours[run[0]]], values[run])
     return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def csv_chunks(series_map: dict[tuple[str, str], HourlySeries]) -> Iterator[str]:
@@ -209,16 +247,8 @@ class CountryBundle:
                 tech: window_july_june(ser, year, hours)
                 for tech, ser in self.availability.items()
             },
-            heat_demand=self.heat_demand.window(year, hours)
-            if not self.heat_demand.empty
-            else HeatDemandSet(self.country, {}),
-            cops=CopSet(
-                self.country,
-                {
-                    key: window_july_june(ser, year, hours)
-                    for key, ser in self.cops.profiles.items()
-                },
-            ),
+            heat_demand=self.heat_demand.window(year, hours),
+            cops=self.cops.window(year, hours),
             inflow=window_july_june(self.inflow, year, hours)
             if self.inflow is not None
             else None,

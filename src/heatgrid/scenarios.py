@@ -25,7 +25,7 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -206,7 +206,7 @@ def make_instance(dataset: Dataset, spec: ScenarioSpec, year: int) -> SystemInst
     instance = SystemInstance(
         name=f"{spec.name}__y{year}",
         countries=countries,
-        window=ModelWindow(year, 0, spec.window_hours),
+        window=ModelWindow(spec.window_hours),
         loads_mw=loads,
         availability=availability,
         inflow_mwh=inflow,
@@ -325,7 +325,8 @@ def run_matrix(dataset: Dataset, specs, out_dir=None, export_mps: bool = False, 
     """Run every (spec, weather year) cell; persist when `out_dir` given.
 
     Cells are independent; failures are recorded per cell and the batch
-    always completes. With `jobs` > 1 the cells run on that many threads of
+    always completes. A cell whose files cannot be written becomes an error
+    cell, and `out_dir` lacks its directory. With `jobs` > 1 the cells run on that many threads of
     this process (HiGHS releases the interpreter lock while it solves), and
     results still come back in (spec, year) order. With `export_mps` and an
     `out_dir`, every optimal cell also gets ``model.mps`` and its name-map
@@ -336,7 +337,13 @@ def run_matrix(dataset: Dataset, specs, out_dir=None, export_mps: bool = False, 
     def run(cell) -> ScenarioResult:
         result = run_cell(dataset, *cell, export_mps=export_mps)
         if out_dir is not None:
-            persist_result(result, out_dir)
+            try:
+                persist_result(result, out_dir)
+            except Exception as exc:  # a cell that cannot be written is an error cell
+                result = replace(
+                    result, status="error", error=f"{type(exc).__name__}: {exc}",
+                    traceback=traceback.format_exc(),
+                )
         result.lp = None  # already written; not held by the batch
         return result
 
@@ -583,9 +590,13 @@ def load_result(cell_dir) -> PersistedResult:
         raise ValueError(f"{manifest_path}: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("schema") != MANIFEST_SCHEMA:
         raise ValueError(f"{manifest_path}: not a {MANIFEST_SCHEMA} manifest")
-    caps, dispatch, flows, heat, costs = (
-        _read_table(cell_dir, table, manifest["scenario"]["window_hours"]).items() for table in CELL_TABLES
-    )
+    scenario = manifest.get("scenario")
+    if not isinstance(scenario, dict):
+        raise ValueError(f"{manifest_path}: field scenario is not a mapping")
+    hours = scenario.get("window_hours")
+    if type(hours) is not int or hours < 1:
+        raise ValueError(f"{manifest_path}: field scenario.window_hours is {hours!r}, not a positive integer")
+    caps, dispatch, flows, heat, costs = (_read_table(cell_dir, table, hours).items() for table in CELL_TABLES)
     capacities: dict = {}
     for (c, kind, name), (mw,) in caps:
         capacities.setdefault(c, {})[(kind, name)] = mw

@@ -4,19 +4,19 @@ Conventions:
 
 * Hour ``h`` is the interval ``[h, h+1)``; all powers are hourly averages,
   so MW and MWh/h are numerically interchangeable.
-* Series live on a no-leap calendar: Feb 29 is dropped at ingestion, so a
-  full weather year is always exactly 8760 hours and window arithmetic is
-  pure index arithmetic.
+* Series live on one no-leap calendar: every year has 8760 hours, because
+  Feb 29 is dropped at ingestion. :func:`noleap_hour` numbers its hours;
+  consecutive hours differ by one, also across a Feb 29, so window
+  arithmetic is the difference of two hour numbers.
 * A "weather year" Y denotes the period July 1 of Y through June 30 of
   Y+1 so each heating season lies wholly inside one window.
 """
 
 from __future__ import annotations
 
-import calendar
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -51,42 +51,41 @@ def utc(year: int, month: int = 1, day: int = 1, hour: int = 0) -> datetime:
     return datetime(year, month, day, hour, tzinfo=timezone.utc)
 
 
-def noleap_hours_between(start: datetime, end: datetime) -> int:
-    """Hours from `start` to `end` on the no-leap calendar (Feb 29 removed)."""
-    if end < start:
-        raise ValueError("end before start")
-    raw = int((end - start).total_seconds()) // 3600
-    skipped = 0
-    for year in range(start.year, end.year + 1):
-        if not calendar.isleap(year):
-            continue
-        feb29 = utc(year, 2, 29)
-        day_end = feb29 + timedelta(days=1)
-        lo = max(start, feb29)
-        hi = min(end, day_end)
-        if hi > lo:
-            skipped += int((hi - lo).total_seconds()) // 3600
-    return raw - skipped
+_EPOCH_ORDINAL = utc(1970).toordinal()
 
 
-def is_leap_hour(ts: datetime) -> bool:
-    return ts.month == 2 and ts.day == 29
+def noleap_hour(ts):
+    """No-leap hour number of an aware `datetime`, or of each entry of a UTC ``datetime64`` array.
+
+    The real hours since 1970-01-01T00Z, less 24 for each Feb 29 before that
+    day. Every hour of a Feb 29 counts as the hour before Mar 1 00:00.
+    """
+    if isinstance(ts, datetime):
+        ts = ts.astimezone(timezone.utc)
+        real = 24 * (ts.toordinal() - _EPOCH_ORDINAL) + ts.hour
+        year, month, day = ts.year, ts.month, ts.day
+    else:
+        real = ts.astype("M8[h]").astype(np.int64)
+        days, months = ts.astype("M8[D]"), ts.astype("M8[M]")
+        year, month = np.divmod(months.astype(np.int64), 12)
+        year, month, day = year + 1970, month + 1, (days - months).astype(np.int64) + 1
+    y = year - (month < 3)  # the last year whose Feb 29 lies before this day; 477 lie before 1970
+    feb29 = (month == 2) & (day == 29)  # moved back to the hour before Mar 1 00:00
+    return real - 24 * (y // 4 - y // 100 + y // 400 - 477) - feb29 * (real % 24 + 1)
 
 
 def noleap_stamps(start: datetime, hours: int) -> np.ndarray:
     """UTC times (``datetime64[s]``) of no-leap hours ``0 .. hours-1`` from `start`.
 
-    Hour 0 is `start` itself; every later hour on a Feb 29 is skipped.
+    The inverse of :func:`noleap_hour` over a range: hour 0 is `start`
+    itself, and every later hour on a Feb 29 is skipped.
     """
     first = np.datetime64(start.astimezone(timezone.utc).replace(tzinfo=None), "s")
     # Each skipped Feb 29 costs 24 real hours; the span holds hours // 8760 + 1 at most.
     span = hours + 24 * (hours // 8760 + 1)
     stamps = first + np.arange(span) * np.timedelta64(3600, "s")
-    days = stamps.astype("M8[D]")
-    months = days.astype("M8[M]")
-    leap = (months.astype(np.int64) % 12 == 1) & ((days - months).astype(np.int64) == 28)
-    leap[0] = False
-    return stamps[~leap][:hours]
+    number = noleap_hour(stamps)
+    return stamps[np.diff(number, prepend=number[0] - 1) > 0][:hours]
 
 
 _NONNEGATIVE = {"electric_load_MW", "heat_demand_MWth", "hydro_inflow_MWh"}
@@ -145,43 +144,11 @@ class HourlySeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def hour_index(self, ts: datetime) -> int:
-        return noleap_hours_between(self.start, ts)
-
-    def slice(self, first: int, count: int) -> "HourlySeries":
-        if first < 0 or first + count > len(self.values):
-            raise CoverageError(
-                f"slice [{first}, {first + count}) outside series of length {len(self)}"
-            )
-        return HourlySeries(
-            country=self.country,
-            quantity=self.quantity,
-            start=add_noleap_hours(self.start, first),
-            values=self.values[first : first + count].copy(),
-        )
-
-
-def add_noleap_hours(start: datetime, hours: int) -> datetime:
-    """Advance a timestamp by `hours` on the no-leap calendar."""
-    ts = start + timedelta(hours=hours)
-    # Crossing a Feb 29 consumes real hours that do not exist on the
-    # no-leap calendar; top the timestamp up until the index matches.
-    while True:
-        if is_leap_hour(ts):
-            ts = utc(ts.year, 3, 1)
-            continue
-        deficit = hours - noleap_hours_between(start, ts)
-        if deficit == 0:
-            return ts
-        ts += timedelta(hours=deficit)
-
 
 @dataclass(frozen=True)
 class ModelWindow:
-    """A July-anchored model horizon inside the source calendar."""
+    """The model horizon: a July-anchored window of `hours` hours."""
 
-    label: int  # weather-year label, e.g. 2009 = July 2009 .. June 2010
-    first_hour: int  # index into the source series
     hours: int
 
     def __post_init__(self):
@@ -190,24 +157,26 @@ class ModelWindow:
 
 
 def window_july_june(series: HourlySeries, year: int, hours: int = 8760) -> HourlySeries:
-    """Slice the July-1-anchored window of weather year `year`.
+    """The July-1-anchored window of weather year `year`.
 
     The returned series starts July 1 00:00 UTC of `year` and has exactly
     `hours` values. Raises CoverageError when the source does not span it.
     """
     window_start = utc(year, 7, 1)
-    if window_start < series.start:
+    first = noleap_hour(window_start) - noleap_hour(series.start)
+    if first < 0:
         raise CoverageError(
             f"window {year} starts {window_start.date()}, before series start "
             f"{series.start.date()}"
         )
-    first = series.hour_index(window_start)
     if first + hours > len(series):
         raise CoverageError(
             f"window {year} needs hours [{first}, {first + hours}) but series "
             f"has only {len(series)}"
         )
-    return series.slice(first, hours)
+    return HourlySeries(
+        series.country, series.quantity, window_start, series.values[first : first + hours].copy()
+    )
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from datetime import timedelta
+
 import numpy as np
 
 from heatgrid.heat import HeatConfig, size_fleet
@@ -13,6 +15,21 @@ from heatgrid.staticdata import Bounds, BoundsTable, NtcMatrix, TechnologySpec
 INF = float("inf")
 
 START = utc(2009, 7, 1)
+
+
+def noleap_walk(start, hours: int) -> list:
+    """The first `hours` hours from `start` on the no-leap calendar, one real hour per step.
+
+    A reference kept apart from the calendar code: a step that lands on a
+    Feb 29 goes on to Mar 1 00:00, and only a start may lie on a Feb 29.
+    """
+    walk, ts = [], start
+    for _ in range(hours):
+        walk.append(ts)
+        ts += timedelta(hours=1)
+        if ts.month == 2 and ts.day == 29:
+            ts = ts.replace(month=3, day=1, hour=0)
+    return walk
 
 
 def tech(
@@ -76,7 +93,7 @@ def instance(
     return SystemInstance(
         name=name,
         countries=countries,
-        window=ModelWindow(2009, 0, hours),
+        window=ModelWindow(hours),
         loads_mw={c: np.asarray(v, dtype=float) for c, v in loads_mw.items()},
         availability={k: np.asarray(v, dtype=float) for k, v in (availability or {}).items()},
         inflow_mwh={},

@@ -42,6 +42,14 @@ def test_ingest_gap_exits_one_and_names_timestamp(tmp_path, capsys):
     assert "2009-07-01T02:00" in err
 
 
+def test_ingest_unknown_country_exits_one(tmp_path, capsys):
+    src = tmp_path / "xx.csv"
+    src.write_text(HEADER + "2009-07-01T00:00:00Z,XX,electric_load_MW,5\n")
+    assert main(["ingest", str(src), "--out", str(tmp_path / "cache")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ingest error: unknown country code 'XX'") and err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "run1"
@@ -205,12 +213,26 @@ def _foreign_schema(cell):
     (cell / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _zero_window_hours(cell):
+    manifest = json.loads((cell / "manifest.json").read_text())
+    manifest["scenario"]["window_hours"] = 0
+    (cell / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _drop_scenario(cell):
+    manifest = json.loads((cell / "manifest.json").read_text())
+    del manifest["scenario"]
+    (cell / "manifest.json").write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (_truncate_dispatch, "dispatch.csv: each key must be one run of hours 0..35"),
         (_swap_header, "flows.csv: header 'hour,to,from,value_mw' is not 'hour,from,to,value_mw'"),
         (_foreign_schema, "manifest.json: not a heatgrid-result-v1 manifest"),
+        (_zero_window_hours, "manifest.json: field scenario.window_hours is 0, not a positive integer"),
+        (_drop_scenario, "manifest.json: field scenario is not a mapping"),
     ],
 )
 def test_analyze_rejects_a_cell_not_in_the_saved_layout(run_dir, tmp_path, capsys, corrupt, message):
@@ -258,6 +280,31 @@ def test_analyze_skips_failed_cells(tmp_path, capsys):
     code = main(["analyze", "--results", str(out), "--out", str(tmp_path / "a")])
     assert code == 0
     assert "skipping 1 non-optimal" in capsys.readouterr().err
+
+
+def test_a_cell_that_cannot_be_written_is_an_error_cell(tmp_path, capsys, monkeypatch):
+    from heatgrid import scenarios
+    from heatgrid.dataset import build_synth_dataset
+
+    write = scenarios._write_cell_files
+
+    def write_or_fail(result, cell_dir):
+        if result.spec.name == "base-hp00":
+            raise OSError(28, "No space left on device")
+        write(result, cell_dir)
+
+    monkeypatch.setattr(scenarios, "_write_cell_files", write_or_fail)
+    ds = build_synth_dataset(5, ["DE"], [2009], 24)
+    out = tmp_path / "run"
+    results = scenarios.run_matrix(ds, scenarios.base_specs([2009], 24), out_dir=out)
+    assert [r.status for r in results] == ["error", "optimal", "optimal"]
+    assert results[0].error == "OSError: [Errno 28] No space left on device"
+    assert "write_or_fail" in results[0].traceback
+    assert sorted(cell.name for cell in out.iterdir()) == ["base-hp25-ep0__y2009", "base-hp25-ep2__y2009"]
+
+    code = main(["run", "--synth-seed", "5", "--countries", "DE", "--hours", "24", "--out", str(tmp_path / "cli")])
+    assert code == 2
+    assert "base-hp00 year=2009 status=error error=OSError: [Errno 28]" in capsys.readouterr().out
 
 
 def test_analysis_output_schema_golden(run_dir, tmp_path):

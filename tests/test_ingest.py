@@ -2,13 +2,14 @@
 
 import csv
 import io
-from datetime import timedelta, timezone
+from datetime import timezone
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from desk import noleap_walk
 from heatgrid.ingest import (
     BadHeader,
     assemble_bundles,
@@ -17,7 +18,7 @@ from heatgrid.ingest import (
     ingest_file,
     parse_quantity,
 )
-from heatgrid.series import HourlySeries, MissingValue, OutOfRange, SeriesError, is_leap_hour, utc
+from heatgrid.series import HourlySeries, MissingValue, OutOfRange, SeriesError, utc, window_july_june
 from heatgrid.synth import synth_profiles
 
 
@@ -117,6 +118,46 @@ def test_leap_day_rows_are_dropped(tmp_path):
         ingest_file(write(tmp_path, bad, "bad.csv"))
 
 
+def test_offset_and_naive_timestamps_read_as_utc(tmp_path):
+    path = write(
+        tmp_path,
+        HEADER
+        + "2009-07-01T01:00:00+01:00,DE,electric_load_MW,5\n"
+        + "2009-07-01T01:00:00Z,DE,electric_load_MW,6\n"
+        + "2009-07-01T02:00:00,DE,electric_load_MW,7\n",
+    )
+    ser = ingest_file(path)[("DE", "electric_load_MW")]
+    assert ser.start == utc(2009, 7, 1)
+    assert list(ser.values) == [5.0, 6.0, 7.0]
+
+
+def test_timestamp_off_the_hour_raises(tmp_path):
+    path = write(tmp_path, HEADER + "2009-07-01T00:30:00Z,DE,electric_load_MW,5\n")
+    with pytest.raises(SeriesError, match="'2009-07-01T00:30:00Z' is not on the hour"):
+        ingest_file(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2009-07-01T01:00:00Z,DE,electric_load_MW,five\n", "bad value 'five'"),
+        ("2009-07-01T01:00:00Z,DE,5\n", "expected 4 fields, got 3"),
+    ],
+)
+def test_bad_row_names_its_line(tmp_path, row, message):
+    # Line 3 is blank; the bad row is line 4.
+    path = write(tmp_path, HEADER + "2009-07-01T00:00:00Z,DE,electric_load_MW,4\n\n" + row)
+    with pytest.raises(SeriesError) as err:
+        ingest_file(path)
+    assert f"{path}:4: {message}" in str(err.value)
+
+
+def test_unknown_country_raises(tmp_path):
+    path = write(tmp_path, HEADER + "2009-07-01T00:00:00Z,XX,electric_load_MW,4\n")
+    with pytest.raises(ValueError, match="unknown country code 'XX'"):
+        ingest_file(path)
+
+
 def test_emit_ingest_round_trip_is_byte_identical(tmp_path):
     series_map = synth_profiles(11, ["DE", "AT"], 48)
     text = emit_csv(series_map)
@@ -191,13 +232,9 @@ def _reference_csv(series_map):
     writer.writerow(("timestamp", "country", "quantity", "value"))
     for country, fullq in sorted(series_map):
         ser = series_map[(country, fullq)]
-        ts = ser.start
-        for value in ser.values:
+        for ts, value in zip(noleap_walk(ser.start, len(ser)), ser.values):
             stamp = ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
             writer.writerow([stamp, country, fullq, repr(float(value))])
-            ts += timedelta(hours=1)
-            if is_leap_hour(ts):
-                ts = ts.replace(day=1, month=3, hour=0)
     return buf.getvalue()
 
 
@@ -281,3 +318,18 @@ def test_csv_chunks_are_the_header_then_one_per_series():
     assert len(chunks) == len(series_map) + 1
     assert all(chunk.count("\n") == 24 for chunk in chunks[1:])
     _assert_same_text("".join(chunks), _reference_csv(series_map))
+
+
+@pytest.mark.parametrize("start", _STARTS)
+def test_window_july_june_agrees_with_emit_csv(start):
+    # A window's own canonical lines are the lines the whole series emits
+    # from that window's July 1 on, hour for hour.
+    key = ("FR", "electric_load_MW")
+    ser = HourlySeries("FR", key[1], start, np.arange(30_000.0))
+    lines = emit_csv({key: ser}).splitlines()
+    years = [year for year in range(start.year, start.year + 3) if utc(year, 7, 1) >= start]
+    assert len(years) >= 2
+    for year in years:
+        window = emit_csv({key: window_july_june(ser, year)}).splitlines()[1:]
+        first = next(k for k, line in enumerate(lines) if line.startswith(f"{year}-07-01T00:00:00Z,"))
+        _assert_same_text("\n".join(window), "\n".join(lines[first : first + 8760]))

@@ -1,8 +1,11 @@
 """HourlySeries validation, no-leap calendar arithmetic, July-June windows."""
 
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 
+from desk import noleap_walk
 from heatgrid.series import (
     AlignmentError,
     CopSet,
@@ -12,8 +15,7 @@ from heatgrid.series import (
     MissingValue,
     NegativeValue,
     OutOfRange,
-    add_noleap_hours,
-    noleap_hours_between,
+    noleap_hour,
     noleap_stamps,
     utc,
     window_july_june,
@@ -45,23 +47,26 @@ def test_values_are_immutable():
 
 
 def test_noleap_hour_arithmetic_skips_feb29():
-    start = utc(2011, 7, 1)
+    start = noleap_hour(utc(2011, 7, 1))
     # 2012 is a leap year; Feb 29 2012 lies inside [start, 2012-07-01).
-    assert noleap_hours_between(start, utc(2012, 7, 1)) == 8760
-    assert noleap_hours_between(start, utc(2012, 2, 28, 23)) == 5831
-    assert noleap_hours_between(start, utc(2012, 3, 1)) == 5832
-    # Feb 29 collapses onto the Mar 1 boundary.
-    assert noleap_hours_between(start, utc(2012, 2, 29, 12)) == 5832
-    assert add_noleap_hours(start, 8760) == utc(2012, 7, 1)
-    assert add_noleap_hours(start, 5832) == utc(2012, 3, 1)
+    assert noleap_hour(utc(2012, 7, 1)) - start == 8760
+    assert noleap_hour(utc(2012, 2, 28, 23)) - start == 5831
+    assert noleap_hour(utc(2012, 3, 1)) - start == 5832
+    # Every hour of Feb 29 counts as the hour before Mar 1 00:00.
+    assert noleap_hour(utc(2012, 2, 29, 0)) - start == 5831
+    assert noleap_hour(utc(2012, 2, 29, 23)) - start == 5831
+    # An aware stamp counts at its UTC hour; the epoch is 1970-01-01T00Z.
+    assert noleap_hour(datetime(2012, 3, 1, 1, tzinfo=timezone(timedelta(hours=1)))) - start == 5832
+    assert noleap_hour(utc(1970)) == 0
 
 
-def test_add_noleap_hours_roundtrip_many_years():
+def test_noleap_hour_counts_the_walk_over_many_years():
     start = utc(2009, 7, 1)
+    walk = noleap_walk(start, 5 * 8760 + 4322)
+    stamps = np.array([ts.replace(tzinfo=None) for ts in walk], "M8[s]")
+    np.testing.assert_array_equal(noleap_hour(stamps) - noleap_hour(start), np.arange(len(walk)))
     for hours in (0, 1, 24, 8760, 2 * 8760, 5 * 8760 + 4321):
-        ts = add_noleap_hours(start, hours)
-        assert noleap_hours_between(start, ts) == hours
-        assert not (ts.month == 2 and ts.day == 29)
+        assert noleap_hour(walk[hours]) - noleap_hour(start) == hours
 
 
 def test_window_starts_july_first():
@@ -87,7 +92,7 @@ def test_window_sum_is_exact_slice_sum():
     rng = np.random.default_rng(3)
     ser = make("electric_load_MW", rng.uniform(0, 100, 3 * 8760))
     win = window_july_june(ser, 2010, 500)
-    first = ser.hour_index(utc(2010, 7, 1))
+    first = noleap_walk(ser.start, len(ser)).index(utc(2010, 7, 1))
     assert win.values.sum() == ser.values[first : first + 500].sum()
 
 
@@ -129,13 +134,10 @@ def test_cop_at_or_below_one_warns_but_passes():
 @pytest.mark.parametrize(
     "start", [utc(2009, 7, 1), utc(2012, 2, 28, 20), utc(2015, 12, 31, 23), utc(2099, 7, 1)]
 )
-def test_noleap_stamps_step_as_add_noleap_hours(start):
+def test_noleap_stamps_step_as_the_walk(start):
     hours = 2 * 8760 + 30
-    stamps = noleap_stamps(start, hours)
-    assert len(stamps) == hours
-    for k in (0, 1, 4, 5, 1440, 8759, 8760, hours - 1):
-        want = add_noleap_hours(start, k).replace(tzinfo=None)
-        assert stamps[k] == np.datetime64(want, "s"), k
+    want = np.array([ts.replace(tzinfo=None) for ts in noleap_walk(start, hours)], "M8[s]")
+    np.testing.assert_array_equal(noleap_stamps(start, hours), want)
 
 
 def test_noleap_stamps_keep_a_feb29_start_only():

@@ -36,7 +36,7 @@ def make_instance(loads, gen_bounds, sto_bounds, storages, inflow=None, techs=No
     return SystemInstance(
         name="sto",
         countries=countries,
-        window=ModelWindow(2009, 0, hours),
+        window=ModelWindow(hours),
         loads_mw={c: np.asarray(v, dtype=float) for c, v in loads.items()},
         availability={},
         inflow_mwh=inflow or {},
