@@ -91,7 +91,10 @@ def _parse_timestamp(text: str) -> datetime:
     raw = text.strip()
     if raw.endswith("Z"):
         raw = raw[:-1] + "+00:00"
-    ts = datetime.fromisoformat(raw)
+    try:
+        ts = datetime.fromisoformat(raw)
+    except ValueError as exc:
+        raise SeriesError(f"bad timestamp {text!r}: {exc}") from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     ts = ts.astimezone(timezone.utc)
@@ -109,8 +112,9 @@ def ingest_file(path) -> dict[tuple[str, str], HourlySeries]:
 
     Rows are read in chunks and handled as columns. Each distinct timestamp
     text is parsed once and each distinct (country, quantity) pair is
-    checked once. A series is ordered by the :func:`noleap_hour` numbers of
-    its rows, so a duplicate or a gap is a step other than 1 between them.
+    checked once, and a failure names the first line that holds the text.
+    A series is ordered by the :func:`noleap_hour` numbers of its rows, so a
+    duplicate or a gap is a step other than 1 between them.
     """
     path = Path(path)
     hour_of: dict = {}  # timestamp text -> no-leap hour number, or _FEB29
@@ -127,7 +131,10 @@ def ingest_file(path) -> dict[tuple[str, str], HourlySeries]:
         lines = line + np.flatnonzero(widths)  # a blank line holds no row
         stamps, countries, quantities, texts = (list(map(itemgetter(i), filter(None, rows))) for i in range(4))
         for text in [text for text in dict.fromkeys(stamps) if text not in hour_of]:
-            ts = _parse_timestamp(text)
+            try:
+                ts = _parse_timestamp(text)
+            except SeriesError as exc:  # name the first line that holds the text
+                raise SeriesError(f"{path}:{lines[stamps.index(text)]}: {exc}") from None
             hour_of[text] = _FEB29 if (ts.month, ts.day) == (2, 29) else noleap_hour(ts)
             moment[hour_of[text]] = ts
         hours = np.fromiter(map(hour_of.__getitem__, stamps), np.int64, len(stamps))
@@ -136,8 +143,12 @@ def ingest_file(path) -> dict[tuple[str, str], HourlySeries]:
         hours, lines = hours[keep], lines[keep]
         pairs = list(zip(countries, quantities))
         for pair in [pair for pair in dict.fromkeys(pairs) if pair not in series_of]:
-            key = (check_country(pair[0].strip()), pair[1].strip())
-            parse_quantity(key[1])
+            key = (pair[0].strip(), pair[1].strip())
+            try:
+                check_country(key[0])
+                parse_quantity(key[1])
+            except ValueError as exc:  # name the first line that holds the pair
+                raise SeriesError(f"{path}:{lines[pairs.index(pair)]}: {exc}") from None
             series_of[pair] = keys.setdefault(key, len(keys))
         series = np.fromiter(map(series_of.__getitem__, pairs), np.intp, len(pairs))
         try:

@@ -39,6 +39,13 @@ Schema of ``static.yaml`` (units in key names; GW/GWh/TWh as printed):
 
 The sidecar ``data/heat_pump_capacities.csv`` is the reference heat-pump
 fleet table (GW_th / GWh_th / GW_el per country plus an ``All`` total row).
+
+Static YAML is parsed and canonicalised through libyaml (PyYAML's
+``CSafeLoader``/``CSafeDumper``) where PyYAML was built with it, and through
+the pure-Python ``SafeLoader``/``SafeDumper`` otherwise. Both pairs share
+PyYAML's constructor, representer and resolver, so the parsed dict and the
+canonical bytes are the same either way; that matters because the bytes of
+:func:`emit_static` feed every dataset provenance hash.
 """
 
 from __future__ import annotations
@@ -54,6 +61,11 @@ import yaml
 from .ids import COUNTRIES, STORAGES, TECH_CLASS, TECHNOLOGIES
 
 SCHEMA = "heatgrid-static-v1"
+
+# libyaml parses and emits the static tables several times faster than the
+# pure-Python classes, with the same dicts and bytes (tests/test_static_data.py).
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # Printed tables round capacities to 0.1 GW; a lower/upper contradiction
 # within this precision is a rounding artifact, not an infeasible input.
@@ -253,16 +265,32 @@ def bundled_fleet_table_path() -> Path:
 
 def emit_static(raw: dict) -> str:
     """Canonical YAML text of a raw static dataset (byte-stable)."""
-    return yaml.safe_dump(raw, sort_keys=True, default_flow_style=False, width=100)
+    return yaml.dump(raw, Dumper=_Dumper, sort_keys=True, default_flow_style=False, width=100)
 
 
 def load_static(path=None) -> StaticData:
-    """Load and validate a static dataset (bundled one by default)."""
+    """Load and validate a static dataset (bundled one by default).
+
+    A file that is not YAML, holds no mapping, or lacks a key the tables
+    need raises :class:`StaticDataError` naming the file.
+    """
     path = Path(path) if path is not None else bundled_static_path()
-    raw = yaml.safe_load(path.read_text())
+    with path.open() as fh:
+        try:
+            raw = yaml.load(fh, Loader=_Loader)
+        except yaml.YAMLError as exc:  # on one line; its marks give line and column
+            raise StaticDataError(f"{path}: not valid YAML: {' '.join(str(exc).split())}") from None
+    if not isinstance(raw, dict):
+        raise StaticDataError(f"{path}: expected a mapping of tables, got {type(raw).__name__}")
     if raw.get("schema") != SCHEMA:
         raise StaticDataError(f"{path}: schema {raw.get('schema')!r} != {SCHEMA!r}")
+    try:
+        return _static_from_raw(raw)
+    except KeyError as exc:
+        raise StaticDataError(f"{path}: missing key {exc.args[0]!r}") from None
 
+
+def _static_from_raw(raw: dict) -> StaticData:
     technologies = {}
     for tech, row in raw["generation"].items():
         if tech not in TECHNOLOGIES:

@@ -47,7 +47,27 @@ def test_ingest_unknown_country_exits_one(tmp_path, capsys):
     src.write_text(HEADER + "2009-07-01T00:00:00Z,XX,electric_load_MW,5\n")
     assert main(["ingest", str(src), "--out", str(tmp_path / "cache")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("ingest error: unknown country code 'XX'") and err.count("\n") == 1
+    assert err.startswith(f"ingest error: {src}:2: unknown country code 'XX'") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("2009-07-01T02:00:00Z,", "2009-07-01T25:00:00Z,",
+         "bad timestamp '2009-07-01T25:00:00Z': hour must be in 0..23"),
+        (",DE,", ",XX,", "unknown country code 'XX'"),
+    ],
+    ids=["bad-timestamp", "unknown-country"],
+)
+def test_ingest_error_names_path_line_and_text(tmp_path, capsys, old, new, message):
+    lines = emit_csv(synth_profiles(7, ["DE"], 24)).splitlines(keepends=True)
+    assert old in lines[3]
+    lines[3] = lines[3].replace(old, new)
+    src = tmp_path / "bad.csv"
+    src.write_text("".join(lines))
+    assert main(["ingest", str(src), "--out", str(tmp_path / "cache")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ingest error: {src}:4: {message}") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +207,27 @@ def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message)
     assert captured.err.startswith("run error: ") and message in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("schema: heatgrid-static-v1\ngeneration: {ccgt: 1\nstorage: [\n", "not valid YAML: while parsing a flow mapping"),
+        ("", "expected a mapping of tables, got NoneType"),
+        ("schema: heatgrid-static-v1\nco2_price_eur_per_t: 80\n", "missing key 'generation'"),
+    ],
+    ids=["malformed", "empty", "missing-table"],
+)
+def test_run_static_failure_names_its_file(tmp_path, capsys, text, message):
+    static = tmp_path / "broken.yaml"
+    static.write_text(text)
+    out = tmp_path / "run"
+    flags = ["--synth-seed", "7", "--countries", "DE", "--hours", "24", "--static", str(static)]
+    assert main(["run", *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()]  # one line
+    assert captured.err.startswith(f"run error: {static}: {message}")
+    assert captured.out == "" and not out.exists()
 
 
 def test_run_without_series_cache_exits_one(tmp_path, capsys):

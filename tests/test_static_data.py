@@ -8,6 +8,7 @@ in any cell.
 import math
 
 import pytest
+import yaml
 
 from heatgrid.staticdata import (
     Bounds,
@@ -139,6 +140,42 @@ def test_static_yaml_byte_round_trip():
     path = bundled_static_path()
     original = path.read_text()
     assert emit_static(load_static().raw) == original
+
+
+# One extra top-level entry per case, appended to a copy of the bundled file.
+# The strings "yes", "no" and "true" must be quoted on emit, or YAML 1.1 reads
+# them back as booleans; PyYAML reads "1e-05" (no dot) as a string and emits
+# the float 1e-05 as 1.0e-05.
+EXTRA_ENTRIES = {
+    "bundled": None,
+    "long_string": ("heat pumps in the grid " * 14)[:300],
+    "non_ascii": "Zürich – Ελλάδα – 北京 ☀",
+    "floats": [float("inf"), float("-inf"), -0.0, 1e-05, "1e-05"],
+    "none": None,
+    "booleans": [True, False, "yes", "no", "true"],
+    "multi_line": "first line\nsecond line\n  indented third\n",
+}
+CANONICAL = dict(sort_keys=True, default_flow_style=False, width=100)
+
+
+@pytest.mark.parametrize("case", EXTRA_ENTRIES)
+def test_libyaml_and_pure_python_yaml_agree(tmp_path, case):
+    # Provenance hashes emit_static's bytes, so they must not depend on
+    # whether PyYAML was built with libyaml.
+    text = bundled_static_path().read_text()
+    if case != "bundled":
+        text += yaml.dump({f"zz_{case}": EXTRA_ENTRIES[case]}, Dumper=yaml.SafeDumper, allow_unicode=True)
+    path = tmp_path / "static.yaml"
+    path.write_text(text)
+    reference = yaml.load(text, Loader=yaml.SafeLoader)
+    canonical = yaml.dump(reference, Dumper=yaml.SafeDumper, **CANONICAL)
+    raw = load_static(path).raw
+    assert raw == reference and emit_static(raw) == canonical
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML is built without libyaml")
+    fast = yaml.load(text, Loader=yaml.CSafeLoader)
+    assert fast == reference
+    assert yaml.dump(fast, Dumper=yaml.CSafeDumper, **CANONICAL) == canonical
 
 
 def test_fleet_table_verbatim_and_round_trip():
