@@ -4,7 +4,10 @@ The series functions are pure and operate on plain arrays (or objects
 exposing ``.values``). Firm-capacity deltas, cost reports, pairing and
 the emitters at the bottom read saved cells, as loaded back by
 :func:`heatgrid.scenarios.load_results`, and the emitters write tidy,
-plot-ready CSV/JSON. Conventions:
+plot-ready files. Each CSV is a declared
+:class:`~heatgrid.scenarios.CellTable` written by the result tables' writer,
+:func:`~heatgrid.scenarios.write_table`: values are float reprs, no field is
+quoted, and a key that would need quoting raises ``ValueError``. Conventions:
 
 * Residual load = electric load minus all variable-renewable generation;
   heat-pump electricity is excluded unless explicitly included.
@@ -20,7 +23,6 @@ plot-ready CSV/JSON. Conventions:
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .ids import DISPATCHABLE_TECHNOLOGIES, VARIABLE_RENEWABLES
+from .scenarios import CellTable, write_table
 from .series import AlignmentError
 
 
@@ -258,6 +261,13 @@ def _costs_of(result) -> dict:
 # Emitters over persisted results (plot-ready CSV/JSON)
 # ---------------------------------------------------------------------------
 
+RLDC = CellTable("rldc.csv", ("scenario", "year", "with_hp_load", "rank"), ("residual_mw",), False)
+PEAKS = CellTable("peaks.csv", ("scenario", "year", "quantity", "country", "hour"), ("value_mw",), False)
+EVENTS = CellTable("events.csv", ("scenario", "year", "event_type", "country", "start_hour", "end_hour"),
+                   ("magnitude_mwh", "normalized"), False)
+HEAT_DAILY = CellTable("heat_daily.csv", ("scenario", "year", "country", "day"), ("heat_output_mwh_th",), False)
+FIRM_DELTA = CellTable("firm_delta.csv", ("scenario", "baseline", "year", "name"), ("delta_mw",), False)
+
 
 def result_residual_load(result, country: str, include_hp: bool = False) -> np.ndarray:
     vre = [result.generation_mw(country, tech) for tech in VARIABLE_RENEWABLES]
@@ -286,81 +296,62 @@ def country_heat_demand(result, country: str) -> np.ndarray:
 
 def emit_rldc_csv(results, path, top_n: int = 50) -> Path:
     """System RLDCs, with and without heat-pump load, per result."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario", "year", "with_hp_load", "rank", "residual_mw"])
-        for result in results:
-            for include_hp in (False, True):
-                series = system_residual_load(result, include_hp=include_hp)
-                n = min(top_n, len(series))
-                for rank, value in enumerate(rldc(series, n)):
-                    writer.writerow(
-                        [result.name, result.year, int(include_hp), rank, repr(float(value))]
-                    )
-    return path
+    rows = (
+        ((r.name, r.year, int(include_hp), rank), (value,))
+        for r in results
+        for include_hp in (False, True)
+        for rank, value in enumerate(
+            rldc(system_residual_load(r, include_hp=include_hp), min(top_n, r.hours))
+        )
+    )
+    return write_table(path, RLDC, rows)
+
+
+_PEAK_QUANTITIES = (
+    ("heat_demand", country_heat_demand),
+    ("heat_pump_load", lambda result, country: result.hp_load_mw(country)),
+    ("residual_load", result_residual_load),
+)
 
 
 def emit_peaks_csv(results, path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario", "year", "quantity", "country", "hour", "value_mw"])
-        for result in results:
-            bundles = {
-                "heat_demand": {c: country_heat_demand(result, c) for c in result.countries()},
-                "heat_pump_load": {c: result.hp_load_mw(c) for c in result.countries()},
-                "residual_load": {
-                    c: result_residual_load(result, c) for c in result.countries()
-                },
+    rows = (
+        ((r.name, r.year, quantity, rec.country, rec.hour), (rec.value,))
+        for r in results
+        for quantity, series_of in _PEAK_QUANTITIES
+        for rec in peak_records({c: series_of(r, c) for c in r.countries()}, quantity)
+    )
+    return write_table(path, PEAKS, rows)
+
+
+def _event_rows(results):
+    for r in results:
+        for c in r.countries():
+            heat = country_heat_demand(r, c)
+            by_type = {
+                "heat_deviation": deviation_events(heat) if heat.any() else [],
+                "positive_residual": residual_events(result_residual_load(r, c)),
             }
-            for quantity, per_country in bundles.items():
-                for rec in peak_records(per_country, quantity):
-                    writer.writerow(
-                        [result.name, result.year, quantity, rec.country, rec.hour, repr(rec.value)]
-                    )
-    return path
+            for event_type, events in by_type.items():
+                for ev in events:
+                    key = (r.name, r.year, event_type, c, ev.start_hour, ev.end_hour)
+                    yield key, (ev.magnitude_mwh, ev.normalized)
 
 
 def emit_events_csv(results, path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["scenario", "year", "event_type", "country", "start_hour",
-             "end_hour", "magnitude_mwh", "normalized"]
-        )
-        for result in results:
-            for c in result.countries():
-                heat = country_heat_demand(result, c)
-                if heat.any():
-                    for ev in deviation_events(heat):
-                        writer.writerow(
-                            [result.name, result.year, "heat_deviation", c,
-                             ev.start_hour, ev.end_hour, repr(ev.magnitude_mwh), repr(ev.normalized)]
-                        )
-                for ev in residual_events(result_residual_load(result, c)):
-                    writer.writerow(
-                        [result.name, result.year, "positive_residual", c,
-                         ev.start_hour, ev.end_hour, repr(ev.magnitude_mwh), repr(ev.normalized)]
-                    )
-    return path
+    return write_table(path, EVENTS, _event_rows(results))
 
 
 def emit_daily_heat_csv(results, path) -> Path:
     """Calendar-day heat-demand totals per country (plot-ready)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario", "year", "country", "day", "heat_output_mwh_th"])
-        for result in results:
-            for c in result.countries():
-                heat = country_heat_demand(result, c)
-                if not heat.any() or len(heat) < 24:
-                    continue
-                for day, value in enumerate(daily_totals(heat)):
-                    writer.writerow([result.name, result.year, c, day, repr(float(value))])
-    return path
+    heat = ((r, c, country_heat_demand(r, c)) for r in results for c in r.countries())
+    rows = (
+        ((r.name, r.year, c, day), (value,))
+        for r, c, series in heat
+        if series.any() and len(series) >= 24
+        for day, value in enumerate(daily_totals(series))
+    )
+    return write_table(path, HEAT_DAILY, rows)
 
 
 def pair_results(results) -> list:
@@ -380,17 +371,12 @@ def pair_results(results) -> list:
 
 
 def emit_firm_delta_csv(results, path) -> Path:
-    path = Path(path)
-    pairs = pair_results(results)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["scenario", "baseline", "year", "name", "delta_mw"])
-        for with_hp, without_hp in pairs:
-            for name, delta in sorted(firm_capacity_delta(with_hp, without_hp).items()):
-                writer.writerow(
-                    [with_hp.name, without_hp.name, with_hp.year, name, repr(float(delta))]
-                )
-    return path
+    rows = (
+        ((with_hp.name, without_hp.name, with_hp.year, name), (delta,))
+        for with_hp, without_hp in pair_results(results)
+        for name, delta in sorted(firm_capacity_delta(with_hp, without_hp).items())
+    )
+    return write_table(path, FIRM_DELTA, rows)
 
 
 def emit_cost_report_json(results, path) -> Path:

@@ -131,27 +131,26 @@ def cmd_analyze(args) -> int:
 
     try:
         results = load_results(args.results)
-    except (OSError, ValueError) as exc:  # a missing directory; a cell not in the saved layout
+        skipped = [r for r in results if r.manifest["status"] != "optimal"]
+        results = [r for r in results if r.manifest["status"] == "optimal"]
+        if skipped:
+            print(f"skipping {len(skipped)} non-optimal cell(s)", file=sys.stderr)
+        if not results:
+            print(f"no optimal results found under {args.results}", file=sys.stderr)
+            return 1
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        analysis.emit_rldc_csv(results, out / analysis.RLDC.file, top_n=args.top_n)
+        analysis.emit_peaks_csv(results, out / analysis.PEAKS.file)
+        analysis.emit_events_csv(results, out / analysis.EVENTS.file)
+        analysis.emit_daily_heat_csv(results, out / analysis.HEAT_DAILY.file)
+        analysis.emit_cost_report_json(results, out / "costs.json")
+        pairs = analysis.pair_results(results)
+        if pairs:
+            analysis.emit_firm_delta_csv(results, out / analysis.FIRM_DELTA.file)
+    except (OSError, ValueError) as exc:  # no such directory; a cell not in the layout; a key needing quotes
         print(f"analysis error: {exc}", file=sys.stderr)
         return 1
-    skipped = [r for r in results if r.manifest["status"] != "optimal"]
-    results = [r for r in results if r.manifest["status"] == "optimal"]
-    if skipped:
-        print(f"skipping {len(skipped)} non-optimal cell(s)", file=sys.stderr)
-    if not results:
-        print(f"no optimal results found under {args.results}", file=sys.stderr)
-        return 1
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    analysis.emit_rldc_csv(results, out / "rldc.csv", top_n=args.top_n)
-    analysis.emit_peaks_csv(results, out / "peaks.csv")
-    analysis.emit_events_csv(results, out / "events.csv")
-    analysis.emit_daily_heat_csv(results, out / "heat_daily.csv")
-    analysis.emit_cost_report_json(results, out / "costs.json")
-    pairs = analysis.pair_results(results)
-    if pairs:
-        analysis.emit_firm_delta_csv(results, out / "firm_delta.csv")
     if args.delta and not pairs:
         print(
             "analysis error: --delta needs paired results (a 0% heat-pump "

@@ -115,12 +115,6 @@ class HeatTrajectory:
     electricity_mw: dict  # E
 
     @property
-    def hours(self) -> int:
-        for arr in self.heat_output_mw.values():
-            return len(arr)
-        return 0
-
-    @property
     def keys(self) -> list:
         return sorted(self.heat_output_mw)
 

@@ -24,11 +24,11 @@ TECH_CLASS = {
     **{t: "non_renewable" for t in NON_RENEWABLES},
 }
 
-# Electricity storage. The reservoir has no grid charging: its state of
-# charge is fed by inflows only and drained by its turbine.
+# Electricity storage. Open PHS and the reservoir receive natural inflow.
+# The reservoir has no grid charging (its charge bound is zero): its state
+# of charge is fed by inflows only and drained by its turbine.
 STORAGES = ("li_ion", "p2g2p", "phs_closed", "phs_open", "reservoir")
 INFLOW_STORAGES = ("phs_open", "reservoir")
-NO_CHARGE_STORAGES = ("reservoir",)
 
 # Firm capacity = dispatchable generation plus storage discharge power.
 DISPATCHABLE_TECHNOLOGIES = DISPATCHABLE_RENEWABLES + NON_RENEWABLES

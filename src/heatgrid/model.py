@@ -31,7 +31,7 @@ emitting constant columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .heat import (
     fixed_trajectory,
     required_heat_output,
 )
-from .ids import HOURS_PER_YEAR
+from .ids import HOURS_PER_YEAR, INFLOW_STORAGES
 from .lp import INF, LinearProgram
 from .series import AlignmentError, ModelWindow
 from .staticdata import BoundsTable, NtcMatrix, StorageSpec, TechnologySpec
@@ -143,23 +143,7 @@ class SystemInstance:
             object.__setattr__(self, "base_ntc", self.ntc)
 
     def replace_bounds(self, bounds: BoundsTable, ntc: NtcMatrix) -> "SystemInstance":
-        return SystemInstance(
-            name=self.name,
-            countries=self.countries,
-            window=self.window,
-            loads_mw=self.loads_mw,
-            availability=self.availability,
-            inflow_mwh=self.inflow_mwh,
-            techs=self.techs,
-            storages=self.storages,
-            bounds=bounds,
-            ntc=ntc,
-            co2_price=self.co2_price,
-            bioenergy_cap_mwh_yr=self.bioenergy_cap_mwh_yr,
-            heat=self.heat,
-            base_bounds=self.base_bounds,
-            base_ntc=self.base_ntc,
-        )
+        return replace(self, bounds=bounds, ntc=ntc)
 
 
 def build_model(instance: SystemInstance) -> LinearProgram:
@@ -227,7 +211,7 @@ def build_model(instance: SystemInstance) -> LinearProgram:
         if inflow_gwh.any():
             energies = {
                 s: instance.bounds.sto_energy(c, s).up
-                for s in ("phs_open", "reservoir")
+                for s in INFLOW_STORAGES
                 if s in instance.storages
                 and np.isfinite(instance.bounds.sto_energy(c, s).up)
             }
@@ -264,7 +248,7 @@ def build_model(instance: SystemInstance) -> LinearProgram:
             mc_ch = spec.marginal_cost_charge_eur_per_mwh * MW_PER_GW
             mc_dis = spec.marginal_cost_discharge_eur_per_mwh * MW_PER_GW
             share = inflow_weights.get(s, 0.0)
-            has_spill = s in ("phs_open", "reservoir") and share > 0.0
+            has_spill = s in INFLOW_STORAGES and share > 0.0
 
             # Pinned power and energy capacities become column bounds.
             cols = {}

@@ -365,7 +365,7 @@ class CellTable:
 
     A row is its key fields, then its values as float reprs. An hourly table
     leads with an ``hour`` column and holds each key as one contiguous run
-    of hours ``0..H-1``.
+    of hours ``0..H-1``. The analysis CSVs are declared the same way.
     """
 
     file: str
@@ -454,11 +454,18 @@ def _table_chunks(table: CellTable, blocks, hours: int):
         yield "\n".join(map(f"{key_text},".join, zip(prefixes, fields, strict=True))) + "\n"
 
 
+def write_table(path, table: CellTable, blocks, hours: int = 1) -> Path:
+    """Write `table` to `path` from its ``(key, values)`` blocks; see :func:`_table_chunks`."""
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        fh.writelines(_table_chunks(table, blocks, hours))
+    return path
+
+
 def _write_cell_files(result: ScenarioResult, cell_dir: Path) -> None:
     blocks = _cell_blocks(result) if result.solved else {}
     for table in CELL_TABLES:
-        with (cell_dir / table.file).open("w", newline="") as fh:
-            fh.writelines(_table_chunks(table, blocks.get(table, ()), result.spec.window_hours))
+        write_table(cell_dir / table.file, table, blocks.get(table, ()), result.spec.window_hours)
 
     manifest = {
         "schema": MANIFEST_SCHEMA,

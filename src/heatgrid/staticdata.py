@@ -271,8 +271,9 @@ def emit_static(raw: dict) -> str:
 def load_static(path=None) -> StaticData:
     """Load and validate a static dataset (bundled one by default).
 
-    A file that is not YAML, holds no mapping, or lacks a key the tables
-    need raises :class:`StaticDataError` naming the file.
+    A file that is not YAML, holds no mapping, lacks a key the tables need,
+    or holds a table, row or bounds cell that is not a mapping raises
+    :class:`StaticDataError` naming the file.
     """
     path = Path(path) if path is not None else bundled_static_path()
     with path.open() as fh:
@@ -288,11 +289,26 @@ def load_static(path=None) -> StaticData:
         return _static_from_raw(raw)
     except KeyError as exc:
         raise StaticDataError(f"{path}: missing key {exc.args[0]!r}") from None
+    except StaticDataError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _mapping(value, *key_path) -> dict:
+    """`value`, which the static file holds at `key_path`, if it is a mapping."""
+    if not isinstance(value, dict):
+        raise StaticDataError(f"{'.'.join(map(str, key_path))} is not a mapping")
+    return value
+
+
+def _rows(table, *key_path):
+    """The ``(key, row)`` pairs of a table whose rows are mappings."""
+    for key, row in _mapping(table, *key_path).items():
+        yield key, _mapping(row, *key_path, key)
 
 
 def _static_from_raw(raw: dict) -> StaticData:
     technologies = {}
-    for tech, row in raw["generation"].items():
+    for tech, row in _rows(raw["generation"], "generation"):
         if tech not in TECHNOLOGIES:
             raise StaticDataError(f"unknown generation technology {tech!r}")
         if row["class"] != TECH_CLASS[tech]:
@@ -305,7 +321,7 @@ def _static_from_raw(raw: dict) -> StaticData:
         raise StaticDataError(f"generation table missing {sorted(missing)}")
 
     storages = {}
-    for row_name, row in raw["storage"].items():
+    for row_name, row in _rows(raw["storage"], "storage"):
         targets = _STORAGE_ROW_MAP.get(row_name)
         if targets is None:
             raise StaticDataError(f"unknown storage row {row_name!r}")
@@ -320,10 +336,10 @@ def _static_from_raw(raw: dict) -> StaticData:
         raise StaticDataError(f"storage table missing {sorted(missing)}")
 
     gen_mw, sto_in, sto_out, sto_energy = {}, {}, {}, {}
-    for country, rows in raw["capacity_bounds_gw"].items():
+    for country, rows in _rows(raw["capacity_bounds_gw"], "capacity_bounds_gw"):
         if country not in COUNTRIES:
             raise StaticDataError(f"unknown country {country!r} in bounds table")
-        for key, cell in rows.items():
+        for key, cell in _rows(rows, "capacity_bounds_gw", country):
             low, up = float(cell["low"]), float(cell["up"])
             if key in TECHNOLOGIES:
                 gen_mw[(country, key)] = _normalize_pair(
@@ -353,12 +369,13 @@ def _static_from_raw(raw: dict) -> StaticData:
             else:
                 raise StaticDataError(f"unknown bounds row {key!r} for {country}")
 
-    defaults = raw.get("defaults", {})
+    defaults = _mapping(raw.get("defaults", {}), "defaults")
     ntc_limits = {}
-    for frm, tos in defaults.get("ntc_mw", {}).items():
+    for frm, tos in _rows(defaults.get("ntc_mw", {}), "defaults", "ntc_mw"):
         for to, mw in tos.items():
             ntc_limits[(frm, to)] = float(mw)
-    bio_caps = {c: float(v) for c, v in defaults.get("bioenergy_generation_cap_mwh_yr", {}).items()}
+    bio_key = "bioenergy_generation_cap_mwh_yr"
+    bio_caps = {c: float(v) for c, v in _mapping(defaults.get(bio_key, {}), "defaults", bio_key).items()}
 
     return StaticData(
         raw=raw,

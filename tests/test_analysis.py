@@ -1,23 +1,39 @@
-"""Diagnostics: residual load, RLDC, peaks, events, deltas, cost reports."""
+"""Diagnostics: residual load, RLDC, peaks, events, deltas, cost reports.
+
+The `reference_emit_*` functions are the csv-module emitters that the
+declared analysis tables replaced, one `writerow` per row. The tables must
+reproduce their bytes.
+"""
+
+import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatgrid import analysis
 from heatgrid.analysis import (
     Event,
     MismatchedScenario,
     cost_report,
+    country_heat_demand,
+    daily_totals,
     deviation_events,
     firm_capacity_delta,
     heat_cost_eur_per_mwh,
+    pair_results,
     peak_records,
     residual_events,
     residual_load,
+    result_residual_load,
     rldc,
+    system_residual_load,
 )
+from heatgrid.dataset import build_synth_dataset
 from heatgrid.ids import STORAGES
+from heatgrid.scenarios import PersistedResult, load_results, run_matrix, specs_for_selector
 from heatgrid.series import AlignmentError
 
 
@@ -291,3 +307,151 @@ def test_firm_delta_on_hand_solved_pair():
     deltas = firm_capacity_delta(_Shim(withhp), _Shim(without))
     assert deltas["ccgt"] == pytest.approx(500.0, abs=1e-6)
     assert deltas["firm_total"] == pytest.approx(500.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Emitters: the declared tables against the csv-module writers they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_emit_rldc_csv(results, path, top_n=50):
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["scenario", "year", "with_hp_load", "rank", "residual_mw"])
+        for result in results:
+            for include_hp in (False, True):
+                series = system_residual_load(result, include_hp=include_hp)
+                n = min(top_n, len(series))
+                for rank, value in enumerate(rldc(series, n)):
+                    writer.writerow([result.name, result.year, int(include_hp), rank, repr(float(value))])
+
+
+def reference_emit_peaks_csv(results, path):
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["scenario", "year", "quantity", "country", "hour", "value_mw"])
+        for result in results:
+            bundles = {
+                "heat_demand": {c: country_heat_demand(result, c) for c in result.countries()},
+                "heat_pump_load": {c: result.hp_load_mw(c) for c in result.countries()},
+                "residual_load": {c: result_residual_load(result, c) for c in result.countries()},
+            }
+            for quantity, per_country in bundles.items():
+                for rec in peak_records(per_country, quantity):
+                    writer.writerow([result.name, result.year, quantity, rec.country, rec.hour, repr(rec.value)])
+
+
+def reference_emit_events_csv(results, path):
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["scenario", "year", "event_type", "country", "start_hour", "end_hour", "magnitude_mwh", "normalized"]
+        )
+        for result in results:
+            for c in result.countries():
+                heat = country_heat_demand(result, c)
+                if heat.any():
+                    for ev in deviation_events(heat):
+                        writer.writerow(
+                            [result.name, result.year, "heat_deviation", c,
+                             ev.start_hour, ev.end_hour, repr(ev.magnitude_mwh), repr(ev.normalized)]
+                        )
+                for ev in residual_events(result_residual_load(result, c)):
+                    writer.writerow(
+                        [result.name, result.year, "positive_residual", c,
+                         ev.start_hour, ev.end_hour, repr(ev.magnitude_mwh), repr(ev.normalized)]
+                    )
+
+
+def reference_emit_daily_heat_csv(results, path):
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["scenario", "year", "country", "day", "heat_output_mwh_th"])
+        for result in results:
+            for c in result.countries():
+                heat = country_heat_demand(result, c)
+                if not heat.any() or len(heat) < 24:
+                    continue
+                for day, value in enumerate(daily_totals(heat)):
+                    writer.writerow([result.name, result.year, c, day, repr(float(value))])
+
+
+def reference_emit_firm_delta_csv(results, path):
+    pairs = pair_results(results)
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["scenario", "baseline", "year", "name", "delta_mw"])
+        for with_hp, without_hp in pairs:
+            for name, delta in sorted(firm_capacity_delta(with_hp, without_hp).items()):
+                writer.writerow([with_hp.name, without_hp.name, with_hp.year, name, repr(float(delta))])
+
+
+EMITTERS = {
+    "rldc": (analysis.emit_rldc_csv, reference_emit_rldc_csv),
+    "peaks": (analysis.emit_peaks_csv, reference_emit_peaks_csv),
+    "events": (analysis.emit_events_csv, reference_emit_events_csv),
+    "daily_heat": (analysis.emit_daily_heat_csv, reference_emit_daily_heat_csv),
+    "firm_delta": (analysis.emit_firm_delta_csv, reference_emit_firm_delta_csv),
+}
+
+
+def assert_emitters_match_reference(results, tmp_path) -> dict:
+    """Each emitter's bytes equal its reference's; returns the texts by emitter."""
+    texts = {}
+    for name, (emit, reference_emit) in EMITTERS.items():
+        ours, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
+        emit(results, ours)
+        reference_emit(results, ref)
+        assert ours.read_bytes() == ref.read_bytes(), name
+        texts[name] = ours.read_text()
+    return texts
+
+
+@pytest.fixture(scope="module")
+def saved_matrix(tmp_path_factory):
+    """The full `all` matrix of two countries over 48 h, saved and loaded back."""
+    out = tmp_path_factory.mktemp("matrix")
+    ds = build_synth_dataset(11, ["AT", "DE"], [2009], 48)
+    run_matrix(ds, specs_for_selector("all", [2009], 48), out_dir=out)
+    return load_results(out)
+
+
+def test_emitters_match_reference_on_saved_matrix(saved_matrix, tmp_path):
+    assert len(saved_matrix) == 13 and all(r.manifest["status"] == "optimal" for r in saved_matrix)
+    assert len(pair_results(saved_matrix)) == 7
+    texts = assert_emitters_match_reference(saved_matrix, tmp_path)
+    assert all(text.count("\n") > 1 for text in texts.values())
+
+
+def _hand_built(name, heat_share, hours=48):
+    """One saved DE cell whose values give -0.0, 1e16, 0.1 + 0.2 and a 5e-324 event."""
+    load, hp_load, heat = np.zeros(hours), np.full(hours, -0.0), np.zeros(hours)
+    load[[3, 6]] = [1e16, 5e-324]
+    heat[[0, 1]] = [0.1, 0.2]
+    dispatch = {("DE", "load", "electric"): load}
+    heat_mw = {}
+    capacities = {("generation", "ccgt"): 0.0, ("generation", "nuclear"): 0.0, ("storage_discharge", "li_ion"): 0.2}
+    if heat_share:
+        dispatch[("DE", "load", "heat_pump")] = hp_load
+        unit = {field: np.zeros(hours) for field in ("heat_generated_mw_th", "storage_level_mwh_th")}
+        heat_mw[("DE", ("single_family", "space", "air"))] = {
+            "heat_output_mw_th": heat, "electricity_mw_el": hp_load, **unit,
+        }
+        capacities = {("generation", "ccgt"): 0.0, ("generation", "nuclear"): 1e16,
+                      ("storage_discharge", "li_ion"): 0.1 + 0.2}
+    scenario = {"name": name, "variant": "base", "heat_share": heat_share, "ep": 2.0 if heat_share else None,
+                "window_hours": hours}
+    return PersistedResult(
+        path=Path(name), manifest={"scenario": scenario, "year": 2009, "status": "optimal"},
+        capacities_mw={"DE": capacities}, dispatch_mw=dispatch, flows_mw={}, heat_mw=heat_mw, costs_eur={},
+    )
+
+
+def test_emitters_match_reference_on_hand_built_extremes(tmp_path):
+    results = [_hand_built("base-hp00", 0.0), _hand_built("base-hp25-ep2", 0.25)]
+    texts = assert_emitters_match_reference(results, tmp_path)
+    assert ",1e+16\n" in texts["rldc"] and ",1e+16\n" in texts["peaks"]
+    assert "base-hp25-ep2,2009,heat_pump_load,total,0,-0.0\n" in texts["peaks"]
+    assert "base-hp25-ep2,2009,DE,0,0.30000000000000004\n" in texts["daily_heat"]
+    assert ",positive_residual,DE,6,7,5e-324,5e-324\n" in texts["events"]
+    assert "base-hp25-ep2,base-hp00,2009,nuclear,1e+16\n" in texts["firm_delta"]

@@ -7,6 +7,7 @@ import pytest
 
 from heatgrid.cli import main
 from heatgrid.ingest import emit_csv
+from heatgrid.staticdata import emit_static, load_static
 from heatgrid.synth import synth_profiles
 
 HEADER = "timestamp,country,quantity,value\n"
@@ -215,10 +216,22 @@ def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message)
         ("schema: heatgrid-static-v1\ngeneration: {ccgt: 1\nstorage: [\n", "not valid YAML: while parsing a flow mapping"),
         ("", "expected a mapping of tables, got NoneType"),
         ("schema: heatgrid-static-v1\nco2_price_eur_per_t: 80\n", "missing key 'generation'"),
+        ((("generation",), 5), "generation is not a mapping"),
+        ((("generation", "ccgt"), 5), "generation.ccgt is not a mapping"),
+        ((("capacity_bounds_gw", "DE", "ccgt"), 3), "capacity_bounds_gw.DE.ccgt is not a mapping"),
+        ((("storage",), [1]), "storage is not a mapping"),
+        ((("defaults",), 5), "defaults is not a mapping"),
     ],
-    ids=["malformed", "empty", "missing-table"],
+    ids=["malformed", "empty", "missing-table", "table", "row", "bounds-cell", "storage-list", "defaults"],
 )
 def test_run_static_failure_names_its_file(tmp_path, capsys, text, message):
+    if isinstance(text, tuple):  # the bundled tables, with the entry at a key path replaced
+        (*parents, last), value = text
+        raw = node = load_static().raw
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        text = emit_static(raw)
     static = tmp_path / "broken.yaml"
     static.write_text(text)
     out = tmp_path / "run"
@@ -288,6 +301,22 @@ def test_analyze_rejects_a_cell_not_in_the_saved_layout(run_dir, tmp_path, capsy
     assert err.startswith("analysis error: ") and err.count("\n") == 1
     assert f"base-hp25-ep2__y2010/{message}" in err
     assert not (tmp_path / "a").exists()
+
+
+def test_analyze_key_needing_quotes_exits_one(run_dir, tmp_path, capsys):
+    import shutil
+
+    results = tmp_path / "results"
+    shutil.copytree(run_dir, results)
+    manifest_path = results / "base-hp00__y2009" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["scenario"]["name"] = "base,hp00"  # hand-edited: a field csv.writer would quote
+    manifest_path.write_text(json.dumps(manifest))
+    code = main(["analyze", "--results", str(results), "--out", str(tmp_path / "a")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]  # one line
+    assert err.startswith("analysis error: rldc.csv: key ('base,hp00', 2009, 0, 0) would need CSV quoting")
 
 
 def test_analyze_missing_results_exits_one(tmp_path, capsys):
