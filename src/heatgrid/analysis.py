@@ -69,8 +69,8 @@ def residual_load(load, vre_gen, hp_electricity=None, include_hp: bool = False) 
 def rldc(series, top_n: int) -> np.ndarray:
     """First `top_n` values of the duration curve (sorted descending)."""
     arr = _values(series)
-    if top_n > len(arr):
-        raise ValueError(f"top_n {top_n} exceeds series length {len(arr)}")
+    if not 0 <= top_n <= len(arr):
+        raise ValueError(f"top_n {top_n} not in [0, {len(arr)}]")
     return np.sort(arr)[::-1][:top_n].copy()
 
 

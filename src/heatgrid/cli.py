@@ -96,6 +96,8 @@ def _build_dataset(args, years: list):
 
 def cmd_run(args) -> int:
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs {args.jobs} is below 1")
         years = _parse_years(args.years)
         specs = specs_for_selector(args.scenario, years, args.hours)
         dataset = _build_dataset(args, years)
@@ -130,6 +132,8 @@ def cmd_analyze(args) -> int:
     from . import analysis
 
     try:
+        if args.top_n < 1:
+            raise ValueError(f"--top-n {args.top_n} is below 1")
         results = load_results(args.results)
         skipped = [r for r in results if r.manifest["status"] != "optimal"]
         results = [r for r in results if r.manifest["status"] == "optimal"]

@@ -1,10 +1,12 @@
-"""Dataset container: per-year hourly bundles plus static model data.
+"""Dataset container: per-year hourly series maps plus static model data.
 
 A :class:`Dataset` is what the scenario runner consumes. It can be built
-from ingested CSV bundles plus the bundled static tables, or synthesized
-at desk scale. In both cases each weather year maps to July-1-anchored
-:class:`~heatgrid.ingest.CountryBundle` objects, and ``window(year, hours)``
-returns the prefix window (windows always start July 1).
+from ingested CSV series plus the bundled static tables, or synthesized
+at desk scale. In both cases each weather year maps to one flat
+``{(country, quantity): HourlySeries}`` map, as :func:`~heatgrid.ingest.ingest_file`
+and :func:`~heatgrid.synth.synth_profiles` return it, and ``window(year, hours)``
+cuts the July-1-anchored window of every series and groups the result into
+:class:`~heatgrid.ingest.CountryBundle` objects.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .ingest import CountryBundle, assemble_bundles, bundles_to_series_map, csv_chunks
+from .ingest import CountryBundle, assemble_bundles, csv_chunks
+from .series import window_july_june
 from .staticdata import Bounds, BoundsTable, NtcMatrix, StaticData, load_static
 from .synth import synth_profiles
 
@@ -28,30 +31,29 @@ class Dataset:
     bounds: BoundsTable  # capacity bounds actually used by the model
     ntc: NtcMatrix
     bioenergy_cap_mwh_yr: dict  # country -> MWh per (full) year
-    bundles: dict  # year -> {country: CountryBundle}
+    series: dict  # year -> {(country, quantity): HourlySeries}, windowed on request
     provenance: str  # sha256 over canonical serializations
     synth_seed: int | None = None  # set when synthesized, recorded in manifests
 
     @property
     def years(self) -> list:
-        return sorted(self.bundles)
+        return sorted(self.series)
 
     @property
     def countries(self) -> list:
-        first = self.bundles[self.years[0]]
-        return sorted(first)
+        return sorted({country for country, _ in self.series[self.years[0]]})
 
     def window(self, year: int, hours: int) -> dict[str, CountryBundle]:
-        if year not in self.bundles:
+        if year not in self.series:
             raise KeyError(f"year {year} not in dataset (have {self.years})")
-        return {c: b.window(year, hours) for c, b in self.bundles[year].items()}
+        return assemble_bundles({key: window_july_june(ser, year, hours) for key, ser in self.series[year].items()})
 
 
-def _provenance(bundles: dict, static: StaticData, bounds: BoundsTable, ntc: NtcMatrix, bio: dict) -> str:
+def _provenance(series: dict, static: StaticData, bounds: BoundsTable, ntc: NtcMatrix, bio: dict) -> str:
     digest = hashlib.sha256()
-    for year in sorted(bundles):
+    for year in sorted(series):
         digest.update(str(year).encode())
-        for chunk in csv_chunks(bundles_to_series_map(bundles[year])):
+        for chunk in csv_chunks(series[year]):
             digest.update(chunk.encode())
     from .staticdata import emit_static
 
@@ -126,22 +128,19 @@ def build_synth_dataset(seed: int, countries, years, hours: int, static: StaticD
     """Synthesize a Dataset for the given weather-year labels."""
     static = static if static is not None else load_static()
     years = sorted(int(y) for y in years)
-    bundles = {}
-    for year in years:
-        series_map = synth_profiles(seed, countries, hours, start_year=year)
-        bundles[year] = assemble_bundles(series_map)
+    series = {year: synth_profiles(seed, countries, hours, start_year=year) for year in years}
     peaks = {
-        c: max(float(bundles[y][c].load.values.max()) for y in years)
-        for c in sorted(bundles[years[0]])
+        c: max(float(series[y][(c, "electric_load_MW")].values.max()) for y in years)
+        for c in countries
     }
     bounds, ntc, bio_caps = synth_bounds(countries, peaks)
-    provenance = _provenance(bundles, static, bounds, ntc, bio_caps)
+    provenance = _provenance(series, static, bounds, ntc, bio_caps)
     return Dataset(
         static=static,
         bounds=bounds,
         ntc=ntc,
         bioenergy_cap_mwh_yr=bio_caps,
-        bundles=bundles,
+        series=series,
         provenance=provenance,
         synth_seed=seed,
     )
@@ -157,18 +156,15 @@ def build_ingested_dataset(
     runner instead of failing the whole batch up front.
     """
     static = static if static is not None else load_static()
-    full = assemble_bundles(series_map)
-    years = sorted(int(y) for y in years)
-    bundles = {year: full for year in years}
-    countries = sorted(full)
+    countries = sorted(assemble_bundles(series_map))  # a country without a load series fails here
     ntc = static.ntc.restrict(countries)
     bio = {c: static.bioenergy_cap_mwh_yr.get(c, 0.0) for c in countries}
-    provenance = _provenance({"all-years": full}, static, static.bounds, ntc, bio)
+    provenance = _provenance({"all-years": series_map}, static, static.bounds, ntc, bio)
     return Dataset(
         static=static,
         bounds=static.bounds,
         ntc=ntc,
         bioenergy_cap_mwh_yr=bio,
-        bundles=bundles,
+        series=dict.fromkeys(sorted(int(y) for y in years), series_map),
         provenance=provenance,
     )

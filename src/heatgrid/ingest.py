@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import compress, islice
 from operator import itemgetter
@@ -55,7 +55,6 @@ from .series import (
     SeriesError,
     noleap_hour,
     noleap_stamps,
-    window_july_june,
 )
 
 HEADER = ("timestamp", "country", "quantity", "value")
@@ -228,16 +227,12 @@ class CountryBundle:
 
     country: str
     load: HourlySeries
-    availability: dict = field(default_factory=dict)  # tech -> HourlySeries
-    heat_demand: HeatDemandSet = None
-    cops: CopSet = None
-    inflow: HourlySeries | None = None
+    availability: dict  # tech -> HourlySeries
+    heat_demand: HeatDemandSet
+    cops: CopSet
+    inflow: HourlySeries | None
 
     def __post_init__(self):
-        if self.heat_demand is None:
-            object.__setattr__(self, "heat_demand", HeatDemandSet(self.country, {}))
-        if self.cops is None:
-            object.__setattr__(self, "cops", CopSet(self.country, {}))
         series = [self.load, *self.availability.values()]
         series += [*self.heat_demand.profiles.values(), *self.cops.profiles.values()]
         if self.inflow is not None:
@@ -249,33 +244,6 @@ class CountryBundle:
     @property
     def hours(self) -> int:
         return len(self.load)
-
-    def window(self, year: int, hours: int) -> "CountryBundle":
-        return CountryBundle(
-            country=self.country,
-            load=window_july_june(self.load, year, hours),
-            availability={
-                tech: window_july_june(ser, year, hours)
-                for tech, ser in self.availability.items()
-            },
-            heat_demand=self.heat_demand.window(year, hours),
-            cops=self.cops.window(year, hours),
-            inflow=window_july_june(self.inflow, year, hours)
-            if self.inflow is not None
-            else None,
-        )
-
-    def to_series_map(self) -> dict[tuple[str, str], HourlySeries]:
-        out = {(self.country, "electric_load_MW"): self.load}
-        for tech, ser in self.availability.items():
-            out[(self.country, f"availability_factor.{tech}")] = ser
-        for (bt, st), ser in self.heat_demand.profiles.items():
-            out[(self.country, f"heat_demand_MWth.{bt}.{st}")] = ser
-        for (st, hpt), ser in self.cops.profiles.items():
-            out[(self.country, f"cop.{st}.{hpt}")] = ser
-        if self.inflow is not None:
-            out[(self.country, "hydro_inflow_MWh")] = self.inflow
-        return out
 
 
 def assemble_bundles(series_map: dict[tuple[str, str], HourlySeries]) -> dict[str, CountryBundle]:
@@ -314,9 +282,3 @@ def assemble_bundles(series_map: dict[tuple[str, str], HourlySeries]) -> dict[st
         )
     return bundles
 
-
-def bundles_to_series_map(bundles: dict[str, CountryBundle]) -> dict[tuple[str, str], HourlySeries]:
-    out = {}
-    for bundle in bundles.values():
-        out.update(bundle.to_series_map())
-    return out

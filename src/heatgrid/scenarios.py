@@ -33,6 +33,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .heat import HeatConfig, HeatPumpFleet, size_fleet, validate_trajectory
+from .ids import HOURS_PER_YEAR
 from .lp import LinearProgram
 from .model import HeatBlock, SolvedSystem, SystemInstance, build_model, extract_solved
 from .mps import export_mps as write_mps
@@ -78,8 +79,8 @@ class ScenarioSpec:
                 raise ScenarioError(
                     f"robustness runs pair 0% with 25%/two-hour storage, got {key}"
                 )
-        if self.window_hours < 1:
-            raise ScenarioError("window_hours must be >= 1")
+        if not 1 <= self.window_hours <= HOURS_PER_YEAR:
+            raise ScenarioError(f"window_hours {self.window_hours} not in [1, {HOURS_PER_YEAR}]")
         object.__setattr__(self, "weather_years", tuple(int(y) for y in self.weather_years))
 
     @property

@@ -203,23 +203,9 @@ class HeatDemandSet:
                 )
         _check_aligned(self.profiles.values())
 
-    def __len__(self) -> int:
-        for ser in self.profiles.values():
-            return len(ser)
-        return 0
-
     @property
     def empty(self) -> bool:
         return not self.profiles
-
-    def window(self, year: int, hours: int) -> "HeatDemandSet":
-        return HeatDemandSet(
-            country=self.country,
-            profiles={
-                key: window_july_june(ser, year, hours)
-                for key, ser in self.profiles.items()
-            },
-        )
 
 
 @dataclass(frozen=True)
@@ -241,15 +227,6 @@ class CopSet:
                     f"profile ({st}, {hpt}) belongs to {ser.country}, not {self.country}"
                 )
         _check_aligned(self.profiles.values())
-
-    def window(self, year: int, hours: int) -> "CopSet":
-        return CopSet(
-            country=self.country,
-            profiles={
-                key: window_july_june(ser, year, hours)
-                for key, ser in self.profiles.items()
-            },
-        )
 
     def check_aligned_with(self, demand: HeatDemandSet) -> None:
         series = list(self.profiles.values()) + list(demand.profiles.values())

@@ -272,8 +272,9 @@ def load_static(path=None) -> StaticData:
     """Load and validate a static dataset (bundled one by default).
 
     A file that is not YAML, holds no mapping, lacks a key the tables need,
-    or holds a table, row or bounds cell that is not a mapping raises
-    :class:`StaticDataError` naming the file.
+    holds a table, row or bounds cell that is not a mapping, or a value that
+    is not a number where the tables need one raises :class:`StaticDataError`
+    naming the file.
     """
     path = Path(path) if path is not None else bundled_static_path()
     with path.open() as fh:
@@ -300,6 +301,14 @@ def _mapping(value, *key_path) -> dict:
     return value
 
 
+def _number(value, *key_path) -> float:
+    """`value`, which the static file holds at `key_path`, as a float."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise StaticDataError(f"{'.'.join(map(str, key_path))} is not a number: {value!r}") from None
+
+
 def _rows(table, *key_path):
     """The ``(key, row)`` pairs of a table whose rows are mappings."""
     for key, row in _mapping(table, *key_path).items():
@@ -314,7 +323,7 @@ def _static_from_raw(raw: dict) -> StaticData:
         if row["class"] != TECH_CLASS[tech]:
             raise StaticDataError(f"{tech}: class {row['class']} != {TECH_CLASS[tech]}")
         technologies[tech] = TechnologySpec(
-            name=tech, tech_class=row["class"], **{f: float(row[f]) for f in _GEN_FIELDS}
+            name=tech, tech_class=row["class"], **{f: _number(row[f], "generation", tech, f) for f in _GEN_FIELDS}
         )
     missing = set(TECHNOLOGIES) - set(technologies)
     if missing:
@@ -326,7 +335,8 @@ def _static_from_raw(raw: dict) -> StaticData:
         if targets is None:
             raise StaticDataError(f"unknown storage row {row_name!r}")
         fields = {
-            f: (None if row[f] is None else float(row[f]))
+            f: None if f == "overnight_cost_discharge_keur_per_mw" and row[f] is None  # no cost printed
+            else _number(row[f], "storage", row_name, f)
             for f in _STO_FIELDS
         }
         for target in targets:
@@ -340,7 +350,7 @@ def _static_from_raw(raw: dict) -> StaticData:
         if country not in COUNTRIES:
             raise StaticDataError(f"unknown country {country!r} in bounds table")
         for key, cell in _rows(rows, "capacity_bounds_gw", country):
-            low, up = float(cell["low"]), float(cell["up"])
+            low, up = (_number(cell[b], "capacity_bounds_gw", country, key, b) for b in ("low", "up"))
             if key in TECHNOLOGIES:
                 gen_mw[(country, key)] = _normalize_pair(
                     low * 1e3, up * 1e3, f"{country}/{key}"
@@ -373,9 +383,12 @@ def _static_from_raw(raw: dict) -> StaticData:
     ntc_limits = {}
     for frm, tos in _rows(defaults.get("ntc_mw", {}), "defaults", "ntc_mw"):
         for to, mw in tos.items():
-            ntc_limits[(frm, to)] = float(mw)
+            ntc_limits[(frm, to)] = _number(mw, "defaults", "ntc_mw", frm, to)
     bio_key = "bioenergy_generation_cap_mwh_yr"
-    bio_caps = {c: float(v) for c, v in _mapping(defaults.get(bio_key, {}), "defaults", bio_key).items()}
+    bio_caps = {
+        c: _number(v, "defaults", bio_key, c)
+        for c, v in _mapping(defaults.get(bio_key, {}), "defaults", bio_key).items()
+    }
 
     return StaticData(
         raw=raw,
@@ -383,7 +396,7 @@ def _static_from_raw(raw: dict) -> StaticData:
         storages=storages,
         bounds=BoundsTable(gen_mw, sto_in, sto_out, sto_energy),
         ntc=NtcMatrix(ntc_limits),
-        co2_price_eur_per_t=float(raw["co2_price_eur_per_t"]),
+        co2_price_eur_per_t=_number(raw["co2_price_eur_per_t"], "co2_price_eur_per_t"),
         bioenergy_cap_mwh_yr=bio_caps,
     )
 

@@ -9,7 +9,7 @@ import numpy as np
 from heatgrid.heat import HeatConfig, size_fleet
 from heatgrid.lp import LinearProgram
 from heatgrid.model import HeatBlock, SystemInstance
-from heatgrid.series import CopSet, HeatDemandSet, HourlySeries, ModelWindow, utc
+from heatgrid.series import CopSet, HeatDemandSet, HourlySeries, ModelWindow, utc, window_july_june
 from heatgrid.staticdata import Bounds, BoundsTable, NtcMatrix, TechnologySpec
 
 INF = float("inf")
@@ -30,6 +30,23 @@ def noleap_walk(start, hours: int) -> list:
         if ts.month == 2 and ts.day == 29:
             ts = ts.replace(month=3, day=1, hour=0)
     return walk
+
+
+def assert_window_of_flat_map(dataset, year: int, hours: int, series_map: dict) -> None:
+    """Every series of ``dataset.window(year, hours)`` is the July-June window of its series in `series_map`."""
+    seen = {}
+    for country, b in dataset.window(year, hours).items():
+        seen[(country, "electric_load_MW")] = b.load
+        seen.update({(country, f"availability_factor.{t}"): s for t, s in b.availability.items()})
+        seen.update({(country, f"heat_demand_MWth.{bt}.{st}"): s for (bt, st), s in b.heat_demand.profiles.items()})
+        seen.update({(country, f"cop.{st}.{hpt}"): s for (st, hpt), s in b.cops.profiles.items()})
+        if b.inflow is not None:
+            seen[(country, "hydro_inflow_MWh")] = b.inflow
+    assert sorted(seen) == sorted(series_map)
+    for key, ser in series_map.items():
+        ref = window_july_june(ser, year, hours)
+        assert (seen[key].start, seen[key].quantity, len(seen[key])) == (ref.start, ref.quantity, hours)
+        np.testing.assert_array_equal(seen[key].values, ref.values)
 
 
 def tech(

@@ -83,6 +83,10 @@ class TestRldc:
         with pytest.raises(ValueError):
             rldc(np.zeros(3), 4)
 
+    def test_negative_top_n(self):
+        with pytest.raises(ValueError, match="top_n -1 not in"):
+            rldc(np.zeros(3), -1)
+
 
 class TestPeakRecords:
     def test_total_peak_at_coinciding_hour(self):

@@ -197,6 +197,8 @@ def test_run_with_failing_cell_exits_two(tmp_path, capsys):
         (["--years", "synth:0"], "names no weather year"),
         (["--years", "x"], "--years 'x' is neither synth:N nor a comma list of years"),
         (["--countries", "XX"], "unknown country code 'XX'"),
+        (["--hours", "9000"], "window_hours 9000 not in [1, 8760]"),
+        (["--jobs", "-2"], "--jobs -2 is below 1"),
     ],
 )
 def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message):
@@ -221,8 +223,19 @@ def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message)
         ((("capacity_bounds_gw", "DE", "ccgt"), 3), "capacity_bounds_gw.DE.ccgt is not a mapping"),
         ((("storage",), [1]), "storage is not a mapping"),
         ((("defaults",), 5), "defaults is not a mapping"),
+        ((("generation", "ccgt", "efficiency"), None), "generation.ccgt.efficiency is not a number: None"),
+        ((("generation", "ccgt", "efficiency"), "high"), "generation.ccgt.efficiency is not a number: 'high'"),
+        ((("storage", "li_ion", "efficiency_charge"), None), "storage.li_ion.efficiency_charge is not a number: None"),
+        ((("capacity_bounds_gw", "DE", "ccgt", "low"), "x"), "capacity_bounds_gw.DE.ccgt.low is not a number: 'x'"),
+        ((("co2_price_eur_per_t",), "n/a"), "co2_price_eur_per_t is not a number: 'n/a'"),
+        ((("defaults", "ntc_mw", "DE", "AT"), None), "defaults.ntc_mw.DE.AT is not a number: None"),
+        ((("defaults", "bioenergy_generation_cap_mwh_yr", "DE"), [1]),
+         "defaults.bioenergy_generation_cap_mwh_yr.DE is not a number: [1]"),
     ],
-    ids=["malformed", "empty", "missing-table", "table", "row", "bounds-cell", "storage-list", "defaults"],
+    ids=[
+        "malformed", "empty", "missing-table", "table", "row", "bounds-cell", "storage-list", "defaults",
+        "null-number", "text-number", "null-storage-number", "text-bound", "text-co2", "null-ntc", "list-bio",
+    ],
 )
 def test_run_static_failure_names_its_file(tmp_path, capsys, text, message):
     if isinstance(text, tuple):  # the bundled tables, with the entry at a key path replaced
@@ -324,6 +337,15 @@ def test_analyze_missing_results_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("analysis error: ") and err.count("\n") == 1 and "missing" in err
+
+
+@pytest.mark.parametrize("top_n", ["-5", "0"])
+def test_analyze_rejects_top_n_below_one(run_dir, tmp_path, capsys, top_n):
+    out = tmp_path / "a"
+    assert main(["analyze", "--results", str(run_dir), "--out", str(out), "--top-n", top_n]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"analysis error: --top-n {top_n} is below 1\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_analyze_delta_without_pair_exits_three(run_dir, tmp_path):

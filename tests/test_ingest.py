@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desk import noleap_walk
+from desk import assert_window_of_flat_map, noleap_walk
 from heatgrid.ingest import (
     BadHeader,
     assemble_bundles,
@@ -223,6 +223,17 @@ def test_multi_year_series_window_across_leap_boundary():
         win12.heat_demand.profiles[key].values,
         year_b[("DE", "heat_demand_MWth.single_family.space")].values[:48],
     )
+
+
+def test_ingested_dataset_provenance_and_windows():
+    from heatgrid.dataset import build_ingested_dataset
+
+    series_map = synth_profiles(3, ["DE", "FR"], 8760 + 48)  # covers the 2009 and 2010 windows
+    ds = build_ingested_dataset(series_map, [2009, 2010], 48)
+    # One map serves every year, hashed once; the digest is pinned.
+    assert ds.provenance == "759e61ece1597f37455e5c47985961360db2ade7ad2c3e34e0765bad1e3537dd"
+    for year in ds.years:
+        assert_window_of_flat_map(ds, year, 48, series_map)
 
 
 def _reference_csv(series_map):

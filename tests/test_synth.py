@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from desk import assert_window_of_flat_map
 from heatgrid.dataset import build_synth_dataset
 from heatgrid.ingest import assemble_bundles
 from heatgrid.synth import synth_profiles
@@ -77,6 +78,16 @@ def test_synth_dataset_structure():
     assert ds2.provenance == ds.provenance
     ds3 = build_synth_dataset(10, ["AT", "DE"], [2009, 2010], 48)
     assert ds3.provenance != ds.provenance
+
+
+def test_synth_dataset_provenance_and_windows():
+    countries = ["AT", "DE", "FR"]
+    ds = build_synth_dataset(7, countries, [2009, 2010], 48)
+    # The hash covers the canonical CSV bytes of each year's series map; the digest is pinned.
+    assert ds.provenance == "a9d59c2633ec2e0d2cae46b504aa44a99b42bb3083eeb82d3df13ec62750a9f3"
+    for year in ds.years:
+        for hours in (24, 48):
+            assert_window_of_flat_map(ds, year, hours, synth_profiles(7, countries, 48, start_year=year))
 
 
 def test_provenance_is_pinned():
