@@ -230,7 +230,7 @@ def cost_report(result, baseline=None) -> dict:
     With a baseline, adds the cost delta and the implied heat price
     (delta cost per MWh of heat supplied; None when nothing was supplied).
     """
-    costs = _costs_of(result)
+    costs = result.costs_eur
     report = {
         "investment_eur": costs["investment"],
         "fixed_om_eur": costs["fixed_om"],
@@ -241,7 +241,7 @@ def cost_report(result, baseline=None) -> dict:
         "heat_supplied_mwh": costs["heat_supplied_mwh"],
     }
     if baseline is not None:
-        base_costs = _costs_of(baseline)
+        base_costs = baseline.costs_eur
         delta = costs["total"] - base_costs["total"]
         report["baseline_total_eur"] = base_costs["total"]
         report["delta_cost_eur"] = delta
@@ -249,12 +249,6 @@ def cost_report(result, baseline=None) -> dict:
             delta, costs["heat_supplied_mwh"]
         )
     return report
-
-
-def _costs_of(result) -> dict:
-    costs = dict(result.costs_eur)
-    costs.setdefault("objective", costs.get("total"))
-    return costs
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def _build_dataset(args, years: list):
         raise ValueError("either --dataset <cache dir> or --synth-seed is required")
     cache = Path(args.dataset)
     series_map = ingest_file(cache / CACHE_SERIES)
-    return build_ingested_dataset(series_map, years, args.hours, static=static)
+    return build_ingested_dataset(series_map, years, static=static)
 
 
 def cmd_run(args) -> int:

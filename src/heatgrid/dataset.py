@@ -146,9 +146,7 @@ def build_synth_dataset(seed: int, countries, years, hours: int, static: StaticD
     )
 
 
-def build_ingested_dataset(
-    series_map: dict, years, hours: int, static: StaticData | None = None
-) -> Dataset:
+def build_ingested_dataset(series_map: dict, years, static: StaticData | None = None) -> Dataset:
     """Dataset from ingested series plus the bundled static tables.
 
     Windowing happens lazily per (year, hours) request, so a window the

@@ -31,7 +31,7 @@ emitting constant columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,8 +118,6 @@ class SystemInstance:
     co2_price: float
     bioenergy_cap_mwh_yr: dict  # country -> MWh per full year
     heat: HeatBlock | None = None
-    base_bounds: BoundsTable = None  # pristine bounds, for variant idempotence
-    base_ntc: NtcMatrix = None
 
     def __post_init__(self):
         h = self.window.hours
@@ -137,13 +135,6 @@ class SystemInstance:
                 for key, arr in targets.items():
                     if len(arr) != h:
                         raise AlignmentError(f"{c}/{key}: heat target length {len(arr)} != {h}")
-        if self.base_bounds is None:
-            object.__setattr__(self, "base_bounds", self.bounds)
-        if self.base_ntc is None:
-            object.__setattr__(self, "base_ntc", self.ntc)
-
-    def replace_bounds(self, bounds: BoundsTable, ntc: NtcMatrix) -> "SystemInstance":
-        return replace(self, bounds=bounds, ntc=ntc)
 
 
 def build_model(instance: SystemInstance) -> LinearProgram:

@@ -1,9 +1,14 @@
 """Scenario matrix: base and robustness specs, batch runner, persistence.
 
-The base matrix is exactly three runs: no heat pumps, 25% heat coverage
-without thermal storage, and 25% with a two-hour tank. Each robustness
-variant (gas_free, half_nuc, no_coal, no_ntc, wind_cap) pairs a no-heat
-run with a 25%/two-hour run. Every spec executes once per weather year.
+:data:`SCENARIO_MATRIX` declares each variant once: its (heat share, ep)
+runs, the technologies whose generation bounds it replaces and how, or
+that it empties the NTC matrix. The base matrix is exactly three runs: no
+heat pumps, 25% heat coverage without thermal storage, and 25% with a
+two-hour tank. Each robustness variant (gas_free, half_nuc, no_coal,
+no_ntc, wind_cap) pairs a no-heat run with a 25%/two-hour run. A variant
+changes only the dataset's bounds and NTC tables (:func:`variant_tables`),
+before the cell's instance is built. Every spec executes once per weather
+year.
 
 Results persist one directory per (scenario, year) cell: the five tables
 of :data:`CELL_TABLES` (``capacities.csv``, ``dispatch.csv``,
@@ -23,6 +28,7 @@ import os
 import shutil
 import time
 import traceback
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -39,13 +45,33 @@ from .model import HeatBlock, SolvedSystem, SystemInstance, build_model, extract
 from .mps import export_mps as write_mps
 from .series import ModelWindow
 from .solver import ResidualReport, Solution, solve, verify
-from .staticdata import Bounds, NtcMatrix
-
-VARIANTS = ("base", "gas_free", "half_nuc", "no_coal", "no_ntc", "wind_cap")
-
-BASE_MATRIX = ((0.0, None), (0.25, 0.0), (0.25, 2.0))  # (heat share, ep hours)
+from .staticdata import Bounds, BoundsTable, NtcMatrix
 
 MANIFEST_SCHEMA = "heatgrid-result-v1"
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One row of the scenario matrix: a variant's runs and its changes to the base tables."""
+
+    runs: tuple  # (heat share, ep hours) of each run, in order; ep None without heat pumps
+    techs: tuple = ()  # technologies whose generation bounds `bound` replaces
+    bound: Callable | None = None  # a base generation Bounds -> the variant's
+    trade: bool = True  # False empties the NTC matrix: no cross-border flows
+
+
+ROBUSTNESS_RUNS = ((0.0, None), (0.25, 2.0))  # no heat pumps; 25% with a two-hour tank
+
+SCENARIO_MATRIX = {
+    "base": Variant(((0.0, None), (0.25, 0.0), (0.25, 2.0))),
+    "gas_free": Variant(ROBUSTNESS_RUNS, ("ccgt",), lambda b: Bounds(0.0, b.up)),
+    "half_nuc": Variant(ROBUSTNESS_RUNS, ("nuclear",), lambda b: Bounds(0.5 * b.low, 0.5 * b.up)),
+    "no_coal": Variant(ROBUSTNESS_RUNS, ("hard_coal", "lignite"), lambda b: Bounds(0.0, 0.0)),
+    "no_ntc": Variant(ROBUSTNESS_RUNS, trade=False),
+    "wind_cap": Variant(ROBUSTNESS_RUNS, ("wind_onshore", "wind_offshore"), lambda b: Bounds(b.low, 1.5 * b.low)),
+}
+
+VARIANTS = tuple(SCENARIO_MATRIX)
 
 
 class UnknownVariant(ValueError):
@@ -70,15 +96,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise UnknownVariant(f"variant {self.variant!r} not in {VARIANTS}")
-        key = (self.heat_share, self.ep)
-        if self.variant == "base":
-            if key not in BASE_MATRIX:
-                raise ScenarioError(f"base matrix does not contain {key}")
-        else:
-            if key not in ((0.0, None), (0.25, 2.0)):
-                raise ScenarioError(
-                    f"robustness runs pair 0% with 25%/two-hour storage, got {key}"
-                )
+        runs = SCENARIO_MATRIX[self.variant].runs
+        if (self.heat_share, self.ep) not in runs:
+            raise ScenarioError(f"{self.variant} runs {runs} do not contain {(self.heat_share, self.ep)}")
         if not 1 <= self.window_hours <= HOURS_PER_YEAR:
             raise ScenarioError(f"window_hours {self.window_hours} not in [1, {HOURS_PER_YEAR}]")
         object.__setattr__(self, "weather_years", tuple(int(y) for y in self.weather_years))
@@ -94,83 +114,26 @@ def _spec_name(variant: str, share: float, ep) -> str:
     return f"{variant}-hp25-ep{int(ep)}"
 
 
-def base_specs(years, hours: int) -> list:
-    return [
-        ScenarioSpec(_spec_name("base", s, ep), s, ep, "base", tuple(years), hours)
-        for s, ep in BASE_MATRIX
-    ]
-
-
-def robustness_specs(variant: str, years, hours: int) -> list:
-    if variant not in VARIANTS or variant == "base":
-        raise UnknownVariant(f"{variant!r} is not a robustness variant")
-    return [
-        ScenarioSpec(_spec_name(variant, s, ep), s, ep, variant, tuple(years), hours)
-        for s, ep in ((0.0, None), (0.25, 2.0))
-    ]
-
-
 def specs_for_selector(selector: str, years, hours: int) -> list:
-    """Expand a CLI selector (base | <variant> | all) into specs."""
-    if selector == "base":
-        return base_specs(years, hours)
+    """Expand a CLI selector (base | <variant> | all) into specs, in matrix order."""
     if selector == "all":
-        out = base_specs(years, hours)
-        for variant in VARIANTS[1:]:
-            out.extend(robustness_specs(variant, years, hours))
-        return out
-    if selector in VARIANTS:
-        return robustness_specs(selector, years, hours)
-    raise UnknownVariant(f"unknown scenario selector {selector!r}")
+        variants = VARIANTS
+    elif selector in VARIANTS:
+        variants = (selector,)
+    else:
+        raise UnknownVariant(f"unknown scenario selector {selector!r}")
+    return [
+        ScenarioSpec(_spec_name(variant, share, ep), share, ep, variant, tuple(years), hours)
+        for variant in variants
+        for share, ep in SCENARIO_MATRIX[variant].runs
+    ]
 
 
-# ---------------------------------------------------------------------------
-# Variants
-# ---------------------------------------------------------------------------
-
-
-def apply_variant(instance: SystemInstance, spec: ScenarioSpec) -> SystemInstance:
-    """Mutate bounds/NTC per variant, always starting from the base tables.
-
-    Recomputing from the pristine base bounds makes the operation
-    idempotent and lets it commute with window selection.
-    """
-    bounds = instance.base_bounds
-    ntc = instance.base_ntc
-    variant = spec.variant
-    if variant == "base":
-        return instance.replace_bounds(bounds, ntc)
-    if variant == "gas_free":
-        gen = {
-            key: Bounds(0.0, b.up)
-            for key, b in bounds.gen_mw.items()
-            if key[1] == "ccgt"
-        }
-        return instance.replace_bounds(bounds.replace(gen=gen), ntc)
-    if variant == "half_nuc":
-        gen = {
-            key: Bounds(0.5 * b.low, 0.5 * b.up if np.isfinite(b.up) else b.up)
-            for key, b in bounds.gen_mw.items()
-            if key[1] == "nuclear"
-        }
-        return instance.replace_bounds(bounds.replace(gen=gen), ntc)
-    if variant == "no_coal":
-        gen = {
-            key: Bounds(0.0, 0.0)
-            for key, b in bounds.gen_mw.items()
-            if key[1] in ("hard_coal", "lignite")
-        }
-        return instance.replace_bounds(bounds.replace(gen=gen), ntc)
-    if variant == "no_ntc":
-        return instance.replace_bounds(bounds, NtcMatrix({}))
-    if variant == "wind_cap":
-        gen = {
-            key: Bounds(b.low, 1.5 * b.low)
-            for key, b in bounds.gen_mw.items()
-            if key[1] in ("wind_onshore", "wind_offshore")
-        }
-        return instance.replace_bounds(bounds.replace(gen=gen), ntc)
-    raise UnknownVariant(variant)
+def variant_tables(bounds: BoundsTable, ntc: NtcMatrix, variant: str) -> tuple[BoundsTable, NtcMatrix]:
+    """The bounds and NTC tables of `variant`, made from a dataset's base tables."""
+    row = SCENARIO_MATRIX[variant]
+    gen = {key: row.bound(b) for key, b in bounds.gen_mw.items() if key[1] in row.techs}
+    return bounds.replace(gen=gen), ntc if row.trade else NtcMatrix({})
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +142,7 @@ def apply_variant(instance: SystemInstance, spec: ScenarioSpec) -> SystemInstanc
 
 
 def make_instance(dataset: Dataset, spec: ScenarioSpec, year: int) -> SystemInstance:
-    """Window the dataset and assemble the (variant-applied) instance."""
+    """Window the dataset and assemble the instance on the variant's tables."""
     bundles = dataset.window(year, spec.window_hours)
     countries = tuple(sorted(bundles))
     loads = {c: bundles[c].load.values for c in countries}
@@ -204,7 +167,8 @@ def make_instance(dataset: Dataset, spec: ScenarioSpec, year: int) -> SystemInst
             fleet = fleet.merge(size_fleet(config, bundles[c].heat_demand, bundles[c].cops))
         heat_block = HeatBlock.build(config, demand, cops, fleet)
 
-    instance = SystemInstance(
+    bounds, ntc = variant_tables(dataset.bounds, dataset.ntc.restrict(countries), spec.variant)
+    return SystemInstance(
         name=f"{spec.name}__y{year}",
         countries=countries,
         window=ModelWindow(spec.window_hours),
@@ -213,13 +177,12 @@ def make_instance(dataset: Dataset, spec: ScenarioSpec, year: int) -> SystemInst
         inflow_mwh=inflow,
         techs=dataset.static.technologies,
         storages=dataset.static.storages,
-        bounds=dataset.bounds,
-        ntc=dataset.ntc.restrict(countries),
+        bounds=bounds,
+        ntc=ntc,
         co2_price=dataset.static.co2_price_eur_per_t,
         bioenergy_cap_mwh_yr=dataset.bioenergy_cap_mwh_yr,
         heat=heat_block,
     )
-    return apply_variant(instance, spec)
 
 
 @dataclass
@@ -386,6 +349,7 @@ HEAT = CellTable("heat.csv", ("country", "building_type", "sink", "heat_pump_typ
     "heat_output_mw_th", "heat_generated_mw_th", "storage_level_mwh_th", "electricity_mw_el"), True)
 COSTS = CellTable("costs.csv", ("component",), ("value_eur",), False)
 CELL_TABLES = (CAPACITIES, DISPATCH, FLOWS, HEAT, COSTS)
+COST_COMPONENTS = ("investment", "fixed_om", "variable", "storage_marginal", "total", "objective", "heat_supplied_mwh")
 
 
 def result_dirname(spec_name: str, year: int) -> str:
@@ -424,8 +388,7 @@ def _cell_blocks(result: ScenarioResult) -> dict:
         dispatch.append(((c, "load", "electric"), (instance.loads_mw[c],)))
         if solved.heat.get(c):
             dispatch.append(((c, "load", "heat_pump"), (solved.hp_load_mw(c),)))
-    costs = {k: solved.cost_breakdown[k] for k in ("investment", "fixed_om", "variable", "storage_marginal", "total")}
-    costs.update(objective=result.objective, heat_supplied_mwh=solved.heat_supplied_mwh)
+    costs = {**solved.cost_breakdown, "objective": result.objective, "heat_supplied_mwh": solved.heat_supplied_mwh}
     return {
         CAPACITIES: [((c, *kind_name), (mw,)) for c, caps in sorted(solved.capacities_mw.items())
                      for kind_name, mw in sorted(caps.items())],
@@ -434,7 +397,7 @@ def _cell_blocks(result: ScenarioResult) -> dict:
         HEAT: [((c, *unit), (traj.heat_output_mw[unit], traj.heat_generated_mw[unit],
                              traj.storage_level_mwh[unit], traj.electricity_mw[unit]))
                for c, traj in sorted(solved.heat.items()) for unit in traj.keys],
-        COSTS: [((component,), (value,)) for component, value in costs.items()],
+        COSTS: [((component,), (costs[component],)) for component in COST_COMPONENTS],
     }
 
 
@@ -608,14 +571,22 @@ def load_result(cell_dir) -> PersistedResult:
     capacities: dict = {}
     for (c, kind, name), (mw,) in caps:
         capacities.setdefault(c, {})[(kind, name)] = mw
+    dispatch_mw = {key: arr for key, (arr,) in dispatch}
+    no_load = sorted({c for c, _, _ in dispatch_mw if (c, "load", "electric") not in dispatch_mw})
+    if no_load:
+        raise ValueError(f"{cell_dir / DISPATCH.file}: no load,electric run for {', '.join(no_load)}")
+    costs_eur = {component: value for (component,), (value,) in costs}
+    missing = [component for component in COST_COMPONENTS if component not in costs_eur]
+    if manifest.get("status") == "optimal" and missing:  # an unsolved cell writes no costs
+        raise ValueError(f"{cell_dir / COSTS.file}: no {', '.join(missing)} row")
     return PersistedResult(
         path=cell_dir,
         manifest=manifest,
         capacities_mw=capacities,
-        dispatch_mw={key: arr for key, (arr,) in dispatch},
+        dispatch_mw=dispatch_mw,
         flows_mw={key: arr for key, (arr,) in flows},
         heat_mw={(c, tuple(unit)): dict(zip(HEAT.values, arrays)) for (c, *unit), arrays in heat},
-        costs_eur={component: value for (component,), (value,) in costs},
+        costs_eur=costs_eur,
     )
 
 

@@ -51,7 +51,6 @@ canonical bytes are the same either way; that matters because the bytes of
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -255,6 +254,17 @@ _STORAGE_ROW_MAP = {
 }
 
 
+# Storage rows of the bounds table: key suffix -> the BoundsTable fields the
+# row fills, and MW (MWh) per printed GW (GWh, TWh).
+_STORAGE_BOUND_ROWS = {
+    "_power_in_out": (("storage_power_in_mw", "storage_power_out_mw"), 1e3),
+    "_power_in": (("storage_power_in_mw",), 1e3),
+    "_power_out": (("storage_power_out_mw",), 1e3),
+    "_energy_gwh": (("storage_energy_mwh",), 1e3),
+    "_energy_twh": (("storage_energy_mwh",), 1e6),
+}
+
+
 def bundled_static_path() -> Path:
     return Path(resources.files("heatgrid").joinpath("data/static.yaml"))
 
@@ -345,39 +355,23 @@ def _static_from_raw(raw: dict) -> StaticData:
     if missing:
         raise StaticDataError(f"storage table missing {sorted(missing)}")
 
-    gen_mw, sto_in, sto_out, sto_energy = {}, {}, {}, {}
+    gen_mw = {}
+    storage_bounds = {"storage_power_in_mw": {}, "storage_power_out_mw": {}, "storage_energy_mwh": {}}
     for country, rows in _rows(raw["capacity_bounds_gw"], "capacity_bounds_gw"):
         if country not in COUNTRIES:
             raise StaticDataError(f"unknown country {country!r} in bounds table")
         for key, cell in _rows(rows, "capacity_bounds_gw", country):
             low, up = (_number(cell[b], "capacity_bounds_gw", country, key, b) for b in ("low", "up"))
             if key in TECHNOLOGIES:
-                gen_mw[(country, key)] = _normalize_pair(
-                    low * 1e3, up * 1e3, f"{country}/{key}"
-                )
-            elif key.endswith("_power_in_out"):
-                sto = key[: -len("_power_in_out")]
-                b = _normalize_pair(low * 1e3, up * 1e3, f"{country}/{key}")
-                sto_in[(country, sto)] = b
-                sto_out[(country, sto)] = b
-            elif key.endswith("_power_in"):
-                sto = key[: -len("_power_in")]
-                sto_in[(country, sto)] = _normalize_pair(low * 1e3, up * 1e3, f"{country}/{key}")
-            elif key.endswith("_power_out"):
-                sto = key[: -len("_power_out")]
-                sto_out[(country, sto)] = _normalize_pair(low * 1e3, up * 1e3, f"{country}/{key}")
-            elif key.endswith("_energy_gwh"):
-                sto = key[: -len("_energy_gwh")]
-                sto_energy[(country, sto)] = _normalize_pair(
-                    low * 1e3, up * 1e3, f"{country}/{key}"
-                )
-            elif key.endswith("_energy_twh"):
-                sto = key[: -len("_energy_twh")]
-                sto_energy[(country, sto)] = _normalize_pair(
-                    low * 1e6, up * 1e6, f"{country}/{key}"
-                )
-            else:
+                gen_mw[(country, key)] = _normalize_pair(low * 1e3, up * 1e3, f"{country}/{key}")
+                continue
+            suffix = next((suffix for suffix in _STORAGE_BOUND_ROWS if key.endswith(suffix)), None)
+            if suffix is None:
                 raise StaticDataError(f"unknown bounds row {key!r} for {country}")
+            names, mw_per_unit = _STORAGE_BOUND_ROWS[suffix]
+            b = _normalize_pair(low * mw_per_unit, up * mw_per_unit, f"{country}/{key}")
+            for name in names:
+                storage_bounds[name][(country, key[: -len(suffix)])] = b
 
     defaults = _mapping(raw.get("defaults", {}), "defaults")
     ntc_limits = {}
@@ -394,7 +388,7 @@ def _static_from_raw(raw: dict) -> StaticData:
         raw=raw,
         technologies=technologies,
         storages=storages,
-        bounds=BoundsTable(gen_mw, sto_in, sto_out, sto_energy),
+        bounds=BoundsTable(gen_mw, **storage_bounds),
         ntc=NtcMatrix(ntc_limits),
         co2_price_eur_per_t=_number(raw["co2_price_eur_per_t"], "co2_price_eur_per_t"),
         bioenergy_cap_mwh_yr=bio_caps,
@@ -414,20 +408,3 @@ def load_fleet_table(path=None) -> dict:
         for row in reader:
             out[row[0]] = (float(row[1]), float(row[2]), float(row[3]))
     return out
-
-
-def emit_fleet_table(table: dict) -> str:
-    """Canonical CSV text of a fleet reference table."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["country", "heat_output_gw_th", "heat_storage_gwh_th", "electricity_input_gw_el"]
-    )
-    for country, (out_gw, store_gwh, in_gw) in table.items():
-        writer.writerow([country, _fmt(out_gw), _fmt(store_gwh), _fmt(in_gw)])
-    return buf.getvalue()
-
-
-def _fmt(x: float) -> str:
-    # one decimal, matching the printed table
-    return f"{x:.1f}"

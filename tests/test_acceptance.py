@@ -24,12 +24,11 @@ from heatgrid.dataset import build_synth_dataset
 from heatgrid.ids import VARIABLE_RENEWABLES
 from heatgrid.model import build_model, variable_cost
 from heatgrid.mps import export_mps, import_mps
-from heatgrid.scenarios import base_specs, robustness_specs, run_matrix
+from heatgrid.scenarios import run_matrix, specs_for_selector
 from heatgrid.solver import solve, verify
 from heatgrid.staticdata import (
     bundled_fleet_table_path,
     bundled_static_path,
-    emit_fleet_table,
     emit_static,
     load_fleet_table,
     load_static,
@@ -55,7 +54,7 @@ def report(number: int, description: str, ok: bool):
 def matrix():
     """Base matrix (3 specs x 2 years) plus the no_ntc pair for year one."""
     dataset = build_synth_dataset(MATRIX_SEED, MATRIX_COUNTRIES, MATRIX_YEARS, MATRIX_HOURS)
-    specs = base_specs(MATRIX_YEARS, MATRIX_HOURS) + robustness_specs(
+    specs = specs_for_selector("base", MATRIX_YEARS, MATRIX_HOURS) + specs_for_selector(
         "no_ntc", [MATRIX_YEARS[0]], MATRIX_HOURS
     )
     t0 = time.perf_counter()
@@ -67,7 +66,9 @@ def matrix():
 def test_criterion_01_table_fidelity():
     static_path = bundled_static_path()
     ok = emit_static(load_static().raw) == static_path.read_text()
-    ok &= emit_fleet_table(load_fleet_table()) == bundled_fleet_table_path().read_text()
+    fleet_rows = (f"{c},{out:.1f},{store:.1f},{el:.1f}\n" for c, (out, store, el) in load_fleet_table().items())
+    fleet_text = "country,heat_output_gw_th,heat_storage_gwh_th,electricity_input_gw_el\n" + "".join(fleet_rows)
+    ok &= fleet_text == bundled_fleet_table_path().read_text()  # the fleet table at its printed precision
     # Cell-level fidelity against an independent transcription is asserted
     # in tests/test_static_data.py; here the ingest->emit round trip.
     report(1, "bundled tables survive ingest->emit byte-exactly", ok)

@@ -142,7 +142,7 @@ def test_export_mps_writes_model_files(tmp_path):
     from heatgrid.dataset import build_synth_dataset
     from heatgrid.model import build_model
     from heatgrid.mps import export_mps
-    from heatgrid.scenarios import base_specs, make_instance
+    from heatgrid.scenarios import make_instance, specs_for_selector
 
     out = tmp_path / "mps_run"
     code = main(
@@ -157,7 +157,7 @@ def test_export_mps_writes_model_files(tmp_path):
     assert (cell / "model.mps.names.json").exists()
     # The export is the LP the cell was solved on, built once.
     ds = build_synth_dataset(5, ["AT", "DE"], [2009], 24)
-    spec = base_specs([2009], 24)[0]
+    spec = specs_for_selector("base", [2009], 24)[0]
     ref = export_mps(build_model(make_instance(ds, spec, 2009)), tmp_path / "ref.mps")
     assert (cell / "model.mps").read_bytes() == ref.read_bytes()
     assert (cell / "model.mps.names.json").read_bytes() == (tmp_path / "ref.mps.names.json").read_bytes()
@@ -231,10 +231,17 @@ def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message)
         ((("defaults", "ntc_mw", "DE", "AT"), None), "defaults.ntc_mw.DE.AT is not a number: None"),
         ((("defaults", "bioenergy_generation_cap_mwh_yr", "DE"), [1]),
          "defaults.bioenergy_generation_cap_mwh_yr.DE is not a number: [1]"),
+        ((("capacity_bounds_gw", "DE", "li_ion_power_sideways"), {"low": 0, "up": 1}),
+         "unknown bounds row 'li_ion_power_sideways' for DE"),
+        ((("capacity_bounds_gw", "DE", "li_ion_energy_gwh"), {"low": 5, "up": 1}),
+         "DE/li_ion_energy_gwh: lower 5000.0 > upper 1000.0"),
+        ((("capacity_bounds_gw", "AT", "reservoir_energy_twh"), {"low": 2, "up": 1}),
+         "AT/reservoir_energy_twh: lower 2000000.0 > upper 1000000.0"),
     ],
     ids=[
         "malformed", "empty", "missing-table", "table", "row", "bounds-cell", "storage-list", "defaults",
         "null-number", "text-number", "null-storage-number", "text-bound", "text-co2", "null-ntc", "list-bio",
+        "unknown-bounds-row", "crossed-gwh-bounds", "crossed-twh-bounds",
     ],
 )
 def test_run_static_failure_names_its_file(tmp_path, capsys, text, message):
@@ -292,6 +299,16 @@ def _drop_scenario(cell):
     (cell / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _drop_total_cost(cell):
+    lines = (cell / "costs.csv").read_text().splitlines(keepends=True)
+    (cell / "costs.csv").write_text("".join(line for line in lines if not line.startswith("total,")))
+
+
+def _drop_electric_load(cell):
+    lines = (cell / "dispatch.csv").read_text().splitlines(keepends=True)
+    (cell / "dispatch.csv").write_text("".join(line for line in lines if ",DE,load,electric," not in line))
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -300,6 +317,8 @@ def _drop_scenario(cell):
         (_foreign_schema, "manifest.json: not a heatgrid-result-v1 manifest"),
         (_zero_window_hours, "manifest.json: field scenario.window_hours is 0, not a positive integer"),
         (_drop_scenario, "manifest.json: field scenario is not a mapping"),
+        (_drop_total_cost, "costs.csv: no total row"),
+        (_drop_electric_load, "dispatch.csv: no load,electric run for DE"),
     ],
 )
 def test_analyze_rejects_a_cell_not_in_the_saved_layout(run_dir, tmp_path, capsys, corrupt, message):
@@ -388,7 +407,7 @@ def test_a_cell_that_cannot_be_written_is_an_error_cell(tmp_path, capsys, monkey
     monkeypatch.setattr(scenarios, "_write_cell_files", write_or_fail)
     ds = build_synth_dataset(5, ["DE"], [2009], 24)
     out = tmp_path / "run"
-    results = scenarios.run_matrix(ds, scenarios.base_specs([2009], 24), out_dir=out)
+    results = scenarios.run_matrix(ds, scenarios.specs_for_selector("base", [2009], 24), out_dir=out)
     assert [r.status for r in results] == ["error", "optimal", "optimal"]
     assert results[0].error == "OSError: [Errno 28] No space left on device"
     assert "write_or_fail" in results[0].traceback

@@ -208,7 +208,7 @@ def test_multi_year_series_window_across_leap_boundary():
             start=utc(2011, 7, 1),
             values=np.concatenate([ser_a.values, ser_b.values]),
         )
-    ds = build_ingested_dataset(long_map, [2011, 2012], 8760)
+    ds = build_ingested_dataset(long_map, [2011, 2012])
     win11 = ds.window(2011, 48)["DE"]
     win12 = ds.window(2012, 48)["DE"]
     assert win11.load.start == utc(2011, 7, 1)
@@ -229,7 +229,7 @@ def test_ingested_dataset_provenance_and_windows():
     from heatgrid.dataset import build_ingested_dataset
 
     series_map = synth_profiles(3, ["DE", "FR"], 8760 + 48)  # covers the 2009 and 2010 windows
-    ds = build_ingested_dataset(series_map, [2009, 2010], 48)
+    ds = build_ingested_dataset(series_map, [2009, 2010])
     # One map serves every year, hashed once; the digest is pinned.
     assert ds.provenance == "759e61ece1597f37455e5c47985961360db2ade7ad2c3e34e0765bad1e3537dd"
     for year in ds.years:

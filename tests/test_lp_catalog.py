@@ -38,7 +38,7 @@ def with_battery(inst, power_in=(0.0, INF), power_out=(0.0, INF), energy=(0.0, I
         storage_power_out_mw={(c, "li_ion"): Bounds(*power_out) for c in inst.countries},
         storage_energy_mwh={(c, "li_ion"): Bounds(*energy) for c in inst.countries},
     )
-    return dataclasses.replace(inst, storages={"li_ion": BATTERY}, bounds=bounds, base_bounds=bounds)
+    return dataclasses.replace(inst, storages={"li_ion": BATTERY}, bounds=bounds)
 
 
 def ccgt_instance(loads, heat=None, **kw):

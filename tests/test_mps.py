@@ -12,7 +12,7 @@ from heatgrid.dataset import build_synth_dataset
 from heatgrid.lp import LinearProgram, LpError
 from heatgrid.model import build_model
 from heatgrid.mps import MpsError, export_mps, import_mps, mangle_names
-from heatgrid.scenarios import base_specs, make_instance
+from heatgrid.scenarios import make_instance, specs_for_selector
 from heatgrid.solver import solve, verify
 
 INF = float("inf")
@@ -328,7 +328,7 @@ def test_round_trip_keeps_verify_families(tmp_path):
     # Imported rows are filed under the family of their original name, so
     # the residual report reads as it does on the built program.
     dataset = build_synth_dataset(3, ["AT", "DE"], [2009], 24)
-    spec = base_specs([2009], 24)[2]  # heat pumps and a tank: every row family
+    spec = specs_for_selector("base", [2009], 24)[2]  # heat pumps and a tank: every row family
     lp = build_model(make_instance(dataset, spec, 2009))
     back = import_mps(export_mps(lp, tmp_path / "cell.mps"))
     values = solve(lp).values
@@ -344,7 +344,7 @@ def test_one_hour_window_round_trips_its_explicit_zeros(tmp_path):
     # A 1-hour window cancels every cyclic storage self-term to a stored
     # zero; export writes those zeros and import must keep them.
     dataset = build_synth_dataset(7, ["AT", "DE", "FR"], [2009], 24)
-    spec = next(s for s in base_specs([2009], 1) if s.name == "base-hp25-ep2")
+    spec = next(s for s in specs_for_selector("base", [2009], 1) if s.name == "base-hp25-ep2")
     lp = build_model(make_instance(dataset, spec, 2009))
     back = import_mps(export_mps(lp, tmp_path / "hour.mps"))
     want, got = lp.matrix(), back.matrix()
@@ -470,7 +470,7 @@ def _assert_reference_bytes(lp, path):
 
 def test_export_matches_reference_format_on_a_cell(tmp_path):
     dataset = build_synth_dataset(3, ["AT", "DE"], [2009], 24)
-    for spec in base_specs([2009], 24):
+    for spec in specs_for_selector("base", [2009], 24):
         _assert_reference_bytes(build_model(make_instance(dataset, spec, 2009)), tmp_path / "cell.mps")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from heatgrid.dataset import build_synth_dataset
-from heatgrid.scenarios import CELL_TABLES, ScenarioSpec, base_specs, load_result, persist_result, run_cell
+from heatgrid.scenarios import CELL_TABLES, ScenarioSpec, load_result, persist_result, run_cell, specs_for_selector
 
 HOURS = 30
 CELLS = ("base-hp25-ep2", "base-hp25-ep0", "base-hp00", "error")
@@ -23,7 +23,7 @@ CELLS = ("base-hp25-ep2", "base-hp25-ep0", "base-hp00", "error")
 @pytest.fixture(scope="module")
 def results():
     ds = build_synth_dataset(17, ["AT", "DE"], [2009], HOURS)
-    out = {spec.name: run_cell(ds, spec, 2009) for spec in base_specs([2009], HOURS)}
+    out = {spec.name: run_cell(ds, spec, 2009) for spec in specs_for_selector("base", [2009], HOURS)}
     out["error"] = run_cell(ds, ScenarioSpec("error", 0.0, None, "base", [2009], HOURS * 10), 2009)
     assert out["error"].status == "error"
     assert all(out[name].ok for name in CELLS[:3])

@@ -6,19 +6,18 @@ import pytest
 
 from heatgrid.dataset import build_synth_dataset
 from heatgrid.scenarios import (
+    VARIANTS,
     ScenarioError,
     ScenarioSpec,
     UnknownVariant,
-    apply_variant,
-    base_specs,
     load_result,
     load_results,
     make_instance,
     persist_result,
-    robustness_specs,
     run_cell,
     run_matrix,
     specs_for_selector,
+    variant_tables,
 )
 from heatgrid.staticdata import Bounds, load_static
 
@@ -32,19 +31,19 @@ def dataset():
 
 
 def test_base_matrix_is_exactly_three_runs():
-    specs = base_specs(YEARS, HOURS)
+    specs = specs_for_selector("base", YEARS, HOURS)
     assert [(s.heat_share, s.ep) for s in specs] == [(0.0, None), (0.25, 0.0), (0.25, 2.0)]
     with pytest.raises(ScenarioError):
         ScenarioSpec("bad", 0.5, 2.0, "base", YEARS, HOURS)
 
 
-def test_robustness_specs_pair_zero_with_two_hour_tank():
-    specs = robustness_specs("no_ntc", YEARS, HOURS)
+def test_robustness_runs_pair_zero_with_two_hour_tank():
+    specs = specs_for_selector("no_ntc", YEARS, HOURS)
     assert [(s.heat_share, s.ep) for s in specs] == [(0.0, None), (0.25, 2.0)]
     with pytest.raises(ScenarioError):
         ScenarioSpec("bad", 0.25, 0.0, "no_ntc", YEARS, HOURS)
     with pytest.raises(UnknownVariant):
-        robustness_specs("banana", YEARS, HOURS)
+        ScenarioSpec("bad", 0.0, None, "banana", YEARS, HOURS)
 
 
 def test_selector_expansion():
@@ -55,78 +54,76 @@ def test_selector_expansion():
         specs_for_selector("nope", YEARS, HOURS)
 
 
-def spec_for(variant, dataset, share=0.0, ep=None):
-    return ScenarioSpec(f"{variant}-x", share, ep, variant, YEARS, HOURS)
+def test_selector_all_is_the_scenario_matrix_in_order():
+    specs = specs_for_selector("all", YEARS, HOURS)
+    assert [(s.name, s.variant, s.heat_share, s.ep) for s in specs] == [
+        ("base-hp00", "base", 0.0, None),
+        ("base-hp25-ep0", "base", 0.25, 0.0),
+        ("base-hp25-ep2", "base", 0.25, 2.0),
+        ("gas_free-hp00", "gas_free", 0.0, None),
+        ("gas_free-hp25-ep2", "gas_free", 0.25, 2.0),
+        ("half_nuc-hp00", "half_nuc", 0.0, None),
+        ("half_nuc-hp25-ep2", "half_nuc", 0.25, 2.0),
+        ("no_coal-hp00", "no_coal", 0.0, None),
+        ("no_coal-hp25-ep2", "no_coal", 0.25, 2.0),
+        ("no_ntc-hp00", "no_ntc", 0.0, None),
+        ("no_ntc-hp25-ep2", "no_ntc", 0.25, 2.0),
+        ("wind_cap-hp00", "wind_cap", 0.0, None),
+        ("wind_cap-hp25-ep2", "wind_cap", 0.25, 2.0),
+    ]
+    assert {(s.weather_years, s.window_hours) for s in specs} == {(tuple(YEARS), HOURS)}
 
 
 class TestApplyVariant:
-    def test_half_nuc_on_published_bounds(self, dataset):
+    def test_half_nuc_on_published_bounds(self):
         # France nuclear pinned at 61.8 GW halves to 30.9 GW.
-        spec0 = ScenarioSpec("b", 0.0, None, "base", YEARS, HOURS)
-        inst = make_instance(dataset, spec0, 2009)
         static = load_static()
-        inst = inst.replace_bounds(static.bounds, inst.ntc)
-        object.__setattr__(inst, "base_bounds", static.bounds)
-        halved = apply_variant(inst, spec_for("half_nuc", dataset))
-        assert halved.bounds.gen("FR", "nuclear") == Bounds(30900.0, 30900.0)
-        assert halved.bounds.gen("NL", "nuclear") == Bounds(250.0, 250.0)
+        bounds, _ = variant_tables(static.bounds, static.ntc, "half_nuc")
+        assert bounds.gen("FR", "nuclear") == Bounds(30900.0, 30900.0)
+        assert bounds.gen("NL", "nuclear") == Bounds(250.0, 250.0)
 
-    def test_wind_cap_on_published_bounds(self, dataset):
-        spec0 = ScenarioSpec("b", 0.0, None, "base", YEARS, HOURS)
-        inst = make_instance(dataset, spec0, 2009)
+    def test_wind_cap_on_published_bounds(self):
         static = load_static()
-        inst = inst.replace_bounds(static.bounds, inst.ntc)
-        object.__setattr__(inst, "base_bounds", static.bounds)
-        capped = apply_variant(inst, spec_for("wind_cap", dataset))
-        de = capped.bounds.gen("DE", "wind_onshore")
-        assert de == Bounds(64000.0, 96000.0)  # 64 GW -> 1.5x
-        assert capped.bounds.gen("BE", "wind_offshore") == Bounds(2300.0, 3450.0)
+        bounds, _ = variant_tables(static.bounds, static.ntc, "wind_cap")
+        assert bounds.gen("DE", "wind_onshore") == Bounds(64000.0, 96000.0)  # 64 GW -> 1.5x
+        assert bounds.gen("BE", "wind_offshore") == Bounds(2300.0, 3450.0)
 
     def test_gas_free_drops_lower_bound_only(self, dataset):
-        spec0 = ScenarioSpec("b", 0.0, None, "base", YEARS, HOURS)
-        inst = make_instance(dataset, spec0, 2009)
-        before = inst.bounds.gen("DE", "ccgt")
-        after = apply_variant(inst, spec_for("gas_free", dataset)).bounds.gen("DE", "ccgt")
+        before = dataset.bounds.gen("DE", "ccgt")
+        after = variant_tables(dataset.bounds, dataset.ntc, "gas_free")[0].gen("DE", "ccgt")
         assert before.low > 0.0
         assert after.low == 0.0
         assert after.up == before.up
 
     def test_no_coal_removes_both_fuels(self, dataset):
-        spec0 = ScenarioSpec("b", 0.0, None, "base", YEARS, HOURS)
-        inst = make_instance(dataset, spec0, 2009)
-        out = apply_variant(inst, spec_for("no_coal", dataset))
-        for c in inst.countries:
-            assert out.bounds.gen(c, "hard_coal") == Bounds(0.0, 0.0)
-            assert out.bounds.gen(c, "lignite") == Bounds(0.0, 0.0)
+        bounds, _ = variant_tables(dataset.bounds, dataset.ntc, "no_coal")
+        for c in dataset.countries:
+            assert bounds.gen(c, "hard_coal") == Bounds(0.0, 0.0)
+            assert bounds.gen(c, "lignite") == Bounds(0.0, 0.0)
 
     def test_no_ntc_empties_the_matrix(self, dataset):
-        spec0 = ScenarioSpec("b", 0.0, None, "base", YEARS, HOURS)
-        inst = make_instance(dataset, spec0, 2009)
-        assert inst.ntc.limits_mw
-        assert not apply_variant(inst, spec_for("no_ntc", dataset)).ntc.limits_mw
+        bounds, ntc = variant_tables(dataset.bounds, dataset.ntc, "no_ntc")
+        assert dataset.ntc.limits_mw
+        assert not ntc.limits_mw
+        assert bounds == dataset.bounds
 
-    @pytest.mark.parametrize("variant", ["gas_free", "half_nuc", "no_coal", "no_ntc", "wind_cap"])
-    def test_idempotent(self, dataset, variant):
-        spec0 = ScenarioSpec("b", 0.0, None, "base", YEARS, HOURS)
-        inst = make_instance(dataset, spec0, 2009)
-        spec = spec_for(variant, dataset)
-        once = apply_variant(inst, spec)
-        twice = apply_variant(once, spec)
-        assert twice.bounds.gen_mw == once.bounds.gen_mw
-        assert twice.ntc.limits_mw == once.ntc.limits_mw
-
-    def test_commutes_with_window_selection(self, dataset):
-        # Variants touch bounds/NTC only, windows touch series only.
-        spec24 = ScenarioSpec("b", 0.0, None, "half_nuc", YEARS, 24)
-        inst_full = make_instance(dataset, ScenarioSpec("b", 0.0, None, "base", YEARS, HOURS), 2009)
-        varied_then_windowed = apply_variant(inst_full, spec24).bounds
-        windowed_then_varied = make_instance(dataset, spec24, 2009).bounds
-        assert varied_then_windowed.gen_mw == windowed_then_varied.gen_mw
+    def test_instance_carries_the_variant_tables_at_any_window(self, dataset):
+        # A variant is applied to the dataset's base tables only, so the
+        # instance's tables are the same at every window length, and the
+        # dataset's own tables are left as they were.
+        gen_before, ntc_before = dict(dataset.bounds.gen_mw), dict(dataset.ntc.limits_mw)
+        for hours in (24, HOURS):
+            for variant in VARIANTS:
+                inst = make_instance(dataset, ScenarioSpec("v", 0.0, None, variant, YEARS, hours), 2009)
+                bounds, ntc = variant_tables(dataset.bounds, dataset.ntc.restrict(inst.countries), variant)
+                assert inst.bounds == bounds
+                assert inst.ntc == ntc
+        assert dataset.bounds.gen_mw == gen_before and dataset.ntc.limits_mw == ntc_before
 
 
 class TestRunMatrix:
     def test_cardinality_three_specs_times_two_years(self, dataset, tmp_path):
-        results = run_matrix(dataset, base_specs(YEARS, HOURS), out_dir=tmp_path / "out")
+        results = run_matrix(dataset, specs_for_selector("base", YEARS, HOURS), out_dir=tmp_path / "out")
         assert len(results) == 6
         assert all(r.ok for r in results)
         dirs = sorted(p.name for p in (tmp_path / "out").iterdir())
@@ -134,7 +131,7 @@ class TestRunMatrix:
         assert "base-hp00__y2009" in dirs
 
     def test_rerun_is_deterministic(self, dataset):
-        specs = base_specs([2009], HOURS)
+        specs = specs_for_selector("base", [2009], HOURS)
         a = run_matrix(dataset, specs)
         b = run_matrix(dataset, specs)
         assert [r.objective for r in a] == [r.objective for r in b]
@@ -174,7 +171,7 @@ class TestRunMatrix:
         assert result.ok and result.traceback is None and manifest["traceback"] is None
 
     def test_feasible_set_ordering_per_year(self, dataset):
-        results = run_matrix(dataset, base_specs(YEARS, HOURS))
+        results = run_matrix(dataset, specs_for_selector("base", YEARS, HOURS))
         objs = {(r.spec.name, r.year): r.objective for r in results}
         for year in YEARS:
             hp0 = objs[("base-hp00", year)]
@@ -184,7 +181,7 @@ class TestRunMatrix:
             assert ep2 <= ep0 + 1e-6 * abs(ep0)
 
     def test_parallel_jobs_match_serial(self, dataset):
-        specs = base_specs([2009], HOURS)
+        specs = specs_for_selector("base", [2009], HOURS)
         serial = run_matrix(dataset, specs, jobs=1)
         parallel = run_matrix(dataset, specs, jobs=2)
         assert [r.objective for r in serial] == [r.objective for r in parallel]
@@ -205,7 +202,7 @@ class TestRunMatrix:
 
 class TestPersistence:
     def test_round_trip_through_disk(self, dataset, tmp_path):
-        spec = base_specs([2009], HOURS)[2]
+        spec = specs_for_selector("base", [2009], HOURS)[2]
         result = run_cell(dataset, spec, 2009)
         assert result.ok
         cell_dir = persist_result(result, tmp_path)
@@ -221,7 +218,7 @@ class TestPersistence:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_manifest_carries_provenance_and_residuals(self, dataset, tmp_path):
-        spec = base_specs([2009], HOURS)[0]
+        spec = specs_for_selector("base", [2009], HOURS)[0]
         result = run_cell(dataset, spec, 2009)
         cell_dir = persist_result(result, tmp_path)
         loaded = load_result(cell_dir)
@@ -235,7 +232,7 @@ class TestPersistence:
         import heatgrid.scenarios as scenarios
 
         stages = ["make_instance_s", "build_s", "solve_s", "extract_s", "verify_s", "validate_s"]
-        result = run_cell(dataset, base_specs([2009], HOURS)[2], 2009)
+        result = run_cell(dataset, specs_for_selector("base", [2009], HOURS)[2], 2009)
         manifest = json.loads((persist_result(result, tmp_path / "ok") / "manifest.json").read_text())
         assert list(manifest["timings"]) == sorted(stages)
         assert manifest["timings"] == result.timings
@@ -249,7 +246,7 @@ class TestPersistence:
             raise RuntimeError("solver gone")
 
         monkeypatch.setattr(scenarios, "solve", solve_that_breaks)
-        broken = run_cell(dataset, base_specs([2009], HOURS)[2], 2009)
+        broken = run_cell(dataset, specs_for_selector("base", [2009], HOURS)[2], 2009)
         assert broken.status == "error"
         assert list(broken.timings) == ["make_instance_s", "build_s", "solve_s"]
 
@@ -259,7 +256,7 @@ class TestCostDecomposition:
         # Additivity oracle: investment + fixed O&M + variable + storage
         # marginal recomputed from physical quantities reproduces the LP
         # objective.
-        for spec in base_specs([2009], HOURS):
+        for spec in specs_for_selector("base", [2009], HOURS):
             result = run_cell(dataset, spec, 2009)
             assert result.ok
             breakdown = result.solved.cost_breakdown
@@ -268,7 +265,7 @@ class TestCostDecomposition:
             assert breakdown["total"] == pytest.approx(total, rel=1e-12)
 
     def test_heat_supplied_matches_share_of_demand(self, dataset):
-        spec = base_specs([2009], HOURS)[2]  # 25%, two-hour tank
+        spec = specs_for_selector("base", [2009], HOURS)[2]  # 25%, two-hour tank
         result = run_cell(dataset, spec, 2009)
         bundles = dataset.window(2009, HOURS)
         expected = 0.25 * sum(
@@ -281,7 +278,7 @@ class TestCostDecomposition:
 
 def test_parallel_persistence_matches_serial_bytes(tmp_path):
     ds = build_synth_dataset(17, ["AT", "DE"], [2009], 30)
-    specs = base_specs([2009], 30)
+    specs = specs_for_selector("base", [2009], 30)
     run_matrix(ds, specs, out_dir=tmp_path / "serial", jobs=1)
     run_matrix(ds, specs, out_dir=tmp_path / "parallel", jobs=3)
     for cell in sorted(p.name for p in (tmp_path / "serial").iterdir()):
@@ -292,7 +289,7 @@ def test_parallel_persistence_matches_serial_bytes(tmp_path):
 
 
 def test_manifest_records_the_seed(dataset, tmp_path):
-    spec = base_specs([2009], HOURS)[0]
+    spec = specs_for_selector("base", [2009], HOURS)[0]
     result = run_cell(dataset, spec, 2009)
     loaded = load_result(persist_result(result, tmp_path))
     assert loaded.manifest["synth_seed"] == 21
@@ -300,16 +297,11 @@ def test_manifest_records_the_seed(dataset, tmp_path):
 
 def test_variants_preserve_bound_invariants(dataset):
     # Every variant yields bounds with low <= up on every entry.
-    from heatgrid.scenarios import VARIANTS
-
-    spec0 = ScenarioSpec("b", 0.0, None, "base", YEARS, HOURS)
-    inst = make_instance(dataset, spec0, 2009)
     for variant in VARIANTS:
-        spec = ScenarioSpec(f"{variant}-x", 0.0, None, variant, YEARS, HOURS)
-        out = apply_variant(inst, spec)
-        for b in out.bounds.gen_mw.values():
+        bounds, _ = variant_tables(dataset.bounds, dataset.ntc, variant)
+        for b in bounds.gen_mw.values():
             assert b.low <= b.up
-        for b in out.bounds.storage_energy_mwh.values():
+        for b in bounds.storage_energy_mwh.values():
             assert b.low <= b.up
 
 
