@@ -41,6 +41,8 @@ def _parse_years(text: str) -> list:
         raise ValueError(f"--years {text!r} is neither synth:N nor a comma list of years") from None
     if not years:
         raise ValueError(f"--years {text!r} names no weather year")
+    if len(set(years)) < len(years):  # a repeated year would run, and write, its cells twice
+        raise ValueError(f"--years {text!r} names a weather year more than once")
     return years
 
 

@@ -4,9 +4,8 @@ A :class:`Dataset` is what the scenario runner consumes. It can be built
 from ingested CSV series plus the bundled static tables, or synthesized
 at desk scale. In both cases each weather year maps to one flat
 ``{(country, quantity): HourlySeries}`` map, as :func:`~heatgrid.ingest.ingest_file`
-and :func:`~heatgrid.synth.synth_profiles` return it, and ``window(year, hours)``
-cuts the July-1-anchored window of every series and groups the result into
-:class:`~heatgrid.ingest.CountryBundle` objects.
+and :func:`~heatgrid.synth.synth_profiles` return it; each cell cuts its
+July-1-anchored window from that map (:func:`~heatgrid.scenarios.make_instance`).
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .ingest import CountryBundle, assemble_bundles, csv_chunks
-from .series import window_july_june
+from .ingest import csv_chunks
+from .series import SeriesError, _check_aligned
 from .staticdata import Bounds, BoundsTable, NtcMatrix, StaticData, load_static
 from .synth import synth_profiles
 
@@ -31,7 +30,7 @@ class Dataset:
     bounds: BoundsTable  # capacity bounds actually used by the model
     ntc: NtcMatrix
     bioenergy_cap_mwh_yr: dict  # country -> MWh per (full) year
-    series: dict  # year -> {(country, quantity): HourlySeries}, windowed on request
+    series: dict  # year -> {(country, quantity): HourlySeries}, windowed per cell
     provenance: str  # sha256 over canonical serializations
     synth_seed: int | None = None  # set when synthesized, recorded in manifests
 
@@ -42,11 +41,6 @@ class Dataset:
     @property
     def countries(self) -> list:
         return sorted({country for country, _ in self.series[self.years[0]]})
-
-    def window(self, year: int, hours: int) -> dict[str, CountryBundle]:
-        if year not in self.series:
-            raise KeyError(f"year {year} not in dataset (have {self.years})")
-        return assemble_bundles({key: window_july_june(ser, year, hours) for key, ser in self.series[year].items()})
 
 
 def _provenance(series: dict, static: StaticData, bounds: BoundsTable, ntc: NtcMatrix, bio: dict) -> str:
@@ -149,12 +143,18 @@ def build_synth_dataset(seed: int, countries, years, hours: int, static: StaticD
 def build_ingested_dataset(series_map: dict, years, static: StaticData | None = None) -> Dataset:
     """Dataset from ingested series plus the bundled static tables.
 
-    Windowing happens lazily per (year, hours) request, so a window the
-    source does not cover surfaces as a per-cell CoverageError in the
-    runner instead of failing the whole batch up front.
+    A country without a load series, or whose series differ in start or
+    length, fails here. Windows are cut per cell, so a window the source
+    does not cover surfaces as a per-cell CoverageError in the runner
+    instead of failing the whole batch up front.
     """
     static = static if static is not None else load_static()
-    countries = sorted(assemble_bundles(series_map))  # a country without a load series fails here
+    countries = sorted({country for country, _ in series_map})
+    for country in countries:
+        load = series_map.get((country, "electric_load_MW"))
+        if load is None:
+            raise SeriesError(f"{country}: no electric_load_MW series")
+        _check_aligned([load, *(ser for (c, _), ser in series_map.items() if c == country)])
     ntc = static.ntc.restrict(countries)
     bio = {c: static.bioenergy_cap_mwh_yr.get(c, 0.0) for c in countries}
     provenance = _provenance({"all-years": series_map}, static, static.bounds, ntc, bio)

@@ -95,12 +95,6 @@ class HeatPumpFleet:
             sum(u.electricity_input_capacity_mw_el for u in us),
         )
 
-    def merge(self, other: "HeatPumpFleet") -> "HeatPumpFleet":
-        overlap = set(self.units) & set(other.units)
-        if overlap:
-            raise ValueError(f"fleets overlap on {sorted(overlap)}")
-        return HeatPumpFleet({**self.units, **other.units})
-
 
 @dataclass(frozen=True)
 class HeatTrajectory:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Iterator
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import compress, islice
 from operator import itemgetter
@@ -47,9 +46,6 @@ from .ids import (
     check_country,
 )
 from .series import (
-    AlignmentError,
-    CopSet,
-    HeatDemandSet,
     HourlySeries,
     MissingValue,
     SeriesError,
@@ -201,8 +197,8 @@ def _is_float(text: str) -> bool:
 def csv_chunks(series_map: dict[tuple[str, str], HourlySeries]) -> Iterator[str]:
     """Canonical CSV text for a series map: the header, then one chunk per series.
 
-    A bundle's series share one timestamp column, formatted once per (start,
-    length). No field needs quoting: names are checked, values are float reprs.
+    Series of one (start, length) share one timestamp column, formatted once.
+    No field needs quoting: names are checked, values are float reprs.
     """
     yield ",".join(HEADER) + "\n"
     stamps: dict = {}
@@ -219,66 +215,3 @@ def csv_chunks(series_map: dict[tuple[str, str], HourlySeries]) -> Iterator[str]
 def emit_csv(series_map: dict[tuple[str, str], HourlySeries]) -> str:
     """Canonical CSV text for a series map (inverse of ingest_file)."""
     return "".join(csv_chunks(series_map))
-
-
-@dataclass(frozen=True)
-class CountryBundle:
-    """All hourly inputs of one country over one contiguous horizon."""
-
-    country: str
-    load: HourlySeries
-    availability: dict  # tech -> HourlySeries
-    heat_demand: HeatDemandSet
-    cops: CopSet
-    inflow: HourlySeries | None
-
-    def __post_init__(self):
-        series = [self.load, *self.availability.values()]
-        series += [*self.heat_demand.profiles.values(), *self.cops.profiles.values()]
-        if self.inflow is not None:
-            series.append(self.inflow)
-        starts = {(s.start, len(s)) for s in series}
-        if len(starts) > 1:
-            raise AlignmentError(f"{self.country}: bundle series misaligned: {starts}")
-
-    @property
-    def hours(self) -> int:
-        return len(self.load)
-
-
-def assemble_bundles(series_map: dict[tuple[str, str], HourlySeries]) -> dict[str, CountryBundle]:
-    """Group a flat series map into per-country bundles."""
-    countries = sorted({country for country, _ in series_map})
-    bundles = {}
-    for country in countries:
-        load = None
-        availability = {}
-        heat_profiles = {}
-        cop_profiles = {}
-        inflow = None
-        for (c, fullq), ser in series_map.items():
-            if c != country:
-                continue
-            base, subs = parse_quantity(fullq)
-            if base == "electric_load_MW":
-                load = ser
-            elif base == "availability_factor":
-                availability[subs[0]] = ser
-            elif base == "heat_demand_MWth":
-                heat_profiles[(subs[0], subs[1])] = ser
-            elif base == "cop":
-                cop_profiles[(subs[0], subs[1])] = ser
-            elif base == "hydro_inflow_MWh":
-                inflow = ser
-        if load is None:
-            raise SeriesError(f"{country}: no electric_load_MW series")
-        bundles[country] = CountryBundle(
-            country=country,
-            load=load,
-            availability=availability,
-            heat_demand=HeatDemandSet(country, heat_profiles),
-            cops=CopSet(country, cop_profiles),
-            inflow=inflow,
-        )
-    return bundles
-

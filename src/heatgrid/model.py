@@ -42,6 +42,7 @@ from .heat import (
     electricity_for_heat,
     fixed_trajectory,
     required_heat_output,
+    size_fleet,
 )
 from .ids import HOURS_PER_YEAR, INFLOW_STORAGES
 from .lp import INF, LinearProgram
@@ -96,7 +97,9 @@ class HeatBlock:
     targets_mw: dict  # country -> {(bt,st,hpt): np.ndarray}
 
     @classmethod
-    def build(cls, config: HeatConfig, demand: dict, cops: dict, fleet: HeatPumpFleet) -> "HeatBlock":
+    def build(cls, config: HeatConfig, demand: dict, cops: dict) -> "HeatBlock":
+        """Size each country's fleet (:func:`size_fleet`) and its heat-output targets."""
+        fleet = HeatPumpFleet({c: size_fleet(config, d, cops[c]).units[c] for c, d in demand.items()})
         targets = {c: required_heat_output(config, d) for c, d in demand.items()}
         return cls(config=config, demand=demand, cops=cops, fleet=fleet, targets_mw=targets)
 

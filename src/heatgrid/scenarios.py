@@ -38,12 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset
-from .heat import HeatConfig, HeatPumpFleet, size_fleet, validate_trajectory
+from .heat import HeatConfig, validate_trajectory
 from .ids import HOURS_PER_YEAR
+from .ingest import parse_quantity
 from .lp import LinearProgram
 from .model import HeatBlock, SolvedSystem, SystemInstance, build_model, extract_solved
 from .mps import export_mps as write_mps
-from .series import ModelWindow
+from .series import CopSet, HeatDemandSet, ModelWindow, window_july_june
 from .solver import ResidualReport, Solution, solve, verify
 from .staticdata import Bounds, BoundsTable, NtcMatrix
 
@@ -142,30 +143,33 @@ def variant_tables(bounds: BoundsTable, ntc: NtcMatrix, variant: str) -> tuple[B
 
 
 def make_instance(dataset: Dataset, spec: ScenarioSpec, year: int) -> SystemInstance:
-    """Window the dataset and assemble the instance on the variant's tables."""
-    bundles = dataset.window(year, spec.window_hours)
-    countries = tuple(sorted(bundles))
-    loads = {c: bundles[c].load.values for c in countries}
-    availability = {
-        (c, tech): ser.values
-        for c in countries
-        for tech, ser in bundles[c].availability.items()
-    }
-    inflow = {
-        c: bundles[c].inflow.values for c in countries if bundles[c].inflow is not None
-    }
+    """Window each series of the year's map and assemble the instance on the variant's tables."""
+    if year not in dataset.series:
+        raise KeyError(f"year {year} not in dataset (have {dataset.years})")
+    countries = tuple(sorted({country for country, _ in dataset.series[year]}))
+    loads, availability, inflow = {}, {}, {}
+    demand, cops = {c: {} for c in countries}, {c: {} for c in countries}  # country -> {subkeys: HourlySeries}
+    for (c, fullq), ser in dataset.series[year].items():
+        ser = window_july_june(ser, year, spec.window_hours)
+        base, subs = parse_quantity(fullq)
+        if base == "electric_load_MW":
+            loads[c] = ser.values
+        elif base == "availability_factor":
+            availability[(c, *subs)] = ser.values
+        elif base == "hydro_inflow_MWh":
+            inflow[c] = ser.values
+        elif base == "heat_demand_MWth":
+            demand[c][subs] = ser
+        else:  # cop
+            cops[c][subs] = ser
 
     heat_block = None
     if spec.has_heat:
-        config = HeatConfig.uniform(spec.heat_share, spec.ep, hpt="air")
-        fleet = HeatPumpFleet({})
-        demand = {}
-        cops = {}
-        for c in countries:
-            demand[c] = bundles[c].heat_demand
-            cops[c] = bundles[c].cops
-            fleet = fleet.merge(size_fleet(config, bundles[c].heat_demand, bundles[c].cops))
-        heat_block = HeatBlock.build(config, demand, cops, fleet)
+        heat_block = HeatBlock.build(
+            HeatConfig.uniform(spec.heat_share, spec.ep, hpt="air"),
+            {c: HeatDemandSet(c, demand[c]) for c in countries},
+            {c: CopSet(c, cops[c]) for c in countries},
+        )
 
     bounds, ntc = variant_tables(dataset.bounds, dataset.ntc.restrict(countries), spec.variant)
     return SystemInstance(
@@ -552,6 +556,12 @@ def _read_table(cell_dir: Path, table: CellTable, hours: int) -> dict:
     return dict(zip(keys, zip(*values)))
 
 
+_READ_FIELDS = {  # manifest field analysis reads -> the JSON types it may hold
+    "status": (str,), "year": (int,), "scenario.name": (str,), "scenario.variant": (str,),
+    "scenario.heat_share": (int, float), "scenario.ep": (int, float, type(None)),
+}
+
+
 def load_result(cell_dir) -> PersistedResult:
     cell_dir = Path(cell_dir)
     manifest_path = cell_dir / "manifest.json"
@@ -567,6 +577,14 @@ def load_result(cell_dir) -> PersistedResult:
     hours = scenario.get("window_hours")
     if type(hours) is not int or hours < 1:
         raise ValueError(f"{manifest_path}: field scenario.window_hours is {hours!r}, not a positive integer")
+    for name, kinds in _READ_FIELDS.items():
+        *parent, leaf = name.split(".")
+        fields = scenario if parent else manifest
+        if leaf not in fields:
+            raise ValueError(f"{manifest_path}: no field {name}")
+        if type(fields[leaf]) not in kinds:
+            kind_names = " or ".join(kind.__name__ for kind in kinds)
+            raise ValueError(f"{manifest_path}: field {name} is {fields[leaf]!r}, not {kind_names}")
     caps, dispatch, flows, heat, costs = (_read_table(cell_dir, table, hours).items() for table in CELL_TABLES)
     capacities: dict = {}
     for (c, kind, name), (mw,) in caps:

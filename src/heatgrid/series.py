@@ -203,10 +203,6 @@ class HeatDemandSet:
                 )
         _check_aligned(self.profiles.values())
 
-    @property
-    def empty(self) -> bool:
-        return not self.profiles
-
 
 @dataclass(frozen=True)
 class CopSet:
@@ -234,6 +230,7 @@ class CopSet:
 
 
 def _check_aligned(series) -> None:
+    """Raise AlignmentError, naming the country, unless all `series` share start and length."""
     series = list(series)
     if not series:
         return
@@ -241,5 +238,5 @@ def _check_aligned(series) -> None:
     for ser in series[1:]:
         if ser.start != start or len(ser) != n:
             raise AlignmentError(
-                f"series misaligned: ({ser.start}, {len(ser)}) vs ({start}, {n})"
+                f"{ser.country}: {ser.quantity} series misaligned: ({ser.start}, {len(ser)}) vs ({start}, {n})"
             )

@@ -12,7 +12,7 @@ climate that keeps the qualitative structure the model cares about:
   run-of-river and inflows peak in spring.
 
 Everything is driven by ``numpy.random.default_rng([seed, year, ...])``,
-so identical (seed, countries, hours) calls return identical bundles.
+so identical (seed, countries, hours) calls return identical series maps.
 No heat rollout is generated for Switzerland, mirroring the real dataset.
 """
 
@@ -53,7 +53,7 @@ def _temperature(rng, hours: int, offset: float) -> np.ndarray:
 def synth_profiles(
     seed: int, countries, hours: int, start_year: int = 2009
 ) -> dict[tuple[str, str], HourlySeries]:
-    """Generate one July-anchored bundle of hourly series per country.
+    """Generate July-anchored hourly series for each country.
 
     Returns a flat series map keyed (country, quantity-string), the same
     shape :func:`heatgrid.ingest.ingest_file` produces, so synthetic and

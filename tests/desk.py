@@ -6,9 +6,10 @@ from datetime import timedelta
 
 import numpy as np
 
-from heatgrid.heat import HeatConfig, size_fleet
+from heatgrid.heat import HeatConfig
 from heatgrid.lp import LinearProgram
 from heatgrid.model import HeatBlock, SystemInstance
+from heatgrid.scenarios import make_instance, specs_for_selector
 from heatgrid.series import CopSet, HeatDemandSet, HourlySeries, ModelWindow, utc, window_july_june
 from heatgrid.staticdata import Bounds, BoundsTable, NtcMatrix, TechnologySpec
 
@@ -33,20 +34,23 @@ def noleap_walk(start, hours: int) -> list:
 
 
 def assert_window_of_flat_map(dataset, year: int, hours: int, series_map: dict) -> None:
-    """Every series of ``dataset.window(year, hours)`` is the July-June window of its series in `series_map`."""
-    seen = {}
-    for country, b in dataset.window(year, hours).items():
-        seen[(country, "electric_load_MW")] = b.load
-        seen.update({(country, f"availability_factor.{t}"): s for t, s in b.availability.items()})
-        seen.update({(country, f"heat_demand_MWth.{bt}.{st}"): s for (bt, st), s in b.heat_demand.profiles.items()})
-        seen.update({(country, f"cop.{st}.{hpt}"): s for (st, hpt), s in b.cops.profiles.items()})
-        if b.inflow is not None:
-            seen[(country, "hydro_inflow_MWh")] = b.inflow
+    """Every array of a heat cell's instance is the July-June window of its series in `series_map`."""
+    inst = make_instance(dataset, specs_for_selector("base", [year], hours)[2], year)  # 25%, two-hour tank
+    profiles = {}
+    for c in inst.countries:
+        profiles.update({(c, f"heat_demand_MWth.{bt}.{st}"): s for (bt, st), s in inst.heat.demand[c].profiles.items()})
+        profiles.update({(c, f"cop.{st}.{hpt}"): s for (st, hpt), s in inst.heat.cops[c].profiles.items()})
+    seen = {key: s.values for key, s in profiles.items()}
+    seen.update({(c, "electric_load_MW"): arr for c, arr in inst.loads_mw.items()})
+    seen.update({(c, f"availability_factor.{t}"): arr for (c, t), arr in inst.availability.items()})
+    seen.update({(c, "hydro_inflow_MWh"): arr for c, arr in inst.inflow_mwh.items()})
     assert sorted(seen) == sorted(series_map)
     for key, ser in series_map.items():
         ref = window_july_june(ser, year, hours)
-        assert (seen[key].start, seen[key].quantity, len(seen[key])) == (ref.start, ref.quantity, hours)
-        np.testing.assert_array_equal(seen[key].values, ref.values)
+        if key in profiles:
+            assert (profiles[key].start, profiles[key].quantity) == (ref.start, ref.quantity)
+        assert seen[key].shape == (hours,)
+        np.testing.assert_array_equal(seen[key], ref.values)
 
 
 def tech(
@@ -83,8 +87,7 @@ def heat_block(country, share, ep, hd_values, cop_values):
     cops = CopSet(country, {("space", "air"): series(country, "cop", cop_values)})
     key = ("single_family", "space", "air")
     config = HeatConfig(shares={key: share}, ep_hours={key: ep})
-    fleet = size_fleet(config, demand, cops)
-    return HeatBlock.build(config, {country: demand}, {country: cops}, fleet)
+    return HeatBlock.build(config, {country: demand}, {country: cops})
 
 
 def instance(

@@ -7,6 +7,7 @@ import pytest
 
 from heatgrid.cli import main
 from heatgrid.ingest import emit_csv
+from heatgrid.series import HourlySeries, utc
 from heatgrid.staticdata import emit_static, load_static
 from heatgrid.synth import synth_profiles
 
@@ -199,6 +200,7 @@ def test_run_with_failing_cell_exits_two(tmp_path, capsys):
         (["--countries", "XX"], "unknown country code 'XX'"),
         (["--hours", "9000"], "window_hours 9000 not in [1, 8760]"),
         (["--jobs", "-2"], "--jobs -2 is below 1"),
+        (["--years", "2009,2009", "--jobs", "2"], "--years '2009,2009' names a weather year more than once"),
     ],
 )
 def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message):
@@ -263,6 +265,38 @@ def test_run_static_failure_names_its_file(tmp_path, capsys, text, message):
     assert captured.out == "" and not out.exists()
 
 
+def _drop_fr_load(series_map):
+    del series_map[("FR", "electric_load_MW")]
+
+
+def _late_de_cop(series_map):
+    cop = series_map[("DE", "cop.space.air")]
+    series_map[("DE", "cop.space.air")] = HourlySeries("DE", "cop", utc(2009, 7, 1, 1), cop.values[1:])
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop_fr_load, "run error: FR: no electric_load_MW series"),
+        (_late_de_cop, "run error: DE: cop series misaligned: (2009-07-01 01:00:00+00:00, 47)"),
+    ],
+)
+def test_run_rejects_a_cache_country_before_any_cell(tmp_path, capsys, corrupt, message):
+    series_map = synth_profiles(3, ["DE", "FR"], 48)
+    corrupt(series_map)
+    src = tmp_path / "input.csv"
+    src.write_text(emit_csv(series_map))
+    cache = tmp_path / "cache"
+    assert main(["ingest", str(src), "--out", str(cache)]) == 0  # each series is sound on its own
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["run", "--dataset", str(cache), "--years", "2009", "--hours", "24", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()]  # one line
+    assert captured.err.startswith(message)
+    assert captured.out == "" and not out.exists()
+
+
 def test_run_without_series_cache_exits_one(tmp_path, capsys):
     code = main(["run", "--dataset", str(tmp_path), "--hours", "24", "--out", str(tmp_path / "run")])
     assert code == 1
@@ -281,22 +315,38 @@ def _swap_header(cell):
     (cell / "flows.csv").write_text(text.replace("hour,from,to,", "hour,to,from,", 1))
 
 
-def _foreign_schema(cell):
+def _edit_manifest(cell, edit):
     manifest = json.loads((cell / "manifest.json").read_text())
-    manifest["schema"] = "other-result-v9"
+    edit(manifest)
     (cell / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _foreign_schema(cell):
+    _edit_manifest(cell, lambda m: m.update(schema="other-result-v9"))
 
 
 def _zero_window_hours(cell):
-    manifest = json.loads((cell / "manifest.json").read_text())
-    manifest["scenario"]["window_hours"] = 0
-    (cell / "manifest.json").write_text(json.dumps(manifest))
+    _edit_manifest(cell, lambda m: m["scenario"].update(window_hours=0))
 
 
 def _drop_scenario(cell):
-    manifest = json.loads((cell / "manifest.json").read_text())
-    del manifest["scenario"]
-    (cell / "manifest.json").write_text(json.dumps(manifest))
+    _edit_manifest(cell, lambda m: m.pop("scenario"))
+
+
+def _drop_status(cell):
+    _edit_manifest(cell, lambda m: m.pop("status"))
+
+
+def _drop_year(cell):
+    _edit_manifest(cell, lambda m: m.pop("year"))
+
+
+def _drop_variant(cell):
+    _edit_manifest(cell, lambda m: m["scenario"].pop("variant"))
+
+
+def _text_year(cell):
+    _edit_manifest(cell, lambda m: m.update(year=str(m["year"])))
 
 
 def _drop_total_cost(cell):
@@ -317,6 +367,10 @@ def _drop_electric_load(cell):
         (_foreign_schema, "manifest.json: not a heatgrid-result-v1 manifest"),
         (_zero_window_hours, "manifest.json: field scenario.window_hours is 0, not a positive integer"),
         (_drop_scenario, "manifest.json: field scenario is not a mapping"),
+        (_drop_status, "manifest.json: no field status"),
+        (_drop_year, "manifest.json: no field year"),
+        (_drop_variant, "manifest.json: no field scenario.variant"),
+        (_text_year, "manifest.json: field year is '2010', not int"),
         (_drop_total_cost, "costs.csv: no total row"),
         (_drop_electric_load, "dispatch.csv: no load,electric run for DE"),
     ],

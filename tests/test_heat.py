@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from heatgrid.heat import (
     DivisionDomain,
-    FleetUnit,
     HeatConfig,
-    HeatPumpFleet,
     HeatTrajectory,
     electricity_for_heat,
     fixed_trajectory,
@@ -197,15 +195,6 @@ def test_total_electricity_non_increasing_under_cop_increase(hours, seed):
     cop = rng.uniform(1.2, 4.0, hours)
     better = cop + rng.uniform(0, 1.5, hours)
     assert electricity_for_heat(hi, better).sum() <= electricity_for_heat(hi, cop).sum() + 1e-12
-
-
-def test_fleet_merge_disjoint_countries():
-    a = HeatPumpFleet({"DE": {KEY: FleetUnit(1.0, 2.0, 0.5)}})
-    b = HeatPumpFleet({"FR": {KEY: FleetUnit(2.0, 4.0, 1.0)}})
-    merged = a.merge(b)
-    assert set(merged.units) == {"DE", "FR"}
-    with pytest.raises(ValueError):
-        merged.merge(a)
 
 
 def test_reference_fleet_table_tank_is_two_hours_of_output():

@@ -10,15 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desk import assert_window_of_flat_map, noleap_walk
+from heatgrid.dataset import build_ingested_dataset
 from heatgrid.ingest import (
     BadHeader,
-    assemble_bundles,
     csv_chunks,
     emit_csv,
     ingest_file,
     parse_quantity,
 )
-from heatgrid.series import HourlySeries, MissingValue, OutOfRange, SeriesError, utc, window_july_june
+from heatgrid.scenarios import make_instance, specs_for_selector
+from heatgrid.series import (
+    AlignmentError,
+    HourlySeries,
+    MissingValue,
+    OutOfRange,
+    SeriesError,
+    utc,
+    window_july_june,
+)
 from heatgrid.synth import synth_profiles
 
 
@@ -169,15 +178,30 @@ def test_emit_ingest_round_trip_is_byte_identical(tmp_path):
         assert re_read[key].start == ser.start
 
 
-def test_assemble_bundles_collects_families():
-    series_map = synth_profiles(5, ["DE", "CH"], 24)
-    bundles = assemble_bundles(series_map)
-    assert sorted(bundles) == ["CH", "DE"]
-    de = bundles["DE"]
-    assert de.hours == 24
-    assert set(de.availability) == {"solar_pv", "wind_onshore", "wind_offshore", "run_of_river"}
-    assert len(de.heat_demand.profiles) == 6  # 3 building types x 2 sinks
-    assert bundles["CH"].heat_demand.empty
+def test_make_instance_files_each_family():
+    ds = build_ingested_dataset(synth_profiles(5, ["DE", "CH"], 24), [2009])
+    inst = make_instance(ds, specs_for_selector("base", [2009], 24)[2], 2009)  # 25%, two-hour tank
+    assert inst.countries == ("CH", "DE")
+    assert len(inst.loads_mw["DE"]) == 24
+    assert {t for c, t in inst.availability if c == "DE"} == {"solar_pv", "wind_onshore", "wind_offshore", "run_of_river"}
+    assert len(inst.heat.demand["DE"].profiles) == 6  # 3 building types x 2 sinks
+    assert inst.heat.demand["CH"].profiles == {}  # no heat rollout
+    assert inst.heat.fleet.country_units("CH") == {}
+
+
+def test_ingested_dataset_rejects_a_country_without_load():
+    series_map = synth_profiles(3, ["DE", "FR"], 48)
+    del series_map[("FR", "electric_load_MW")]
+    with pytest.raises(SeriesError, match="^FR: no electric_load_MW series$"):
+        build_ingested_dataset(series_map, [2009])
+
+
+def test_ingested_dataset_rejects_a_series_that_starts_late():
+    series_map = synth_profiles(3, ["DE", "FR"], 48)
+    cop = series_map[("DE", "cop.space.air")]
+    series_map[("DE", "cop.space.air")] = HourlySeries("DE", "cop", utc(2009, 7, 1, 1), cop.values[1:])
+    with pytest.raises(AlignmentError, match=r"^DE: cop series misaligned: \(2009-07-01 01:00:00\+00:00, 47\)"):
+        build_ingested_dataset(series_map, [2009])
 
 
 def test_ingest_series_requires_unique_match(tmp_path):
@@ -194,9 +218,6 @@ def test_multi_year_series_window_across_leap_boundary():
     # Two back-to-back synthetic years stitched into one long series; the
     # no-leap calendar puts July 1 2012 exactly 8760 hours after July 1
     # 2011 even though Feb 29 2012 lies in between.
-    from heatgrid.dataset import build_ingested_dataset
-    from heatgrid.series import HourlySeries, utc
-
     year_a = synth_profiles(3, ["DE"], 8760, start_year=2011)
     year_b = synth_profiles(3, ["DE"], 8760, start_year=2012)
     long_map = {}
@@ -209,25 +230,25 @@ def test_multi_year_series_window_across_leap_boundary():
             values=np.concatenate([ser_a.values, ser_b.values]),
         )
     ds = build_ingested_dataset(long_map, [2011, 2012])
-    win11 = ds.window(2011, 48)["DE"]
-    win12 = ds.window(2012, 48)["DE"]
-    assert win11.load.start == utc(2011, 7, 1)
-    assert win12.load.start == utc(2012, 7, 1)
+    win11, win12 = (make_instance(ds, specs_for_selector("base", [y], 48)[2], y) for y in (2011, 2012))
+    key = ("single_family", "space")
+    assert win11.heat.demand["DE"].profiles[key].start == utc(2011, 7, 1)
+    assert win12.heat.demand["DE"].profiles[key].start == utc(2012, 7, 1)
     load_a = year_a[("DE", "electric_load_MW")].values
     load_b = year_b[("DE", "electric_load_MW")].values
-    np.testing.assert_array_equal(win11.load.values, load_a[:48])
-    np.testing.assert_array_equal(win12.load.values, load_b[:48])
+    np.testing.assert_array_equal(win11.loads_mw["DE"], load_a[:48])
+    np.testing.assert_array_equal(win12.loads_mw["DE"], load_b[:48])
     # Heat profiles and COPs window consistently too.
-    key = ("single_family", "space")
     np.testing.assert_array_equal(
-        win12.heat_demand.profiles[key].values,
+        win12.heat.demand["DE"].profiles[key].values,
         year_b[("DE", "heat_demand_MWth.single_family.space")].values[:48],
+    )
+    np.testing.assert_array_equal(
+        win12.heat.cops["DE"].profiles[("space", "air")].values, year_b[("DE", "cop.space.air")].values[:48]
     )
 
 
 def test_ingested_dataset_provenance_and_windows():
-    from heatgrid.dataset import build_ingested_dataset
-
     series_map = synth_profiles(3, ["DE", "FR"], 8760 + 48)  # covers the 2009 and 2010 windows
     ds = build_ingested_dataset(series_map, [2009, 2010])
     # One map serves every year, hashed once; the digest is pinned.

@@ -206,7 +206,7 @@ def test_scale_invariance_of_variable_plus_investment():
 
 def test_mixed_tank_config_folds_and_emits_per_unit():
     # One unit has a two-hour tank (columns), the other none (folded).
-    from heatgrid.heat import HeatConfig, size_fleet
+    from heatgrid.heat import HeatConfig
     from heatgrid.model import HeatBlock, build_model, extract_solved
     from heatgrid.series import CopSet, HeatDemandSet, HourlySeries, utc
     from heatgrid.heat import validate_trajectory
@@ -223,8 +223,7 @@ def test_mixed_tank_config_folds_and_emits_per_unit():
         shares={("single_family", "space", "air"): 0.25, ("single_family", "water", "air"): 0.25},
         ep_hours={("single_family", "space", "air"): 2.0, ("single_family", "water", "air"): 0.0},
     )
-    fleet = size_fleet(cfg, demand, cops)
-    hb = HeatBlock.build(cfg, {"DE": demand}, {"DE": cops}, fleet)
+    hb = HeatBlock.build(cfg, {"DE": demand}, {"DE": cops})
     inst = simple_instance(loads=(1000.0, 700.0, 900.0, 800.0), heat=hb)
     lp = build_model(inst)
     space_cols = [n for n in lp.col_names if n.startswith("hl[DE,single_family,space")]
@@ -236,7 +235,7 @@ def test_mixed_tank_config_folds_and_emits_per_unit():
     solved = extract_solved(inst, lp, sol)
     traj = solved.heat["DE"]
     assert set(traj.keys) == {("single_family", "space", "air"), ("single_family", "water", "air")}
-    report = validate_trajectory(traj, fleet, hb.targets_mw["DE"], cops, "DE")
+    report = validate_trajectory(traj, hb.fleet, hb.targets_mw["DE"], cops, "DE")
     assert report.max_violation <= 1e-6
     # The folded unit is locked to HO = HI, E = HO/cop.
     water = ("single_family", "water", "air")

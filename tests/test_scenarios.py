@@ -19,6 +19,7 @@ from heatgrid.scenarios import (
     specs_for_selector,
     variant_tables,
 )
+from heatgrid.series import window_july_june
 from heatgrid.staticdata import Bounds, load_static
 
 YEARS = [2009, 2010]
@@ -267,11 +268,10 @@ class TestCostDecomposition:
     def test_heat_supplied_matches_share_of_demand(self, dataset):
         spec = specs_for_selector("base", [2009], HOURS)[2]  # 25%, two-hour tank
         result = run_cell(dataset, spec, 2009)
-        bundles = dataset.window(2009, HOURS)
         expected = 0.25 * sum(
-            ser.values.sum()
-            for b in bundles.values()
-            for ser in b.heat_demand.profiles.values()
+            window_july_june(ser, 2009, HOURS).values.sum()
+            for (_, quantity), ser in dataset.series[2009].items()
+            if quantity.startswith("heat_demand_MWth.")
         )
         assert result.solved.heat_supplied_mwh == pytest.approx(expected, rel=1e-9)
 

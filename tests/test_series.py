@@ -112,8 +112,8 @@ def test_heat_demand_set_alignment():
     HeatDemandSet("DE", {("single_family", "space"): hd})
     with pytest.raises(AlignmentError):
         HeatDemandSet("DE", {("single_family", "space"): hd, ("single_family", "water"): other})
-    # Empty set marks a country without heat rollout.
-    assert HeatDemandSet("CH", {}).empty
+    # An empty set is legal: it marks a country without heat rollout.
+    assert HeatDemandSet("CH", {}).profiles == {}
 
 
 def test_cop_set_checks_membership_and_country():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from desk import assert_window_of_flat_map
-from heatgrid.dataset import build_synth_dataset
-from heatgrid.ingest import assemble_bundles
+from heatgrid.dataset import build_ingested_dataset, build_synth_dataset
+from heatgrid.scenarios import make_instance, specs_for_selector
 from heatgrid.synth import synth_profiles
 
 
@@ -32,10 +32,10 @@ def test_availability_within_unit_interval():
 
 
 def test_all_series_pass_standard_validators():
-    # Construction runs the HourlySeries validators; bundle assembly checks
-    # alignment. Reaching the end without raising is the assertion.
-    bundles = assemble_bundles(synth_profiles(3, ["DE", "CH", "LU"], 72))
-    assert set(bundles) == {"DE", "CH", "LU"}
+    # Construction runs the HourlySeries validators; an ingested dataset checks
+    # each country's load and alignment. Reaching the end without raising is the assertion.
+    ds = build_ingested_dataset(synth_profiles(3, ["DE", "CH", "LU"], 72), [2009])
+    assert ds.countries == ["CH", "DE", "LU"]
 
 
 def test_winter_heat_demand_exceeds_summer():
@@ -69,8 +69,8 @@ def test_synth_dataset_structure():
     ds = build_synth_dataset(9, ["AT", "DE"], [2009, 2010], 48)
     assert ds.years == [2009, 2010]
     assert ds.countries == ["AT", "DE"]
-    windowed = ds.window(2010, 24)
-    assert windowed["DE"].hours == 24
+    windowed = make_instance(ds, specs_for_selector("base", [2010], 24)[0], 2010)
+    assert len(windowed.loads_mw["DE"]) == 24
     # NTC is symmetric between adjacent synthetic countries.
     assert ds.ntc.get("AT", "DE") == ds.ntc.get("DE", "AT") > 0
     # Identical parameters give an identical provenance hash.
