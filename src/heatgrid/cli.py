@@ -41,8 +41,6 @@ def _parse_years(text: str) -> list:
         raise ValueError(f"--years {text!r} is neither synth:N nor a comma list of years") from None
     if not years:
         raise ValueError(f"--years {text!r} names no weather year")
-    if len(set(years)) < len(years):  # a repeated year would run, and write, its cells twice
-        raise ValueError(f"--years {text!r} names a weather year more than once")
     return years
 
 
@@ -137,8 +135,8 @@ def cmd_analyze(args) -> int:
         if args.top_n < 1:
             raise ValueError(f"--top-n {args.top_n} is below 1")
         results = load_results(args.results)
-        skipped = [r for r in results if r.manifest["status"] != "optimal"]
-        results = [r for r in results if r.manifest["status"] == "optimal"]
+        skipped = [r for r in results if r.status != "optimal"]
+        results = [r for r in results if r.status == "optimal"]
         if skipped:
             print(f"skipping {len(skipped)} non-optimal cell(s)", file=sys.stderr)
         if not results:

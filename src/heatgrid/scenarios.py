@@ -13,9 +13,9 @@ year.
 Results persist one directory per (scenario, year) cell: the five tables
 of :data:`CELL_TABLES` (``capacities.csv``, ``dispatch.csv``,
 ``flows.csv``, ``heat.csv``, ``costs.csv``), each written and read back
-through its one declared layout, and a ``manifest.json`` (spec,
-provenance hash, solver stats, per-stage timings, residuals, an error
-cell's traceback), plus ``model.mps`` when MPS export is asked for.
+through its one declared layout, and a ``manifest.json`` whose fields
+are declared once, in :data:`MANIFEST_FIELDS`, plus ``model.mps`` when
+MPS export is asked for.
 Writes are atomic (temp dir, then rename), cells are independent and may
 run on threads of one process, and a failing cell is recorded without
 aborting the batch.
@@ -32,8 +32,11 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
+from types import NoneType
 
 import numpy as np
 
@@ -102,7 +105,9 @@ class ScenarioSpec:
             raise ScenarioError(f"{self.variant} runs {runs} do not contain {(self.heat_share, self.ep)}")
         if not 1 <= self.window_hours <= HOURS_PER_YEAR:
             raise ScenarioError(f"window_hours {self.window_hours} not in [1, {HOURS_PER_YEAR}]")
-        object.__setattr__(self, "weather_years", tuple(int(y) for y in self.weather_years))
+        object.__setattr__(self, "weather_years", years := tuple(int(y) for y in self.weather_years))
+        if len(set(years)) < len(years):  # its cells would run, and be written, twice
+            raise ScenarioError(f"weather year {max(years, key=years.count)} is listed more than once")
 
     @property
     def has_heat(self) -> bool:
@@ -196,15 +201,15 @@ class ScenarioResult:
     spec: ScenarioSpec
     year: int
     status: str
-    objective: float | None
-    solved: SolvedSystem | None
-    residual_report: ResidualReport | None
-    trajectory_reports: dict  # country -> TrajectoryReport
-    solver_stats: dict
     provenance: str
+    synth_seed: int | None = None
+    objective: float | None = None
+    solved: SolvedSystem | None = None
+    residual_report: ResidualReport | None = None
+    trajectory_reports: dict = field(default_factory=dict)  # country -> TrajectoryReport
+    solver_stats: dict = field(default_factory=dict)  # the solver.* manifest fields; empty in an error cell
     error: str | None = None
     traceback: str | None = None  # of the exception that made an error cell
-    synth_seed: int | None = None
     lp: LinearProgram | None = None  # kept only for MPS export
     timings: dict = field(default_factory=dict)  # stage -> seconds, of the stages that ran
 
@@ -213,9 +218,7 @@ class ScenarioResult:
         return self.status == "optimal" and self.error is None
 
 
-def run_cell(
-    dataset: Dataset, spec: ScenarioSpec, year: int, export_mps: bool = False
-) -> ScenarioResult:
+def run_cell(dataset: Dataset, spec: ScenarioSpec, year: int, export_mps: bool = False) -> ScenarioResult:
     """Build, solve, verify, and validate one matrix cell. Never raises.
 
     With `export_mps`, an optimal result keeps its LP in `lp`, and
@@ -223,6 +226,8 @@ def run_cell(
     wall time of each stage that ran, in seconds.
     """
     timings: dict = {}
+    cell = partial(ScenarioResult, spec, year, provenance=dataset.provenance, synth_seed=dataset.synth_seed,
+                   timings=timings)
     try:
         with _stage(timings, "make_instance_s"):
             instance = make_instance(dataset, spec, year)
@@ -231,37 +236,21 @@ def run_cell(
         with _stage(timings, "solve_s"):
             solution = solve(lp)
         if solution.status != "optimal":
-            return ScenarioResult(
-                spec=spec, year=year, status=solution.status, objective=None,
-                solved=None, residual_report=None, trajectory_reports={},
-                solver_stats=_stats(solution, lp), provenance=dataset.provenance,
-                synth_seed=dataset.synth_seed, timings=timings,
-            )
+            return cell(solution.status, solver_stats=_stats(solution))
         with _stage(timings, "extract_s"):
             solved = extract_solved(instance, lp, solution)
         with _stage(timings, "verify_s"):
             report = verify(lp, solution)
-        traj_reports = {}
-        with _stage(timings, "validate_s"):
-            if instance.heat is not None:
-                for c, traj in solved.heat.items():
-                    traj_reports[c] = validate_trajectory(
-                        traj, instance.heat.fleet, instance.heat.targets_mw.get(c, {}),
-                        instance.heat.cops[c], c,
-                    )
-        return ScenarioResult(
-            spec=spec, year=year, status="optimal", objective=solution.objective,
-            solved=solved, residual_report=report, trajectory_reports=traj_reports,
-            solver_stats=_stats(solution, lp), provenance=dataset.provenance,
-            synth_seed=dataset.synth_seed, lp=lp if export_mps else None, timings=timings,
+        with _stage(timings, "validate_s"):  # solved.heat is empty without heat pumps
+            hb = instance.heat
+            traj_reports = {c: validate_trajectory(traj, hb.fleet, hb.targets_mw.get(c, {}), hb.cops[c], c)
+                            for c, traj in solved.heat.items()}
+        return cell(
+            "optimal", objective=solution.objective, solved=solved, residual_report=report,
+            trajectory_reports=traj_reports, solver_stats=_stats(solution), lp=lp if export_mps else None,
         )
     except Exception as exc:  # cell isolation: record, don't abort the batch
-        return ScenarioResult(
-            spec=spec, year=year, status="error", objective=None, solved=None,
-            residual_report=None, trajectory_reports={}, solver_stats={},
-            provenance=dataset.provenance, error=f"{type(exc).__name__}: {exc}",
-            traceback=traceback.format_exc(), synth_seed=dataset.synth_seed, timings=timings,
-        )
+        return cell("error", error=f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
 
 
 @contextmanager
@@ -274,19 +263,9 @@ def _stage(timings: dict, name: str):
         timings[name] = time.perf_counter() - start
 
 
-def _stats(solution: Solution, lp) -> dict:
-    s = lp.stats()
-    return {
-        "backend": solution.backend,
-        "status": solution.status,
-        "iterations": solution.iterations,
-        "wall_time_s": solution.wall_time_s,
-        "highs_run_time_s": solution.highs_run_time_s,
-        "max_residual": None if np.isnan(solution.max_residual) else solution.max_residual,
-        "rows": s["rows"],
-        "cols": s["cols"],
-        "nnz": s["nnz"],
-    }
+def _stats(solution: Solution) -> dict:
+    """The ``solver.*`` manifest fields of one solve, by leaf name."""
+    return {f.path.removeprefix("solver."): f.get(solution) for f in MANIFEST_FIELDS if f.path.startswith("solver.")}
 
 
 def run_matrix(dataset: Dataset, specs, out_dir=None, export_mps: bool = False, jobs: int = 1) -> list:
@@ -294,11 +273,13 @@ def run_matrix(dataset: Dataset, specs, out_dir=None, export_mps: bool = False, 
 
     Cells are independent; failures are recorded per cell and the batch
     always completes. A cell whose files cannot be written becomes an error
-    cell, and `out_dir` lacks its directory. With `jobs` > 1 the cells run on that many threads of
-    this process (HiGHS releases the interpreter lock while it solves), and
-    results still come back in (spec, year) order. With `export_mps` and an
-    `out_dir`, every optimal cell also gets ``model.mps`` and its name-map
-    sidecar, written from the LP the cell was solved on.
+    cell, and `out_dir` lacks its directory. Two cells of one directory name
+    raise ScenarioError before any cell runs. With `jobs` > 1 the cells run
+    on that many threads of this process (HiGHS releases the interpreter
+    lock while it solves), and results still come back in (spec, year)
+    order. With `export_mps` and an `out_dir`, every optimal cell also gets
+    ``model.mps`` and its name-map sidecar, written from the LP the cell
+    was solved on.
     """
     out_dir = Path(out_dir) if out_dir is not None else None
 
@@ -308,14 +289,15 @@ def run_matrix(dataset: Dataset, specs, out_dir=None, export_mps: bool = False, 
             try:
                 persist_result(result, out_dir)
             except Exception as exc:  # a cell that cannot be written is an error cell
-                result = replace(
-                    result, status="error", error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback.format_exc(),
-                )
+                result = replace(result, status="error", error=f"{type(exc).__name__}: {exc}",
+                                 traceback=traceback.format_exc())
         result.lp = None  # already written; not held by the batch
         return result
 
     cells = [(spec, year) for spec in specs for year in spec.weather_years]
+    names = [result_dirname(spec.name, year) for spec, year in cells]
+    if len(set(names)) < len(names):  # the copies would share, and clobber, one directory
+        raise ScenarioError(f"cell {max(names, key=names.count)} is listed more than once")
     if jobs > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run, cells))
@@ -354,6 +336,89 @@ HEAT = CellTable("heat.csv", ("country", "building_type", "sink", "heat_pump_typ
 COSTS = CellTable("costs.csv", ("component",), ("value_eur",), False)
 CELL_TABLES = (CAPACITIES, DISPATCH, FLOWS, HEAT, COSTS)
 COST_COMPONENTS = ("investment", "fixed_om", "variable", "storage_marginal", "total", "objective", "heat_supplied_mwh")
+
+
+@dataclass(frozen=True)
+class ManifestField:
+    """One field of a cell's ``manifest.json``: how it is written, checked, read and compared."""
+
+    path: str  # "scenario.name" is manifest["scenario"]["name"]; at most one dot
+    types: tuple  # the Python types json.load may give its value
+    get: Callable  # of the ScenarioResult; a solver.* field's of the Solution, into ScenarioResult.solver_stats
+    attr: str | None = None  # the PersistedResult attribute that load_result checks and sets from it
+    varies: bool = False  # differs between identical runs, so manifest_equal skips it
+    positive: bool = False  # an int of at least 1; an absent one reads as None
+
+
+MANIFEST_FIELDS = (
+    ManifestField("schema", (str,), lambda r: MANIFEST_SCHEMA),
+    ManifestField("scenario.name", (str,), attrgetter("spec.name"), "name"),
+    ManifestField("scenario.heat_share", (int, float), attrgetter("spec.heat_share"), "heat_share"),
+    ManifestField("scenario.ep", (int, float, NoneType), attrgetter("spec.ep"), "ep"),
+    ManifestField("scenario.variant", (str,), attrgetter("spec.variant"), "variant"),
+    ManifestField("scenario.window_hours", (int,), attrgetter("spec.window_hours"), "hours", positive=True),
+    ManifestField("year", (int,), attrgetter("year"), "year"),
+    ManifestField("status", (str,), attrgetter("status"), "status"),
+    ManifestField("objective", (float, NoneType), attrgetter("objective")),
+    ManifestField("error", (str, NoneType), attrgetter("error")),
+    ManifestField("traceback", (str, NoneType), attrgetter("traceback")),
+    ManifestField("provenance", (str,), attrgetter("provenance")),
+    ManifestField("synth_seed", (int, NoneType), attrgetter("synth_seed")),
+    ManifestField("solver.backend", (str,), attrgetter("backend")),
+    ManifestField("solver.status", (str,), attrgetter("status")),
+    ManifestField("solver.iterations", (int,), attrgetter("iterations")),
+    ManifestField("solver.wall_time_s", (float,), attrgetter("wall_time_s"), varies=True),
+    ManifestField("solver.highs_run_time_s", (float,), attrgetter("highs_run_time_s"), varies=True),
+    ManifestField("solver.max_residual", (float, NoneType),
+                  lambda s: None if np.isnan(s.max_residual) else s.max_residual),
+    ManifestField("solver.rows", (int,), attrgetter("lp.num_rows")),
+    ManifestField("solver.cols", (int,), attrgetter("lp.num_cols")),
+    ManifestField("solver.nnz", (int,), lambda s: s.lp.matrix().nnz),
+    ManifestField("timings", (dict,), attrgetter("timings"), varies=True),  # stage -> seconds, of the stages that ran
+    ManifestField("residuals", (dict,), lambda r: {  # constraint family -> max, mean, rows
+        name: {"max": fam.max_violation, "mean": fam.mean_violation, "rows": fam.rows}
+        for name, fam in (r.residual_report.families if r.residual_report else {}).items()}),
+    ManifestField("heat_trajectory_max_violation", (dict,),
+                  lambda r: {c: rep.max_violation for c, rep in r.trajectory_reports.items()}),
+    ManifestField("ntc_pairs", (list,),
+                  lambda r: sorted(f"{a}>{b}" for a, b in r.solved.instance.ntc.limits_mw) if r.solved else []),
+)
+
+
+def _manifest(result: ScenarioResult) -> dict:
+    """A cell's manifest: each field of :data:`MANIFEST_FIELDS` at its path."""
+    manifest: dict = {"solver": result.solver_stats}  # the solver.* fields, taken once per solve
+    for f in MANIFEST_FIELDS:
+        section, _, leaf = f.path.rpartition(".")
+        if section != "solver":
+            (manifest.setdefault(section, {}) if section else manifest)[leaf] = f.get(result)
+    return manifest
+
+
+def _read_field(manifest: dict, f: ManifestField, where: Path):
+    """The value of `f` in a loaded manifest; raises ValueError naming `where` if it is absent or mistyped."""
+    section, _, leaf = f.path.rpartition(".")
+    node = manifest.get(section) if section else manifest
+    if not isinstance(node, dict):
+        raise ValueError(f"{where}: field {section} is not a mapping")
+    if leaf not in node and not f.positive:
+        raise ValueError(f"{where}: no field {f.path}")
+    value = node.get(leaf)
+    if type(value) not in f.types or f.positive and value < 1:
+        kinds = "a positive integer" if f.positive else " or ".join(t.__name__ for t in f.types)
+        raise ValueError(f"{where}: field {f.path} is {value!r}, not {kinds}")
+    return value
+
+
+def manifest_equal(a: dict, b: dict) -> bool:
+    """Whether two manifests agree on every field but those that vary between identical runs."""
+    varying = {f.path for f in MANIFEST_FIELDS if f.varies}
+
+    def steady(node: dict, prefix: str = "") -> dict:  # `node`, at path `prefix`, without its varying fields
+        return {key: steady(value, f"{prefix}{key}.") if isinstance(value, dict) else value
+                for key, value in node.items() if prefix + key not in varying}
+
+    return json.dumps(steady(a), sort_keys=True) == json.dumps(steady(b), sort_keys=True)
 
 
 def result_dirname(spec_name: str, year: int) -> str:
@@ -412,14 +477,17 @@ def _table_chunks(table: CellTable, blocks, hours: int):
     quoted; a key that would need quoting raises.
     """
     yield ",".join(table.columns) + "\n"
-    prefixes = [f"{h}," for h in range(hours)] if table.hourly else [""]
+    prefixes = [f"{h}," for h in range(hours)]
     for key, values in blocks:
         key_text = ",".join(map(str, key))
         if key_text.count(",") >= len(key) or any(ch in key_text for ch in '"\r\n'):
             raise ValueError(f"{table.file}: key {key!r} would need CSV quoting")
-        value_texts = (map(repr, np.asarray(v, dtype=float).ravel().tolist()) for v in values)
-        fields = map(",".join, zip(*value_texts, strict=True))
-        yield "\n".join(map(f"{key_text},".join, zip(prefixes, fields, strict=True))) + "\n"
+        if not table.hourly:  # one row of scalars
+            yield f"{key_text},{','.join(repr(float(v)) for v in values)}\n"
+        else:
+            value_texts = (map(repr, np.asarray(v, dtype=float).ravel().tolist()) for v in values)
+            fields = map(",".join, zip(*value_texts, strict=True))
+            yield "\n".join(map(f"{key_text},".join, zip(prefixes, fields, strict=True))) + "\n"
 
 
 def write_table(path, table: CellTable, blocks, hours: int = 1) -> Path:
@@ -435,34 +503,7 @@ def _write_cell_files(result: ScenarioResult, cell_dir: Path) -> None:
     for table in CELL_TABLES:
         write_table(cell_dir / table.file, table, blocks.get(table, ()), result.spec.window_hours)
 
-    manifest = {
-        "schema": MANIFEST_SCHEMA,
-        "scenario": {
-            "name": result.spec.name,
-            "heat_share": result.spec.heat_share,
-            "ep": result.spec.ep,
-            "variant": result.spec.variant,
-            "window_hours": result.spec.window_hours,
-        },
-        "year": result.year,
-        "status": result.status,
-        "objective": result.objective,
-        "error": result.error,
-        "traceback": result.traceback,
-        "provenance": result.provenance,
-        "synth_seed": result.synth_seed,
-        "solver": result.solver_stats,
-        "timings": result.timings,
-        "residuals": {
-            family: {"max": fam.max_violation, "mean": fam.mean_violation, "rows": fam.rows}
-            for family, fam in (result.residual_report.families if result.residual_report else {}).items()
-        },
-        "heat_trajectory_max_violation": {
-            c: rep.max_violation for c, rep in result.trajectory_reports.items()
-        },
-        "ntc_pairs": sorted(f"{a}>{b}" for a, b in result.solved.instance.ntc.limits_mw) if result.solved else [],
-    }
-    (cell_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    (cell_dir / "manifest.json").write_text(json.dumps(_manifest(result), indent=1, sort_keys=True) + "\n")
     if result.lp is not None:
         write_mps(result.lp, cell_dir / "model.mps")
 
@@ -478,35 +519,19 @@ class PersistedResult:
 
     path: Path
     manifest: dict
+    # The manifest fields that analysis reads: load_result checks them and sets them here.
+    name: str
+    variant: str
+    heat_share: float
+    ep: float | None
+    year: int
+    hours: int
+    status: str
     capacities_mw: dict  # country -> {(kind, name): value}
     dispatch_mw: dict  # (country, kind, name) -> np.ndarray
     flows_mw: dict  # (from, to) -> np.ndarray
     heat_mw: dict  # (country, (bt, st, hpt)) -> {field: np.ndarray}
     costs_eur: dict
-
-    @property
-    def name(self) -> str:
-        return self.manifest["scenario"]["name"]
-
-    @property
-    def variant(self) -> str:
-        return self.manifest["scenario"]["variant"]
-
-    @property
-    def heat_share(self) -> float:
-        return self.manifest["scenario"]["heat_share"]
-
-    @property
-    def ep(self):
-        return self.manifest["scenario"]["ep"]
-
-    @property
-    def year(self) -> int:
-        return self.manifest["year"]
-
-    @property
-    def hours(self) -> int:
-        return self.manifest["scenario"]["window_hours"]
 
     def countries(self) -> list:
         return sorted({c for (c, _, _) in self.dispatch_mw})
@@ -556,12 +581,6 @@ def _read_table(cell_dir: Path, table: CellTable, hours: int) -> dict:
     return dict(zip(keys, zip(*values)))
 
 
-_READ_FIELDS = {  # manifest field analysis reads -> the JSON types it may hold
-    "status": (str,), "year": (int,), "scenario.name": (str,), "scenario.variant": (str,),
-    "scenario.heat_share": (int, float), "scenario.ep": (int, float, type(None)),
-}
-
-
 def load_result(cell_dir) -> PersistedResult:
     cell_dir = Path(cell_dir)
     manifest_path = cell_dir / "manifest.json"
@@ -571,21 +590,8 @@ def load_result(cell_dir) -> PersistedResult:
         raise ValueError(f"{manifest_path}: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("schema") != MANIFEST_SCHEMA:
         raise ValueError(f"{manifest_path}: not a {MANIFEST_SCHEMA} manifest")
-    scenario = manifest.get("scenario")
-    if not isinstance(scenario, dict):
-        raise ValueError(f"{manifest_path}: field scenario is not a mapping")
-    hours = scenario.get("window_hours")
-    if type(hours) is not int or hours < 1:
-        raise ValueError(f"{manifest_path}: field scenario.window_hours is {hours!r}, not a positive integer")
-    for name, kinds in _READ_FIELDS.items():
-        *parent, leaf = name.split(".")
-        fields = scenario if parent else manifest
-        if leaf not in fields:
-            raise ValueError(f"{manifest_path}: no field {name}")
-        if type(fields[leaf]) not in kinds:
-            kind_names = " or ".join(kind.__name__ for kind in kinds)
-            raise ValueError(f"{manifest_path}: field {name} is {fields[leaf]!r}, not {kind_names}")
-    caps, dispatch, flows, heat, costs = (_read_table(cell_dir, table, hours).items() for table in CELL_TABLES)
+    read = {f.attr: _read_field(manifest, f, manifest_path) for f in MANIFEST_FIELDS if f.attr}
+    caps, dispatch, flows, heat, costs = (_read_table(cell_dir, table, read["hours"]).items() for table in CELL_TABLES)
     capacities: dict = {}
     for (c, kind, name), (mw,) in caps:
         capacities.setdefault(c, {})[(kind, name)] = mw
@@ -595,16 +601,12 @@ def load_result(cell_dir) -> PersistedResult:
         raise ValueError(f"{cell_dir / DISPATCH.file}: no load,electric run for {', '.join(no_load)}")
     costs_eur = {component: value for (component,), (value,) in costs}
     missing = [component for component in COST_COMPONENTS if component not in costs_eur]
-    if manifest.get("status") == "optimal" and missing:  # an unsolved cell writes no costs
+    if read["status"] == "optimal" and missing:  # an unsolved cell writes no costs
         raise ValueError(f"{cell_dir / COSTS.file}: no {', '.join(missing)} row")
     return PersistedResult(
-        path=cell_dir,
-        manifest=manifest,
-        capacities_mw=capacities,
-        dispatch_mw=dispatch_mw,
-        flows_mw={key: arr for key, (arr,) in flows},
+        path=cell_dir, manifest=manifest, **read, capacities_mw=capacities, dispatch_mw=dispatch_mw,
+        flows_mw={key: arr for key, (arr,) in flows}, costs_eur=costs_eur,
         heat_mw={(c, tuple(unit)): dict(zip(HEAT.values, arrays)) for (c, *unit), arrays in heat},
-        costs_eur=costs_eur,
     )
 
 

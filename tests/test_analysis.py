@@ -443,10 +443,9 @@ def _hand_built(name, heat_share, hours=48):
         }
         capacities = {("generation", "ccgt"): 0.0, ("generation", "nuclear"): 1e16,
                       ("storage_discharge", "li_ion"): 0.1 + 0.2}
-    scenario = {"name": name, "variant": "base", "heat_share": heat_share, "ep": 2.0 if heat_share else None,
-                "window_hours": hours}
     return PersistedResult(
-        path=Path(name), manifest={"scenario": scenario, "year": 2009, "status": "optimal"},
+        path=Path(name), manifest={}, name=name, variant="base", heat_share=heat_share,
+        ep=2.0 if heat_share else None, year=2009, hours=hours, status="optimal",
         capacities_mw={"DE": capacities}, dispatch_mw=dispatch, flows_mw={}, heat_mw=heat_mw, costs_eur={},
     )
 

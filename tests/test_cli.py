@@ -7,6 +7,7 @@ import pytest
 
 from heatgrid.cli import main
 from heatgrid.ingest import emit_csv
+from heatgrid.scenarios import manifest_equal
 from heatgrid.series import HourlySeries, utc
 from heatgrid.staticdata import emit_static, load_static
 from heatgrid.synth import synth_profiles
@@ -121,6 +122,8 @@ def test_repeat_run_is_byte_identical(run_dir, tmp_path):
             a = (run_dir / cell / name).read_bytes()
             b = (out2 / cell / name).read_bytes()
             assert a == b, f"{cell}/{name} differs between reruns"
+        a, b = (json.loads((out / cell / "manifest.json").read_text()) for out in (run_dir, out2))
+        assert manifest_equal(a, b), f"{cell}/manifest.json differs between reruns"
 
 
 def test_run_from_ingested_cache(tmp_path):
@@ -200,7 +203,7 @@ def test_run_with_failing_cell_exits_two(tmp_path, capsys):
         (["--countries", "XX"], "unknown country code 'XX'"),
         (["--hours", "9000"], "window_hours 9000 not in [1, 8760]"),
         (["--jobs", "-2"], "--jobs -2 is below 1"),
-        (["--years", "2009,2009", "--jobs", "2"], "--years '2009,2009' names a weather year more than once"),
+        (["--years", "2009,2009", "--jobs", "2"], "weather year 2009 is listed more than once"),
     ],
 )
 def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message):

@@ -3,21 +3,35 @@
 `reference_write` and `reference_load` are the csv-module writer and reader
 that the declared layout replaced, one row per `writerow` and one parse
 loop per table. The layout must reproduce their bytes and their arrays.
+`reference_manifest` is the one dict literal that the declared manifest
+fields replaced; they must reproduce its bytes.
 """
 
 import csv
 import dataclasses
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import takewhile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heatgrid.dataset import build_synth_dataset
-from heatgrid.scenarios import CELL_TABLES, ScenarioSpec, load_result, persist_result, run_cell, specs_for_selector
+from heatgrid.scenarios import (
+    CELL_TABLES,
+    MANIFEST_FIELDS,
+    ScenarioSpec,
+    load_result,
+    persist_result,
+    run_cell,
+    specs_for_selector,
+)
+from heatgrid.staticdata import Bounds
 
 HOURS = 30
-CELLS = ("base-hp25-ep2", "base-hp25-ep0", "base-hp00", "error")
+CELLS = ("base-hp25-ep2", "base-hp25-ep0", "base-hp00", "error", "infeasible")
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +40,10 @@ def results():
     out = {spec.name: run_cell(ds, spec, 2009) for spec in specs_for_selector("base", [2009], HOURS)}
     out["error"] = run_cell(ds, ScenarioSpec("error", 0.0, None, "base", [2009], HOURS * 10), 2009)
     assert out["error"].status == "error"
+    no_generation = ds.bounds.replace(gen={key: Bounds(0.0, 0.0) for key in ds.bounds.gen_mw})  # load goes unmet
+    spec = ScenarioSpec("infeasible", 0.0, None, "base", [2009], HOURS)
+    out["infeasible"] = run_cell(dataclasses.replace(ds, bounds=no_generation), spec, 2009)
+    assert out["infeasible"].status == "infeasible" and out["infeasible"].solver_stats
     assert all(out[name].ok for name in CELLS[:3])
     assert any(level.any() for level in out["base-hp25-ep2"].solved.heat["DE"].storage_level_mwh.values())
     return out
@@ -100,6 +118,30 @@ def reference_write(result, cell_dir):
     _rows(cell_dir / "costs.csv", costs, ["component", "value_eur"])
 
 
+def reference_manifest(result):
+    """A cell's manifest.json, written from one dict literal."""
+    spec, solved, report = result.spec, result.solved, result.residual_report
+    manifest = {
+        "schema": "heatgrid-result-v1",
+        "scenario": {"name": spec.name, "heat_share": spec.heat_share, "ep": spec.ep, "variant": spec.variant,
+                     "window_hours": spec.window_hours},
+        "year": result.year,
+        "status": result.status,
+        "objective": result.objective,
+        "error": result.error,
+        "traceback": result.traceback,
+        "provenance": result.provenance,
+        "synth_seed": result.synth_seed,
+        "solver": result.solver_stats,
+        "timings": result.timings,
+        "residuals": {family: {"max": fam.max_violation, "mean": fam.mean_violation, "rows": fam.rows}
+                      for family, fam in (report.families if report else {}).items()},
+        "heat_trajectory_max_violation": {c: rep.max_violation for c, rep in result.trajectory_reports.items()},
+        "ntc_pairs": sorted(f"{a}>{b}" for a, b in solved.instance.ntc.limits_mw) if solved else [],
+    }
+    return json.dumps(manifest, indent=1, sort_keys=True) + "\n"
+
+
 def _body(path):
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -162,6 +204,47 @@ def test_load_matches_row_loader(results, tmp_path, cell):
         assert_bitwise_equal(getattr(loaded, name), table, name)
     if cell == "error":
         assert not any(want.values())  # headers only
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_manifest_matches_dict_writer(results, tmp_path, cell):
+    cell_dir = persist_result(results[cell], tmp_path)
+    assert (cell_dir / "manifest.json").read_text() == reference_manifest(results[cell])
+
+
+def _key_paths(manifest, prefix=""):
+    """The key paths of a manifest, each ending at a declared field or a leaf."""
+    for key, value in manifest.items():
+        path = prefix + key
+        if isinstance(value, dict) and path not in {f.path for f in MANIFEST_FIELDS}:
+            yield from _key_paths(value, path + ".")
+        else:
+            yield path
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_manifest_holds_the_declared_fields(results, tmp_path, cell):
+    manifest = json.loads((persist_result(results[cell], tmp_path) / "manifest.json").read_text())
+    declared = [f.path for f in MANIFEST_FIELDS]
+    if cell == "error":  # nothing was solved: no solver field, under an empty "solver"
+        assert manifest["solver"] == {} and manifest["residuals"] == {} and manifest["ntc_pairs"] == []
+        declared = [path for path in declared if not path.startswith("solver.")]
+    assert sorted(_key_paths(manifest)) == sorted(declared)
+    for f in MANIFEST_FIELDS:
+        section, _, leaf = f.path.rpartition(".")
+        fields = manifest[section] if section else manifest
+        assert leaf not in fields or type(fields[leaf]) in f.types, f.path
+
+
+def test_readme_manifest_table_is_the_declaration():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| field | JSON types | read by `analyze` as | varies between runs |")
+    rows = list(takewhile(lambda line: line.startswith("|"), lines[start + 2 :]))
+    assert rows == [  # field, JSON types, read by analyze as, varies
+        f"| `{f.path}` | {' or '.join(t.__name__ for t in f.types)}{', at least 1' * f.positive} "
+        f"| {f'`{f.attr}`' if f.attr else ''} | {'yes' * f.varies} |"
+        for f in MANIFEST_FIELDS
+    ]
 
 
 def test_concurrent_persists_into_one_directory(results, tmp_path):

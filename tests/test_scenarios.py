@@ -1,5 +1,6 @@
 """Scenario specs, variants, and the matrix runner."""
 
+import copy
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from heatgrid.scenarios import (
     load_result,
     load_results,
     make_instance,
+    manifest_equal,
     persist_result,
     run_cell,
     run_matrix,
@@ -286,6 +288,35 @@ def test_parallel_persistence_matches_serial_bytes(tmp_path):
             a = (tmp_path / "serial" / cell / name).read_bytes()
             b = (tmp_path / "parallel" / cell / name).read_bytes()
             assert a == b, f"{cell}/{name}"
+        a, b = (json.loads((tmp_path / run / cell / "manifest.json").read_text()) for run in ("serial", "parallel"))
+        assert manifest_equal(a, b), cell
+
+
+def test_manifest_equal_skips_only_the_varying_fields(dataset, tmp_path):
+    result = run_cell(dataset, specs_for_selector("base", [2009], HOURS)[2], 2009)
+    manifest = json.loads((persist_result(result, tmp_path) / "manifest.json").read_text())
+
+    def edited(section, leaf):
+        other = copy.deepcopy(manifest)
+        fields = other[section] if section else other
+        fields[leaf] += 1
+        return other
+
+    assert manifest_equal(manifest, copy.deepcopy(manifest))
+    assert not manifest_equal(manifest, edited("", "objective"))
+    assert not manifest_equal(manifest, edited("solver", "iterations"))
+    assert manifest_equal(manifest, edited("timings", "solve_s"))
+    assert manifest_equal(manifest, edited("solver", "wall_time_s"))
+
+
+def test_repeated_cells_are_refused_before_any_cell_runs(tmp_path):
+    with pytest.raises(ScenarioError, match="weather year 2009 is listed more than once"):
+        ScenarioSpec("base-hp25-ep2", 0.25, 2.0, "base", (2009, 2010, 2009), 24)
+    ds = build_synth_dataset(17, ["DE"], [2009], 24)
+    spec = ScenarioSpec("base-hp25-ep2", 0.25, 2.0, "base", (2009,), 24)
+    with pytest.raises(ScenarioError, match="cell base-hp25-ep2__y2009 is listed more than once"):
+        run_matrix(ds, [spec, spec], out_dir=tmp_path / "out", jobs=2)
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_records_the_seed(dataset, tmp_path):
