@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .ids import DISPATCHABLE_TECHNOLOGIES, VARIABLE_RENEWABLES
-from .scenarios import CellTable, write_table
+from .scenarios import COST_COMPONENTS, CellTable, write_table
 from .series import AlignmentError
 
 
@@ -156,17 +156,17 @@ def deviation_threshold(arr: np.ndarray) -> float:
     return MEAN_EPS_REL * max(1.0, float(np.abs(arr).max(initial=0.0)))
 
 
+def _events(x: np.ndarray, floor: float) -> list:
+    """Maximal runs of `x` strictly above `floor`, each with the sum of `x` over it, normalized."""
+    return _normalize([(start, end, float(x[start:end].sum())) for start, end in _runs(x > floor)])
+
+
 def deviation_events(heat) -> list:
     """Maximal runs of heat demand strictly above its window mean."""
     arr = _values(heat)
     if len(arr) == 0:
         raise ValueError("empty series")
-    excess = arr - arr.mean()
-    eps = deviation_threshold(arr)
-    out = []
-    for start, end in _runs(excess > eps):
-        out.append((start, end, float(excess[start:end].sum())))
-    return _normalize(out)
+    return _events(arr - arr.mean(), deviation_threshold(arr))
 
 
 def residual_events(residual) -> list:
@@ -174,10 +174,7 @@ def residual_events(residual) -> list:
     arr = _values(residual)
     if len(arr) == 0:
         raise ValueError("empty series")
-    out = []
-    for start, end in _runs(arr > 0.0):
-        out.append((start, end, float(arr[start:end].sum())))
-    return _normalize(out)
+    return _events(arr, 0.0)
 
 
 def firm_capacity_mw(capacities_mw: dict) -> dict:
@@ -231,15 +228,7 @@ def cost_report(result, baseline=None) -> dict:
     (delta cost per MWh of heat supplied; None when nothing was supplied).
     """
     costs = result.costs_eur
-    report = {
-        "investment_eur": costs["investment"],
-        "fixed_om_eur": costs["fixed_om"],
-        "variable_eur": costs["variable"],
-        "storage_marginal_eur": costs["storage_marginal"],
-        "total_eur": costs["total"],
-        "objective_eur": costs["objective"],
-        "heat_supplied_mwh": costs["heat_supplied_mwh"],
-    }
+    report = {c if c == "heat_supplied_mwh" else f"{c}_eur": costs[c] for c in COST_COMPONENTS}
     if baseline is not None:
         base_costs = baseline.costs_eur
         delta = costs["total"] - base_costs["total"]

@@ -29,6 +29,7 @@ SYNTH_FIRST_YEAR = 2009
 
 CACHE_SERIES = "series.csv"
 CACHE_MANIFEST = "cache.json"
+CACHE_SCHEMA = "heatgrid-cache-v1"
 
 
 def _parse_years(text: str) -> list:
@@ -68,7 +69,7 @@ def cmd_ingest(args) -> int:
             fh.write(data)
             digest.update(data)
     manifest = {
-        "schema": "heatgrid-cache-v1",
+        "schema": CACHE_SCHEMA,
         "sha256": digest.hexdigest(),
         "series": len(series_map),
         "countries": sorted({c for c, _ in series_map}),
@@ -91,7 +92,23 @@ def _build_dataset(args, years: list):
         raise ValueError("either --dataset <cache dir> or --synth-seed is required")
     cache = Path(args.dataset)
     series_map = ingest_file(cache / CACHE_SERIES)
+    _check_cache(cache)
     return build_ingested_dataset(series_map, years, static=static)
+
+
+def _check_cache(cache: Path) -> None:
+    """Raise unless the cache's manifest records the SHA-256 of its series file's bytes, as ingest wrote it."""
+    path = cache / CACHE_MANIFEST
+    try:
+        manifest = json.loads(path.read_bytes())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a {CACHE_SCHEMA} manifest: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("schema") != CACHE_SCHEMA:
+        raise ValueError(f"{path}: not a {CACHE_SCHEMA} manifest")
+    with (cache / CACHE_SERIES).open("rb") as fh:
+        digest = hashlib.file_digest(fh, "sha256").hexdigest()
+    if manifest.get("sha256") != digest:
+        raise ValueError(f"{path}: its sha256 does not match the bytes of {CACHE_SERIES}")
 
 
 def cmd_run(args) -> int:

@@ -13,6 +13,9 @@ in different hours), and tank size is ``ep`` hours of heat-output
 capacity. Storage is cyclic over the window (HL before hour 0 equals HL
 of the last hour), lossless, and shares the heat-output nameplate for
 charging. Space and water sinks keep separate COPs and are never pooled.
+
+A country's heat demand is keyed (bt, st) and its COP (st, hpt); its
+targets HO are computed once and :func:`size_fleet` sizes its units from them.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ids import BUILDING_TYPES, HEAT_PUMP_TYPES, SINKS
-from .series import AlignmentError, CopSet, HeatDemandSet
+from .ids import BUILDING_TYPES, SINKS, valid_subkeys
+from .series import AlignmentError, ProfileSet
 
 
 class DivisionDomain(ValueError):
@@ -43,8 +46,7 @@ class HeatConfig:
 
     def __post_init__(self):
         for key, s in self.shares.items():
-            bt, st, hpt = key
-            if bt not in BUILDING_TYPES or st not in SINKS or hpt not in HEAT_PUMP_TYPES:
+            if not (valid_subkeys("heat_demand_MWth", key[:2]) and valid_subkeys("cop", key[1:])):  # (bt, st, hpt)
                 raise ValueError(f"unknown heat unit {key}")
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"share {s} for {key} not in [0,1]")
@@ -79,24 +81,6 @@ class FleetUnit:
 
 
 @dataclass(frozen=True)
-class HeatPumpFleet:
-    """Sized heat-pump capacities per country and (bt, st, hpt) unit."""
-
-    units: dict = field(default_factory=dict)  # country -> {(bt,st,hpt): FleetUnit}
-
-    def country_units(self, country: str) -> dict:
-        return self.units.get(country, {})
-
-    def country_totals_mw(self, country: str) -> tuple[float, float, float]:
-        us = self.country_units(country).values()
-        return (
-            sum(u.heat_output_capacity_mw_th for u in us),
-            sum(u.heat_storage_capacity_mwh_th for u in us),
-            sum(u.electricity_input_capacity_mw_el for u in us),
-        )
-
-
-@dataclass(frozen=True)
 class HeatTrajectory:
     """Hourly heat-module trajectories of one country.
 
@@ -113,12 +97,10 @@ class HeatTrajectory:
         return sorted(self.heat_output_mw)
 
     def total_electricity_mw(self) -> np.ndarray:
-        if not self.electricity_mw:
-            return np.zeros(0)
         return np.sum([self.electricity_mw[k] for k in self.keys], axis=0)
 
 
-def required_heat_output(config: HeatConfig, demand: HeatDemandSet) -> dict:
+def required_heat_output(config: HeatConfig, demand: ProfileSet) -> dict:
     """HO target per active unit: share times heat demand, elementwise (MW_th)."""
     out = {}
     for (bt, st, hpt), s in config.shares.items():
@@ -137,21 +119,20 @@ def electricity_for_heat(hi_h, cop_h):
     return np.asarray(hi_h, dtype=float) / cop
 
 
-def size_fleet(config: HeatConfig, demand: HeatDemandSet, cops: CopSet) -> HeatPumpFleet:
-    """Size one country's fleet to meet peak heat demand without storage.
+def size_fleet(config: HeatConfig, targets: dict, cops: ProfileSet) -> dict:
+    """Size one country's fleet to meet its heat-output `targets` without storage.
 
     Per unit: heat-output capacity = max_h HO[h]; electricity-input
     capacity = max_h HO[h]/cop[h] (its own argmax); tank = ep * output.
-    An empty demand set yields an all-zero (empty) fleet.
+    Returns {(bt, st, hpt): FleetUnit} in sorted unit order; no targets
+    (a country without heat demand) yields an empty fleet.
     """
-    cops.check_aligned_with(demand)
-    targets = required_heat_output(config, demand)
     units = {}
     for key, ho in sorted(targets.items()):
-        bt, st, hpt = key
+        _, st, hpt = key
         cop_profile = cops.profiles.get((st, hpt))
         if cop_profile is None:
-            raise AlignmentError(f"{demand.country}: no COP profile for ({st}, {hpt})")
+            raise AlignmentError(f"{cops.country}: no COP profile for ({st}, {hpt})")
         out_cap = float(ho.max())
         in_cap = float(electricity_for_heat(ho, cop_profile.values).max())
         ep = config.ep_hours.get(key, 0.0)
@@ -160,7 +141,7 @@ def size_fleet(config: HeatConfig, demand: HeatDemandSet, cops: CopSet) -> HeatP
             heat_storage_capacity_mwh_th=ep * out_cap,
             electricity_input_capacity_mw_el=in_cap,
         )
-    return HeatPumpFleet({demand.country: units})
+    return units
 
 
 @dataclass(frozen=True)
@@ -191,16 +172,17 @@ class TrajectoryReport:
 
 def validate_trajectory(
     traj: HeatTrajectory,
-    fleet: HeatPumpFleet,
+    fleet: dict,
     targets: dict,
-    cops: CopSet,
+    cops: ProfileSet,
     country: str,
 ) -> TrajectoryReport:
     """Recompute every heat-module equation from raw trajectory values.
 
-    Violations are data for the caller to judge, not exceptions.
+    `fleet` maps country -> {(bt, st, hpt): FleetUnit}. Violations are
+    data for the caller to judge, not exceptions.
     """
-    units = fleet.country_units(country)
+    units = fleet.get(country, {})
     rec = bnd = link = tgt = cap = epz = 0.0
     for key in traj.keys:
         ho = np.asarray(traj.heat_output_mw[key], dtype=float)
@@ -240,7 +222,7 @@ def validate_trajectory(
     )
 
 
-def fixed_trajectory(targets: dict, cops: CopSet) -> HeatTrajectory:
+def fixed_trajectory(targets: dict, cops: ProfileSet) -> HeatTrajectory:
     """Trajectory of a storage-less fleet: HI = HO, HL = 0, E = HO/cop."""
     ho, hi, hl, e = {}, {}, {}, {}
     for key, target in targets.items():

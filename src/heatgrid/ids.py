@@ -49,6 +49,13 @@ QUANTITIES = (
 
 HOURS_PER_YEAR = 8760  # leap days are dropped at ingestion
 
+# (name, admissible ids) of each dot-separated subkey, in order; other quantities take none.
+SUBKEYS = {
+    "availability_factor": (("technology", VARIABLE_RENEWABLES),),
+    "heat_demand_MWth": (("building_type", BUILDING_TYPES), ("sink", SINKS)),
+    "cop": (("sink", SINKS), ("heat_pump_type", HEAT_PUMP_TYPES)),
+}
+
 
 def check_country(code: str) -> str:
     if code not in COUNTRIES:
@@ -60,3 +67,9 @@ def check_quantity(name: str) -> str:
     if name not in QUANTITIES:
         raise ValueError(f"unknown quantity {name!r}; expected one of {QUANTITIES}")
     return name
+
+
+def valid_subkeys(quantity: str, subs: tuple) -> bool:
+    """Whether `subs` names one member of `quantity`'s family in :data:`SUBKEYS`."""
+    schema = SUBKEYS.get(quantity, ())
+    return len(subs) == len(schema) and all(s in ids for s, (_, ids) in zip(subs, schema))

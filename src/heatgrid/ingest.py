@@ -8,7 +8,7 @@ Input schema (one file may carry several countries and quantities):
   offset is converted to UTC and a naive stamp is read as UTC.
 * ``country``: canonical two-letter code.
 * ``quantity``: a base quantity, optionally extended with dot-separated
-  subkeys that identify the member of a family:
+  subkeys that identify the member of a family (:data:`~heatgrid.ids.SUBKEYS`):
 
       electric_load_MW
       hydro_inflow_MWh
@@ -37,14 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ids import (
-    BUILDING_TYPES,
-    HEAT_PUMP_TYPES,
-    QUANTITIES,
-    SINKS,
-    VARIABLE_RENEWABLES,
-    check_country,
-)
+from .ids import QUANTITIES, SUBKEYS, check_country, valid_subkeys
 from .series import (
     HourlySeries,
     MissingValue,
@@ -66,19 +59,11 @@ def parse_quantity(full: str) -> tuple[str, tuple[str, ...]]:
     if base not in QUANTITIES:
         raise BadHeader(f"unknown quantity {full!r}")
     subs = tuple(subs)
-    if base == "availability_factor":
-        if len(subs) != 1 or subs[0] not in VARIABLE_RENEWABLES:
-            raise BadHeader(
-                f"availability_factor needs one technology subkey, got {full!r}"
-            )
-    elif base == "heat_demand_MWth":
-        if len(subs) != 2 or subs[0] not in BUILDING_TYPES or subs[1] not in SINKS:
-            raise BadHeader(f"heat_demand_MWth needs <building_type>.<sink>, got {full!r}")
-    elif base == "cop":
-        if len(subs) != 2 or subs[0] not in SINKS or subs[1] not in HEAT_PUMP_TYPES:
-            raise BadHeader(f"cop needs <sink>.<heat_pump_type>, got {full!r}")
-    elif subs:
-        raise BadHeader(f"quantity {base} takes no subkeys, got {full!r}")
+    if not valid_subkeys(base, subs):
+        if base not in SUBKEYS:
+            raise BadHeader(f"quantity {base} takes no subkeys, got {full!r}")
+        names = ".".join(f"<{name}>" for name, _ in SUBKEYS[base])
+        raise BadHeader(f"{base} needs {names}, got {full!r}")
     return base, subs
 
 

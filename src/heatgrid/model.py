@@ -37,7 +37,6 @@ import numpy as np
 
 from .heat import (
     HeatConfig,
-    HeatPumpFleet,
     HeatTrajectory,
     electricity_for_heat,
     fixed_trajectory,
@@ -46,7 +45,7 @@ from .heat import (
 )
 from .ids import HOURS_PER_YEAR, INFLOW_STORAGES
 from .lp import INF, LinearProgram
-from .series import AlignmentError, ModelWindow
+from .series import AlignmentError, ModelWindow, _check_aligned
 from .staticdata import BoundsTable, NtcMatrix, StorageSpec, TechnologySpec
 
 MW_PER_GW = 1e3
@@ -91,16 +90,18 @@ class HeatBlock:
     """Heat-module inputs of one instance: config, per-country data, fleet."""
 
     config: HeatConfig
-    demand: dict  # country -> HeatDemandSet
-    cops: dict  # country -> CopSet
-    fleet: HeatPumpFleet
+    demand: dict  # country -> ProfileSet of heat_demand_MWth
+    cops: dict  # country -> ProfileSet of cop
+    fleet: dict  # country -> {(bt,st,hpt): FleetUnit}; every country of `demand`
     targets_mw: dict  # country -> {(bt,st,hpt): np.ndarray}
 
     @classmethod
     def build(cls, config: HeatConfig, demand: dict, cops: dict) -> "HeatBlock":
-        """Size each country's fleet (:func:`size_fleet`) and its heat-output targets."""
-        fleet = HeatPumpFleet({c: size_fleet(config, d, cops[c]).units[c] for c, d in demand.items()})
+        """Check each country's profiles align, compute its heat-output targets once, and size its fleet from them."""
+        for c, d in demand.items():
+            _check_aligned([*cops[c].profiles.values(), *d.profiles.values()])
         targets = {c: required_heat_output(config, d) for c, d in demand.items()}
+        fleet = {c: size_fleet(config, targets[c], cops[c]) for c in demand}
         return cls(config=config, demand=demand, cops=cops, fleet=fleet, targets_mw=targets)
 
 
@@ -300,7 +301,7 @@ def build_model(instance: SystemInstance) -> LinearProgram:
         heat = instance.heat
         for c in countries:
             targets = heat.targets_mw.get(c, {})
-            units = heat.fleet.country_units(c)
+            units = heat.fleet.get(c, {})
             cops = heat.cops.get(c)
             for unit in sorted(targets):
                 bt, st, hpt = unit
@@ -433,10 +434,10 @@ def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
                     e_d[unit] = fixed.electricity_mw[unit]
                 heat_supplied += float(ho_d[unit].sum())
             heat[c] = HeatTrajectory(ho_d, hi_d, hl_d, e_d)
-            out_cap, tank, in_cap = hb.fleet.country_totals_mw(c)
-            caps[c][("heat_output", "heat_pump")] = out_cap
-            caps[c][("heat_storage_energy", "heat_pump")] = tank
-            caps[c][("heat_electricity", "heat_pump")] = in_cap
+            units = hb.fleet[c].values()  # in size_fleet's sorted unit order
+            caps[c][("heat_output", "heat_pump")] = sum(u.heat_output_capacity_mw_th for u in units)
+            caps[c][("heat_storage_energy", "heat_pump")] = sum(u.heat_storage_capacity_mwh_th for u in units)
+            caps[c][("heat_electricity", "heat_pump")] = sum(u.electricity_input_capacity_mw_el for u in units)
 
     breakdown = cost_breakdown(instance, caps, gen, ch, dis)
     return SolvedSystem(

@@ -47,7 +47,7 @@ from .ingest import parse_quantity
 from .lp import LinearProgram
 from .model import HeatBlock, SolvedSystem, SystemInstance, build_model, extract_solved
 from .mps import export_mps as write_mps
-from .series import CopSet, HeatDemandSet, ModelWindow, window_july_june
+from .series import ModelWindow, ProfileSet, window_july_june
 from .solver import ResidualReport, Solution, solve, verify
 from .staticdata import Bounds, BoundsTable, NtcMatrix
 
@@ -152,8 +152,7 @@ def make_instance(dataset: Dataset, spec: ScenarioSpec, year: int) -> SystemInst
     if year not in dataset.series:
         raise KeyError(f"year {year} not in dataset (have {dataset.years})")
     countries = tuple(sorted({country for country, _ in dataset.series[year]}))
-    loads, availability, inflow = {}, {}, {}
-    demand, cops = {c: {} for c in countries}, {c: {} for c in countries}  # country -> {subkeys: HourlySeries}
+    loads, availability, inflow, profiles = {}, {}, {}, {}  # profiles: (quantity, country) -> {subkeys: series}
     for (c, fullq), ser in dataset.series[year].items():
         ser = window_july_june(ser, year, spec.window_hours)
         base, subs = parse_quantity(fullq)
@@ -163,22 +162,18 @@ def make_instance(dataset: Dataset, spec: ScenarioSpec, year: int) -> SystemInst
             availability[(c, *subs)] = ser.values
         elif base == "hydro_inflow_MWh":
             inflow[c] = ser.values
-        elif base == "heat_demand_MWth":
-            demand[c][subs] = ser
-        else:  # cop
-            cops[c][subs] = ser
+        else:  # heat demand or COP
+            profiles.setdefault((base, c), {})[subs] = ser
 
     heat_block = None
     if spec.has_heat:
-        heat_block = HeatBlock.build(
-            HeatConfig.uniform(spec.heat_share, spec.ep, hpt="air"),
-            {c: HeatDemandSet(c, demand[c]) for c in countries},
-            {c: CopSet(c, cops[c]) for c in countries},
-        )
+        demand, cops = ({c: ProfileSet(c, q, profiles.get((q, c), {})) for c in countries}
+                        for q in ("heat_demand_MWth", "cop"))
+        heat_block = HeatBlock.build(HeatConfig.uniform(spec.heat_share, spec.ep, hpt="air"), demand, cops)
 
     bounds, ntc = variant_tables(dataset.bounds, dataset.ntc.restrict(countries), spec.variant)
     return SystemInstance(
-        name=f"{spec.name}__y{year}",
+        name=result_dirname(spec.name, year),
         countries=countries,
         window=ModelWindow(spec.window_hours),
         loads_mw=loads,

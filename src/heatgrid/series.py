@@ -1,5 +1,8 @@
 """Hourly time-series types, validation, and July-June windowing.
 
+A :class:`HourlySeries` is one country's series of one quantity; a
+:class:`ProfileSet` keys one country's series of a quantity by its subkeys.
+
 Conventions:
 
 * Hour ``h`` is the interval ``[h, h+1)``; all powers are hourly averages,
@@ -20,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .ids import BUILDING_TYPES, HEAT_PUMP_TYPES, SINKS, check_country, check_quantity
+from .ids import check_country, check_quantity, valid_subkeys
 
 
 class SeriesError(ValueError):
@@ -180,53 +183,27 @@ def window_july_june(series: HourlySeries, year: int, hours: int = 8760) -> Hour
 
 
 @dataclass(frozen=True)
-class HeatDemandSet:
-    """Heat demand profiles per (building type, sink), MW_th.
+class ProfileSet:
+    """One country's aligned hourly profiles of one quantity, keyed by its :data:`~heatgrid.ids.SUBKEYS`.
 
     An empty profile map is legal and marks a country with no heat-pump
     rollout (the Switzerland case).
     """
 
     country: str
-    profiles: dict = field(default_factory=dict)  # (bt, st) -> HourlySeries
+    quantity: str
+    profiles: dict = field(default_factory=dict)  # subkeys -> HourlySeries
 
     def __post_init__(self):
         check_country(self.country)
-        for (bt, st), ser in self.profiles.items():
-            if bt not in BUILDING_TYPES or st not in SINKS:
-                raise ValueError(f"unknown heat demand key ({bt}, {st})")
-            if ser.quantity != "heat_demand_MWth":
-                raise ValueError(f"profile ({bt}, {st}) has quantity {ser.quantity}")
+        for key, ser in self.profiles.items():
+            if not valid_subkeys(self.quantity, key):
+                raise ValueError(f"unknown {self.quantity} key {key}")
+            if ser.quantity != self.quantity:
+                raise ValueError(f"profile {key} has quantity {ser.quantity}")
             if ser.country != self.country:
-                raise AlignmentError(
-                    f"profile ({bt}, {st}) belongs to {ser.country}, not {self.country}"
-                )
+                raise AlignmentError(f"profile {key} belongs to {ser.country}, not {self.country}")
         _check_aligned(self.profiles.values())
-
-
-@dataclass(frozen=True)
-class CopSet:
-    """Hourly COP profiles per (sink, heat-pump type), dimensionless."""
-
-    country: str
-    profiles: dict = field(default_factory=dict)  # (st, hpt) -> HourlySeries
-
-    def __post_init__(self):
-        check_country(self.country)
-        for (st, hpt), ser in self.profiles.items():
-            if st not in SINKS or hpt not in HEAT_PUMP_TYPES:
-                raise ValueError(f"unknown COP key ({st}, {hpt})")
-            if ser.quantity != "cop":
-                raise ValueError(f"profile ({st}, {hpt}) has quantity {ser.quantity}")
-            if ser.country != self.country:
-                raise AlignmentError(
-                    f"profile ({st}, {hpt}) belongs to {ser.country}, not {self.country}"
-                )
-        _check_aligned(self.profiles.values())
-
-    def check_aligned_with(self, demand: HeatDemandSet) -> None:
-        series = list(self.profiles.values()) + list(demand.profiles.values())
-        _check_aligned(series)
 
 
 def _check_aligned(series) -> None:

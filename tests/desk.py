@@ -10,7 +10,7 @@ from heatgrid.heat import HeatConfig
 from heatgrid.lp import LinearProgram
 from heatgrid.model import HeatBlock, SystemInstance
 from heatgrid.scenarios import make_instance, specs_for_selector
-from heatgrid.series import CopSet, HeatDemandSet, HourlySeries, ModelWindow, utc, window_july_june
+from heatgrid.series import HourlySeries, ModelWindow, ProfileSet, utc, window_july_june
 from heatgrid.staticdata import Bounds, BoundsTable, NtcMatrix, TechnologySpec
 
 INF = float("inf")
@@ -83,8 +83,9 @@ def series(country, quantity, values):
 
 
 def heat_block(country, share, ep, hd_values, cop_values):
-    demand = HeatDemandSet(country, {("single_family", "space"): series(country, "heat_demand_MWth", hd_values)})
-    cops = CopSet(country, {("space", "air"): series(country, "cop", cop_values)})
+    hd = series(country, "heat_demand_MWth", hd_values)
+    demand = ProfileSet(country, "heat_demand_MWth", {("single_family", "space"): hd})
+    cops = ProfileSet(country, "cop", {("space", "air"): series(country, "cop", cop_values)})
     key = ("single_family", "space", "air")
     config = HeatConfig(shares={key: share}, ep_hours={key: ep})
     return HeatBlock.build(config, {country: demand}, {country: cops})

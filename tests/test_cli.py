@@ -308,6 +308,39 @@ def test_run_without_series_cache_exits_one(tmp_path, capsys):
     assert "series.csv" in captured.err and captured.out == ""
 
 
+def _edit_a_load_value(cache):
+    lines = (cache / "series.csv").read_text().splitlines(keepends=True)
+    k = next(k for k, line in enumerate(lines) if ",electric_load_MW," in line)
+    stamp_country_quantity, value = lines[k].rsplit(",", 1)
+    lines[k] = f"{stamp_country_quantity},{float(value) + 1.0}\n"  # still a sound series
+    (cache / "series.csv").write_text("".join(lines))
+
+
+def _drop_manifest(cache):
+    (cache / "cache.json").unlink()
+
+
+def _foreign_manifest(cache):
+    manifest = json.loads((cache / "cache.json").read_text())
+    (cache / "cache.json").write_text(json.dumps({**manifest, "schema": "other-cache-v1"}))
+
+
+@pytest.mark.parametrize("spoil", [_edit_a_load_value, _drop_manifest, _foreign_manifest])
+def test_run_rejects_a_cache_its_manifest_does_not_vouch_for(tmp_path, capsys, spoil):
+    src = tmp_path / "input.csv"
+    src.write_text(emit_csv(synth_profiles(3, ["DE"], 24)))
+    cache = tmp_path / "cache"
+    assert main(["ingest", str(src), "--out", str(cache)]) == 0
+    spoil(cache)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["run", "--dataset", str(cache), "--years", "2009", "--hours", "24", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()]  # one line
+    assert captured.err.startswith("run error: ") and "cache.json" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def _truncate_dispatch(cell):
     lines = (cell / "dispatch.csv").read_text().splitlines(keepends=True)
     (cell / "dispatch.csv").write_text("".join(lines[: 1 + 36 * 3 + 5]))  # mid-way through a key's hours

@@ -15,7 +15,8 @@ from heatgrid.heat import (
     size_fleet,
     validate_trajectory,
 )
-from heatgrid.series import CopSet, HeatDemandSet, HourlySeries, utc
+from heatgrid.model import HeatBlock
+from heatgrid.series import AlignmentError, HourlySeries, ProfileSet, utc
 from heatgrid.staticdata import load_fleet_table
 
 KEY = ("single_family", "space", "air")
@@ -24,16 +25,21 @@ START = utc(2009, 7, 1)
 
 def demand_set(values, country="DE", bt="single_family", st="space"):
     ser = HourlySeries(country, "heat_demand_MWth", START, np.asarray(values, dtype=float))
-    return HeatDemandSet(country, {(bt, st): ser})
+    return ProfileSet(country, "heat_demand_MWth", {(bt, st): ser})
 
 
 def cop_set(values, country="DE", st="space", hpt="air"):
     ser = HourlySeries(country, "cop", START, np.asarray(values, dtype=float))
-    return CopSet(country, {(st, hpt): ser})
+    return ProfileSet(country, "cop", {(st, hpt): ser})
 
 
 def config(share, ep, key=KEY):
     return HeatConfig(shares={key: share}, ep_hours={key: ep})
+
+
+def sized(cfg, demand, cops):
+    """One country's fleet, sized from the heat-output targets of `cfg` on `demand`."""
+    return size_fleet(cfg, required_heat_output(cfg, demand), cops)
 
 
 class TestRequiredHeatOutput:
@@ -51,7 +57,7 @@ class TestRequiredHeatOutput:
         np.testing.assert_array_equal(out[KEY], hd)
 
     def test_empty_demand_country(self):
-        out = required_heat_output(config(0.25, 0.0), HeatDemandSet("CH", {}))
+        out = required_heat_output(config(0.25, 0.0), ProfileSet("CH", "heat_demand_MWth", {}))
         assert out == {}
 
 
@@ -72,44 +78,32 @@ class TestSizeFleet:
     def test_hand_enumeration_two_hours(self):
         # s=0.25, hd=[10,8] GW_th, cop=[2,1.6], ep=2: output peak at h0,
         # electricity peak tie 1.25 at both hours, tank 2h of output.
-        fleet = size_fleet(
-            config(0.25, 2.0),
-            demand_set([10e3, 8e3]),
-            cop_set([2.0, 1.6]),
-        )
-        unit = fleet.country_units("DE")[KEY]
+        unit = sized(config(0.25, 2.0), demand_set([10e3, 8e3]), cop_set([2.0, 1.6]))[KEY]
         assert unit.heat_output_capacity_mw_th == pytest.approx(2.5e3)
         assert unit.electricity_input_capacity_mw_el == pytest.approx(1.25e3)
         assert unit.heat_storage_capacity_mwh_th == pytest.approx(5.0e3)
 
     def test_peaks_may_fall_in_different_hours(self):
         # Output peak at h0; electricity peak at h1 where the COP dips.
-        fleet = size_fleet(config(1.0, 0.0), demand_set([10.0, 9.0]), cop_set([4.0, 1.5]))
-        unit = fleet.country_units("DE")[KEY]
+        unit = sized(config(1.0, 0.0), demand_set([10.0, 9.0]), cop_set([4.0, 1.5]))[KEY]
         assert unit.heat_output_capacity_mw_th == 10.0
         assert unit.electricity_input_capacity_mw_el == pytest.approx(6.0)  # 9/1.5
 
     def test_empty_demand_gives_empty_fleet(self):
-        fleet = size_fleet(config(0.25, 2.0), HeatDemandSet("CH", {}), CopSet("CH", {}))
-        assert fleet.country_units("CH") == {}
-        assert fleet.country_totals_mw("CH") == (0.0, 0.0, 0.0)
+        empty = ProfileSet("CH", "heat_demand_MWth", {})
+        assert sized(config(0.25, 2.0), empty, ProfileSet("CH", "cop", {})) == {}
 
     def test_storage_equals_ep_times_output_exactly(self):
         rng = np.random.default_rng(0)
         for ep in (0.0, 1.0, 2.0, 3.5):
-            fleet = size_fleet(
-                config(0.4, ep),
-                demand_set(rng.uniform(0, 50, 24)),
-                cop_set(rng.uniform(1.5, 4.0, 24)),
-            )
-            unit = fleet.country_units("DE")[KEY]
+            unit = sized(config(0.4, ep), demand_set(rng.uniform(0, 50, 24)), cop_set(rng.uniform(1.5, 4.0, 24)))[KEY]
             assert unit.heat_storage_capacity_mwh_th == ep * unit.heat_output_capacity_mw_th
 
     def test_positively_homogeneous_in_share(self):
         rng = np.random.default_rng(1)
         hd, cop = rng.uniform(0, 40, 12), rng.uniform(1.2, 4.5, 12)
-        one = size_fleet(config(0.2, 2.0), demand_set(hd), cop_set(cop)).country_units("DE")[KEY]
-        two = size_fleet(config(0.4, 2.0), demand_set(hd), cop_set(cop)).country_units("DE")[KEY]
+        one = sized(config(0.2, 2.0), demand_set(hd), cop_set(cop))[KEY]
+        two = sized(config(0.4, 2.0), demand_set(hd), cop_set(cop))[KEY]
         assert two.heat_output_capacity_mw_th == pytest.approx(2 * one.heat_output_capacity_mw_th)
         assert two.heat_storage_capacity_mwh_th == pytest.approx(2 * one.heat_storage_capacity_mwh_th)
         assert two.electricity_input_capacity_mw_el == pytest.approx(2 * one.electricity_input_capacity_mw_el)
@@ -124,11 +118,29 @@ class TestSizeFleet:
         # input capacity between peak(HO)/max(cop) and peak(HO)/min(cop)
         rng = np.random.default_rng(7)
         cop = cop_lo + rng.uniform(0, spread, len(hd))
-        fleet = size_fleet(config(0.3, 0.0), demand_set(hd), cop_set(cop))
-        unit = fleet.country_units("DE")[KEY]
+        unit = sized(config(0.3, 0.0), demand_set(hd), cop_set(cop))[KEY]
         peak_ho = 0.3 * max(hd)
         assert unit.electricity_input_capacity_mw_el >= peak_ho / cop.max() - 1e-9
         assert unit.electricity_input_capacity_mw_el <= peak_ho / cop.min() + 1e-9
+
+
+class TestHeatBlock:
+    def test_targets_are_computed_once_per_country(self, monkeypatch):
+        from heatgrid import model
+
+        calls = []
+        monkeypatch.setattr(model, "required_heat_output", lambda *a: calls.append(a) or required_heat_output(*a))
+        cfg = config(0.5, 2.0)
+        demand = {"DE": demand_set([4.0, 8.0]), "CH": ProfileSet("CH", "heat_demand_MWth", {})}
+        hb = HeatBlock.build(cfg, demand, {"DE": cop_set([2.0, 4.0]), "CH": ProfileSet("CH", "cop", {})})
+        assert len(calls) == 2
+        assert hb.fleet == {"DE": size_fleet(cfg, hb.targets_mw["DE"], hb.cops["DE"]), "CH": {}}
+        assert hb.fleet["DE"][KEY] == sized(cfg, hb.demand["DE"], hb.cops["DE"])[KEY]
+
+    def test_cop_and_demand_misaligned_raises_naming_country(self):
+        late = ProfileSet("DE", "cop", {("space", "air"): HourlySeries("DE", "cop", utc(2009, 7, 1, 1), [2.0, 3.0])})
+        with pytest.raises(AlignmentError, match="^DE: "):
+            HeatBlock.build(config(0.5, 0.0), {"DE": demand_set([4.0, 8.0])}, {"DE": late})
 
 
 class TestValidateTrajectory:
@@ -138,8 +150,8 @@ class TestValidateTrajectory:
         cop = rng.uniform(1.5, 4.0, hours)
         cfg = config(0.5, ep)
         demand, cops = demand_set(hd), cop_set(cop)
-        fleet = size_fleet(cfg, demand, cops)
         targets = required_heat_output(cfg, demand)
+        fleet = {"DE": size_fleet(cfg, targets, cops)}
         traj = fixed_trajectory(targets, cops)
         return traj, fleet, targets, cops
 

@@ -95,10 +95,14 @@ def test_bad_header(tmp_path):
 def test_unknown_quantity_and_subkeys(tmp_path):
     with pytest.raises(BadHeader):
         parse_quantity("banana")
-    with pytest.raises(BadHeader):
+    with pytest.raises(BadHeader, match=r"^quantity electric_load_MW takes no subkeys, got 'electric_load_MW.extra'$"):
         parse_quantity("electric_load_MW.extra")
-    with pytest.raises(BadHeader):
+    with pytest.raises(BadHeader, match=r"^cop needs <sink>.<heat_pump_type>, got 'cop.space'$"):
         parse_quantity("cop.space")  # needs sink AND pump type
+    with pytest.raises(BadHeader, match=r"^heat_demand_MWth needs <building_type>.<sink>, got 'heat_demand_MWth.villa.space'$"):
+        parse_quantity("heat_demand_MWth.villa.space")
+    with pytest.raises(BadHeader, match=r"^availability_factor needs <technology>, got 'availability_factor.ccgt'$"):
+        parse_quantity("availability_factor.ccgt")  # not a variable renewable
     assert parse_quantity("heat_demand_MWth.single_family.space") == (
         "heat_demand_MWth",
         ("single_family", "space"),
@@ -186,7 +190,7 @@ def test_make_instance_files_each_family():
     assert {t for c, t in inst.availability if c == "DE"} == {"solar_pv", "wind_onshore", "wind_offshore", "run_of_river"}
     assert len(inst.heat.demand["DE"].profiles) == 6  # 3 building types x 2 sinks
     assert inst.heat.demand["CH"].profiles == {}  # no heat rollout
-    assert inst.heat.fleet.country_units("CH") == {}
+    assert inst.heat.fleet["CH"] == {}  # every country of the demand map is sized
 
 
 def test_ingested_dataset_rejects_a_country_without_load():

@@ -208,17 +208,19 @@ def test_mixed_tank_config_folds_and_emits_per_unit():
     # One unit has a two-hour tank (columns), the other none (folded).
     from heatgrid.heat import HeatConfig
     from heatgrid.model import HeatBlock, build_model, extract_solved
-    from heatgrid.series import CopSet, HeatDemandSet, HourlySeries, utc
+    from heatgrid.series import HourlySeries, ProfileSet, utc
     from heatgrid.heat import validate_trajectory
     import numpy as np
 
     start = utc(2009, 7, 1)
     hd_space = HourlySeries("DE", "heat_demand_MWth", start, np.array([1200.0, 300.0, 900.0, 600.0]))
     hd_water = HourlySeries("DE", "heat_demand_MWth", start, np.array([200.0, 250.0, 220.0, 240.0]))
-    demand = HeatDemandSet("DE", {("single_family", "space"): hd_space, ("single_family", "water"): hd_water})
+    demand = ProfileSet(
+        "DE", "heat_demand_MWth", {("single_family", "space"): hd_space, ("single_family", "water"): hd_water}
+    )
     cop_sp = HourlySeries("DE", "cop", start, np.array([2.0, 2.4, 2.1, 2.3]))
     cop_wa = HourlySeries("DE", "cop", start, np.array([1.6, 1.9, 1.7, 1.8]))
-    cops = CopSet("DE", {("space", "air"): cop_sp, ("water", "air"): cop_wa})
+    cops = ProfileSet("DE", "cop", {("space", "air"): cop_sp, ("water", "air"): cop_wa})
     cfg = HeatConfig(
         shares={("single_family", "space", "air"): 0.25, ("single_family", "water", "air"): 0.25},
         ep_hours={("single_family", "space", "air"): 2.0, ("single_family", "water", "air"): 0.0},
@@ -237,6 +239,11 @@ def test_mixed_tank_config_folds_and_emits_per_unit():
     assert set(traj.keys) == {("single_family", "space", "air"), ("single_family", "water", "air")}
     report = validate_trajectory(traj, hb.fleet, hb.targets_mw["DE"], cops, "DE")
     assert report.max_violation <= 1e-6
+    # The country's heat capacities sum its two units: output peaks 300 and 62.5, tank 2 h of 300.
+    caps = solved.capacities_mw["DE"]
+    assert caps[("heat_output", "heat_pump")] == pytest.approx(300.0 + 62.5)
+    assert caps[("heat_storage_energy", "heat_pump")] == pytest.approx(2.0 * 300.0)
+    assert caps[("heat_electricity", "heat_pump")] == pytest.approx(300.0 / 2.0 + 60.0 / 1.8)
     # The folded unit is locked to HO = HI, E = HO/cop.
     water = ("single_family", "water", "air")
     np.testing.assert_allclose(traj.heat_generated_mw[water], 0.25 * hd_water.values)

@@ -1,20 +1,22 @@
 """HourlySeries validation, no-leap calendar arithmetic, July-June windows."""
 
 from datetime import datetime, timedelta, timezone
+from itertools import product
 
 import numpy as np
 import pytest
 
 from desk import noleap_walk
+from heatgrid.ids import SUBKEYS
+from heatgrid.ingest import BadHeader, parse_quantity
 from heatgrid.series import (
     AlignmentError,
-    CopSet,
     CoverageError,
-    HeatDemandSet,
     HourlySeries,
     MissingValue,
     NegativeValue,
     OutOfRange,
+    ProfileSet,
     noleap_hour,
     noleap_stamps,
     utc,
@@ -109,20 +111,43 @@ def test_window_coverage_errors():
 def test_heat_demand_set_alignment():
     hd = make("heat_demand_MWth", [1.0, 2.0])
     other = HourlySeries("DE", "heat_demand_MWth", utc(2010, 7, 1), np.array([1.0, 2.0]))
-    HeatDemandSet("DE", {("single_family", "space"): hd})
+    ProfileSet("DE", "heat_demand_MWth", {("single_family", "space"): hd})
     with pytest.raises(AlignmentError):
-        HeatDemandSet("DE", {("single_family", "space"): hd, ("single_family", "water"): other})
+        ProfileSet("DE", "heat_demand_MWth", {("single_family", "space"): hd, ("single_family", "water"): other})
     # An empty set is legal: it marks a country without heat rollout.
-    assert HeatDemandSet("CH", {}).profiles == {}
+    assert ProfileSet("CH", "heat_demand_MWth", {}).profiles == {}
 
 
 def test_cop_set_checks_membership_and_country():
     cop = make("cop", [2.0, 3.0])
-    CopSet("DE", {("space", "air"): cop})
+    ProfileSet("DE", "cop", {("space", "air"): cop})
     with pytest.raises(ValueError):
-        CopSet("DE", {("space", "diesel"): cop})
+        ProfileSet("DE", "cop", {("space", "diesel"): cop})
+    with pytest.raises(ValueError, match="has quantity heat_demand_MWth"):
+        ProfileSet("DE", "cop", {("space", "air"): make("heat_demand_MWth", [2.0, 3.0])})
     with pytest.raises(AlignmentError):
-        CopSet("FR", {("space", "air"): cop})
+        ProfileSet("FR", "cop", {("space", "air"): cop})
+
+
+@pytest.mark.parametrize("quantity", sorted(SUBKEYS))
+def test_ingest_and_profile_sets_accept_the_same_keys(quantity):
+    # Both read SUBKEYS: every key of the product of the admissible ids
+    # passes both, and a key of the wrong length or with one unknown id
+    # in any position fails both.
+    admissible = [ids for _, ids in SUBKEYS[quantity]]
+    ser = make(quantity, [2.0 if quantity == "cop" else 0.5] * 2)
+    good = list(product(*admissible))
+    first = good[0]
+    bad = [first[:-1], first + admissible[-1][:1]]
+    bad += [first[:i] + ("bogus",) + first[i + 1 :] for i in range(len(first))]
+    for key in good:
+        assert parse_quantity(".".join((quantity, *key))) == (quantity, key)
+        assert ProfileSet("DE", quantity, {key: ser}).profiles == {key: ser}
+    for key in bad:
+        with pytest.raises(BadHeader, match=f"^{quantity} needs <"):
+            parse_quantity(".".join((quantity, *key)))
+        with pytest.raises(ValueError, match=f"^unknown {quantity} key "):
+            ProfileSet("DE", quantity, {key: ser})
 
 
 def test_cop_at_or_below_one_warns_but_passes():
