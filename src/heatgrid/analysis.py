@@ -338,7 +338,7 @@ def emit_daily_heat_csv(results, path) -> Path:
 
 
 def pair_results(results) -> list:
-    """(with_hp, without_hp) pairs sharing (variant, year, window)."""
+    """(with_hp, without_hp) pairs sharing (variant, year)."""
     by_key = {}
     for result in results:
         by_key.setdefault((result.variant, result.year), []).append(result)

@@ -405,7 +405,3 @@ class LinearProgram:
         if idx is None:
             raise LpError(f"unknown column {name_or_idx!r}")
         return idx
-
-    def __repr__(self):
-        s = self.stats()
-        return f"LinearProgram({self.name!r}, rows={s['rows']}, cols={s['cols']}, nnz={s['nnz']})"

@@ -306,9 +306,7 @@ def build_model(instance: SystemInstance) -> LinearProgram:
             for unit in sorted(targets):
                 bt, st, hpt = unit
                 target_gw = np.asarray(targets[unit], dtype=float) / MW_PER_GW
-                fu = units.get(unit)
-                if fu is None:
-                    raise AlignmentError(f"{c}/{unit}: no sized fleet unit")
+                fu = units[unit]
                 cop = cops.profiles[(st, hpt)].values
                 ep = heat.config.ep_hours.get(unit, 0.0)
                 if ep == 0.0:
@@ -384,6 +382,12 @@ CAPACITY_KINDS = {
     "scc": "storage_charge",
     "scd": "storage_discharge",
 }
+# Storage capacity kind -> (its BoundsTable getter, its StorageSpec overnight cost).
+_STORAGE_CAPACITIES = {
+    "storage_energy": ("sto_energy", "overnight_cost_energy_keur_per_mwh"),
+    "storage_charge": ("sto_in", "overnight_cost_charge_keur_per_mw"),
+    "storage_discharge": ("sto_out", "overnight_cost_discharge_keur_per_mw"),
+}
 
 
 def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
@@ -458,59 +462,37 @@ def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
 def cost_breakdown(instance: SystemInstance, caps: dict, gen: dict, ch: dict, dis: dict) -> dict:
     """Recompute objective components from physical quantities (EUR).
 
-    Mirrors the assembler's cost logic so investment + fixed_om +
-    variable + storage_marginal reproduces the LP objective (additivity
-    is asserted in tests, not here).
+    Prices each capacity of `caps`, the LP's capacity columns in column
+    order, as the assembler does, so investment + fixed_om + variable +
+    storage_marginal reproduces the LP objective (additivity is asserted
+    in tests, not here).
     """
     H = instance.window.hours
     invest = fixed_om = var = marginal = 0.0
     for c in sorted(instance.countries):
-        for g in sorted(instance.techs):
-            spec = instance.techs[g]
-            b = instance.bounds.gen(c, g)
-            if b.up == 0.0:
-                continue
-            cap_gw = caps[c].get(("generation", g), b.low) / MW_PER_GW
-            if b.pinned:
-                fixed_om += (
-                    prorate_fixed_costs(spec.fixed_cost_keur_per_mw_yr, H)
-                    * EUR_PER_KEUR_MW * (b.low / MW_PER_GW)
-                )
-            else:
-                ann = annuity(spec.overnight_cost_keur_per_mw, spec.interest_rate, spec.lifetime_yr)
-                invest += prorate_fixed_costs(ann, H) * EUR_PER_KEUR_MW * cap_gw
-                fixed_om += prorate_fixed_costs(spec.fixed_cost_keur_per_mw_yr, H) * EUR_PER_KEUR_MW * cap_gw
-            series = gen.get((c, g))
-            if series is not None:
-                var += variable_cost(spec, instance.co2_price) * float(series.sum())
-        for s in sorted(instance.storages):
-            spec = instance.storages[s]
-            b_in = instance.bounds.sto_in(c, s)
-            b_out = instance.bounds.sto_out(c, s)
-            b_en = instance.bounds.sto_energy(c, s)
-            if b_out.up == 0.0 and b_en.up == 0.0:
-                continue
-            for b, kind, overnight in (
-                (b_en, "storage_energy", spec.overnight_cost_energy_keur_per_mwh),
-                (b_in, "storage_charge", spec.overnight_cost_charge_keur_per_mw),
-                (b_out, "storage_discharge", spec.overnight_cost_discharge_keur_per_mw),
-            ):
-                if b.pinned or (kind == "storage_charge" and b_in.up == 0.0):
-                    continue
-                cap_gw = caps[c].get((kind, s), 0.0) / MW_PER_GW
-                ann = annuity(overnight or 0.0, spec.interest_rate, spec.lifetime_yr)
-                invest += prorate_fixed_costs(ann, H) * EUR_PER_KEUR_MW * cap_gw
-            charge = ch.get((c, s))
-            if charge is not None:
-                marginal += spec.marginal_cost_charge_eur_per_mwh * float(charge.sum())
-            disch = dis.get((c, s))
-            if disch is not None:
-                marginal += spec.marginal_cost_discharge_eur_per_mwh * float(disch.sum())
-    total = invest + fixed_om + var + marginal
-    return {
-        "investment": invest,
-        "fixed_om": fixed_om,
-        "variable": var,
-        "storage_marginal": marginal,
-        "total": total,
-    }
+        for (kind, name), cap_mw in caps[c].items():
+            cap_gw = cap_mw / MW_PER_GW
+            if kind == "generation":
+                spec = instance.techs[name]
+                b = instance.bounds.gen(c, name)
+                if b.pinned:
+                    fixed_om += (prorate_fixed_costs(spec.fixed_cost_keur_per_mw_yr, H)
+                                 * EUR_PER_KEUR_MW * (b.low / MW_PER_GW))
+                else:
+                    ann = annuity(spec.overnight_cost_keur_per_mw, spec.interest_rate, spec.lifetime_yr)
+                    invest += prorate_fixed_costs(ann, H) * EUR_PER_KEUR_MW * cap_gw
+                    fixed_om += prorate_fixed_costs(spec.fixed_cost_keur_per_mw_yr, H) * EUR_PER_KEUR_MW * cap_gw
+                var += variable_cost(spec, instance.co2_price) * float(gen[(c, name)].sum())
+            elif kind in _STORAGE_CAPACITIES:
+                spec = instance.storages[name]
+                bounds, overnight = _STORAGE_CAPACITIES[kind]
+                if not getattr(instance.bounds, bounds)(c, name).pinned:
+                    ann = annuity(getattr(spec, overnight) or 0.0, spec.interest_rate, spec.lifetime_yr)
+                    invest += prorate_fixed_costs(ann, H) * EUR_PER_KEUR_MW * cap_gw
+                if kind == "storage_discharge":  # a storage's last capacity column
+                    charge = ch.get((c, name))
+                    if charge is not None:
+                        marginal += spec.marginal_cost_charge_eur_per_mwh * float(charge.sum())
+                    marginal += spec.marginal_cost_discharge_eur_per_mwh * float(dis[(c, name)].sum())
+    return {"investment": invest, "fixed_om": fixed_om, "variable": var, "storage_marginal": marginal,
+            "total": invest + fixed_om + var + marginal}

@@ -48,7 +48,7 @@ from .lp import LinearProgram
 from .model import HeatBlock, SolvedSystem, SystemInstance, build_model, extract_solved
 from .mps import export_mps as write_mps
 from .series import ModelWindow, ProfileSet, window_july_june
-from .solver import ResidualReport, Solution, solve, verify
+from .solver import ResidualReport, Solution, solve
 from .staticdata import Bounds, BoundsTable, NtcMatrix
 
 MANIFEST_SCHEMA = "heatgrid-result-v1"
@@ -214,7 +214,7 @@ class ScenarioResult:
 
 
 def run_cell(dataset: Dataset, spec: ScenarioSpec, year: int, export_mps: bool = False) -> ScenarioResult:
-    """Build, solve, verify, and validate one matrix cell. Never raises.
+    """Build, solve (which verifies), and validate one matrix cell. Never raises.
 
     With `export_mps`, an optimal result keeps its LP in `lp`, and
     :func:`persist_result` writes it as ``model.mps``. `timings` holds the
@@ -234,14 +234,12 @@ def run_cell(dataset: Dataset, spec: ScenarioSpec, year: int, export_mps: bool =
             return cell(solution.status, solver_stats=_stats(solution))
         with _stage(timings, "extract_s"):
             solved = extract_solved(instance, lp, solution)
-        with _stage(timings, "verify_s"):
-            report = verify(lp, solution)
         with _stage(timings, "validate_s"):  # solved.heat is empty without heat pumps
             hb = instance.heat
             traj_reports = {c: validate_trajectory(traj, hb.fleet, hb.targets_mw.get(c, {}), hb.cops[c], c)
                             for c, traj in solved.heat.items()}
         return cell(
-            "optimal", objective=solution.objective, solved=solved, residual_report=report,
+            "optimal", objective=solution.objective, solved=solved, residual_report=solution.residuals,
             trajectory_reports=traj_reports, solver_stats=_stats(solution), lp=lp if export_mps else None,
         )
     except Exception as exc:  # cell isolation: record, don't abort the batch

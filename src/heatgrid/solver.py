@@ -9,7 +9,9 @@ gives and the result CSVs stay byte-identical; passing the rows as built
 takes another path and moves ``x`` by up to about 1e-12. An optimum
 carries HiGHS' row duals and reduced costs. :func:`verify` recomputes
 every row activity and bound from scratch and reports violations by
-constraint family; it never trusts solver-reported residuals.
+constraint family; it never trusts solver-reported residuals. Each
+optimum is verified once, inside :func:`solve`, which hands the report
+on in ``Solution.residuals``.
 """
 
 from __future__ import annotations
@@ -83,13 +85,14 @@ class Solution:
     iterations: int
     wall_time_s: float
     backend: str  # "highs" from solve()
-    max_residual: float
+    max_residual: float  # residuals.max_violation of an optimum from solve(); NaN otherwise
     # Of an optimum from solve(): HiGHS' row duals in built-row order, signed
     # for the rows as built, and its reduced costs, so that
     # ``c - A.T @ row_duals - col_duals`` vanishes.
     row_duals: np.ndarray | None = None
     col_duals: np.ndarray | None = None
     highs_run_time_s: float | None = None  # HiGHS' own run time, from solve()
+    residuals: ResidualReport | None = None  # verify()'s report of an optimum from solve()
 
 
 @dataclass
@@ -97,6 +100,10 @@ class FamilyResidual:
     max_violation: float
     mean_violation: float
     rows: int
+
+    @classmethod
+    def of(cls, violations: np.ndarray) -> "FamilyResidual":
+        return cls(float(violations.max()), float(violations.mean()), len(violations))
 
 
 @dataclass
@@ -107,7 +114,8 @@ class ResidualReport:
 
     @property
     def max_violation(self) -> float:
-        return max((f.max_violation for f in self.families.values()), default=0.0)
+        # NaN-propagating, so a NaN residual passes no tolerance check.
+        return float(np.max([f.max_violation for f in self.families.values()], initial=0.0))
 
     def within(self, tol: float) -> bool:
         return self.max_violation <= tol
@@ -127,10 +135,6 @@ def _row_violations(lp: LinearProgram, values: np.ndarray) -> np.ndarray:
     viol[is_g] = np.maximum(rhs[is_g] - activity[is_g], 0.0)
     viol[is_e] = np.abs(activity[is_e] - rhs[is_e])
     return viol
-
-
-def _bound_violations(lp: LinearProgram, values: np.ndarray) -> np.ndarray:
-    return np.maximum(np.maximum(lp.col_lo - values, values - lp.col_hi), 0.0)
 
 
 def verify(lp: LinearProgram, solution: Solution | np.ndarray) -> ResidualReport:
@@ -155,28 +159,30 @@ def verify(lp: LinearProgram, solution: Solution | np.ndarray) -> ResidualReport
     members = {family: np.sort(np.concatenate(parts)) for family, parts in groups.items()}
     # Families in the order of their first row; rows in row order.
     for family, rows in sorted(members.items(), key=lambda kv: kv[1][0]):
-        arr = viol[rows]
-        report.families[family] = FamilyResidual(
-            max_violation=float(arr.max()), mean_violation=float(arr.mean()), rows=len(arr)
-        )
-    bviol = _bound_violations(lp, values)
-    if len(bviol):
-        report.families["bounds"] = FamilyResidual(
-            max_violation=float(bviol.max()), mean_violation=float(bviol.mean()), rows=len(bviol)
-        )
+        report.families[family] = FamilyResidual.of(viol[rows])
+    bounds = np.maximum(np.maximum(lp.col_lo - values, values - lp.col_hi), 0.0)
+    report.families["bounds"] = FamilyResidual.of(bounds)
     return report
 
 
-def _solve_highs(lp: LinearProgram) -> tuple:
-    """One HiGHS run on `lp` in ``linprog``'s row layout.
+def _highs_inf(values: np.ndarray) -> np.ndarray:
+    """`values` with every infinite bound replaced by HiGHS' infinity of the same sign."""
+    return np.clip(values, -_highs.kHighsInf, _highs.kHighsInf)
 
-    Rows go in as L rows, then G rows negated (entries and rhs), then E
-    rows, with row bounds ``[-inf, b]`` for the first two groups and
-    ``[b, b]`` for E, under ``linprog``'s options. Returns the status,
-    ``x``, the iteration count, the row duals (in built-row order, signed
-    for the rows as built) and reduced costs of an optimum, or ``None``
-    for both otherwise, and HiGHS' own run time.
+
+def solve(lp: LinearProgram) -> Solution:
+    """Solve an LP with one HiGHS run; never raises on infeasible/unbounded (see `status`).
+
+    Rows go in as L rows, then G rows negated, then E rows, with row
+    bounds ``[-inf, b]`` for the first two groups and ``[b, b]`` for E.
+    An optimum carries its objective ``c·x + offset``, its duals and the
+    :func:`verify` report of ``x`` in `residuals`, whose largest violation
+    is `max_residual`; other statuses carry none of them. `wall_time_s`
+    spans the HiGHS run and the solution read, not the verification.
+    Raises :class:`SolverError` when HiGHS reports any other status, or an
+    optimum that violates a row or bound by more than linprog's check allows.
     """
+    t0 = time.perf_counter()
     senses = lp.row_sense
     order = np.concatenate([np.flatnonzero(senses == s) for s in "LGE"])
     n_l = int(np.count_nonzero(senses == "L"))
@@ -217,47 +223,21 @@ def _solve_highs(lp: LinearProgram) -> tuple:
         row_duals = np.empty(lp.num_rows)
         row_duals[order] = sol.row_dual
         row_duals[order[n_l:n_ub]] *= -1.0
-    return status, x, iterations, row_duals, col_duals, highs.getRunTime()
-
-
-def _highs_inf(values: np.ndarray) -> np.ndarray:
-    """`values` with every infinite bound replaced by HiGHS' infinity of the same sign."""
-    return np.clip(values, -_highs.kHighsInf, _highs.kHighsInf)
-
-
-def solve(lp: LinearProgram) -> Solution:
-    """Solve an LP with HiGHS; never raises on infeasible/unbounded (see `status`).
-
-    An optimal solution carries its objective ``c·x + offset``, its duals
-    and the largest row or bound violation of ``x``; other statuses carry
-    none of them. Raises :class:`SolverError` when HiGHS reports any other
-    status, or an optimum that violates a row or bound by more than
-    linprog's check allows.
-    """
-    t0 = time.perf_counter()
-    status, x, iterations, row_duals, col_duals, run_time = _solve_highs(lp)
+        del sol
+    run_time = highs.getRunTime()
+    del highs  # free HiGHS' model and solution before verifying
     wall = time.perf_counter() - t0
 
-    objective = None
+    objective = residuals = None
     max_residual = float("nan")
     if status == OPTIMAL:
         objective = float(lp.col_obj @ x + lp.offset)
-        max_residual = max(
-            float(_row_violations(lp, x).max(initial=0.0)),
-            float(_bound_violations(lp, x).max(initial=0.0)),
-        )
+        residuals = verify(lp, x)
+        max_residual = residuals.max_violation
         if not max_residual <= _OPTIMUM_CHECK_TOL:
             raise SolverError(f"HiGHS reported an optimum that violates the LP by {max_residual:.3e}")
     return Solution(
-        status=status,
-        objective=objective,
-        values=x,
-        lp=lp,
-        iterations=iterations,
-        wall_time_s=wall,
-        backend="highs",
-        max_residual=max_residual,
-        row_duals=row_duals,
-        col_duals=col_duals,
-        highs_run_time_s=run_time,
+        status=status, objective=objective, values=x, lp=lp, iterations=iterations, wall_time_s=wall,
+        backend="highs", max_residual=max_residual, row_duals=row_duals, col_duals=col_duals,
+        highs_run_time_s=run_time, residuals=residuals,
     )

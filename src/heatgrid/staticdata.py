@@ -97,10 +97,7 @@ class TechnologySpec:
     def __post_init__(self):
         if not 0 < self.efficiency <= 1:
             raise StaticDataError(f"{self.name}: efficiency {self.efficiency} not in (0,1]")
-        if not 0 < self.availability <= 1:
-            raise StaticDataError(f"{self.name}: availability {self.availability} not in (0,1]")
-        if self.lifetime_yr < 1:
-            raise StaticDataError(f"{self.name}: lifetime {self.lifetime_yr} < 1")
+        _check_spec(self)
 
 
 @dataclass(frozen=True)
@@ -123,6 +120,17 @@ class StorageSpec:
         for eff in (self.efficiency_charge, self.efficiency_discharge):
             if not 0 < eff <= 1:
                 raise StaticDataError(f"{self.name}: efficiency {eff} not in (0,1]")
+        _check_spec(self)
+
+
+def _check_spec(spec: TechnologySpec | StorageSpec) -> None:
+    """Refuse an availability, lifetime or interest rate that the annuity or the model cannot take."""
+    if not 0 < spec.availability <= 1:
+        raise StaticDataError(f"{spec.name}: availability {spec.availability} not in (0,1]")
+    if not spec.lifetime_yr >= 1:
+        raise StaticDataError(f"{spec.name}: lifetime {spec.lifetime_yr} < 1")
+    if not spec.interest_rate >= 0:
+        raise StaticDataError(f"{spec.name}: interest rate {spec.interest_rate} < 0")
 
 
 @dataclass(frozen=True)
@@ -194,6 +202,8 @@ class NtcMatrix:
         for (a, b), mw in self.limits_mw.items():
             if mw < 0:
                 raise StaticDataError(f"NTC {a}->{b} negative: {mw}")
+            if a == b:
+                raise StaticDataError(f"NTC {a}->{b} links a country to itself")
 
     def get(self, from_country: str, to_country: str) -> float:
         return self.limits_mw.get((from_country, to_country), 0.0)

@@ -62,6 +62,8 @@ def synth_profiles(
     if hours < 24:
         raise ValueError("need at least 24 hours")
     countries = [check_country(c) for c in countries]
+    if len(set(countries)) < len(countries):  # a second copy would overwrite the first's series
+        raise ValueError(f"country {max(countries, key=countries.count)} is listed more than once")
     start = utc(start_year, 7, 1)
     h = np.arange(hours)
     out: dict[tuple[str, str], HourlySeries] = {}

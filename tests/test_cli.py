@@ -204,6 +204,7 @@ def test_run_with_failing_cell_exits_two(tmp_path, capsys):
         (["--hours", "9000"], "window_hours 9000 not in [1, 8760]"),
         (["--jobs", "-2"], "--jobs -2 is below 1"),
         (["--years", "2009,2009", "--jobs", "2"], "weather year 2009 is listed more than once"),
+        (["--countries", "DE,DE"], "country DE is listed more than once"),
     ],
 )
 def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message):
@@ -242,11 +243,17 @@ def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message)
          "DE/li_ion_energy_gwh: lower 5000.0 > upper 1000.0"),
         ((("capacity_bounds_gw", "AT", "reservoir_energy_twh"), {"low": 2, "up": 1}),
          "AT/reservoir_energy_twh: lower 2000000.0 > upper 1000000.0"),
+        ((("generation", "ccgt", "interest_rate"), -0.01), "ccgt: interest rate -0.01 < 0"),
+        ((("storage", "li_ion", "interest_rate"), -0.01), "li_ion: interest rate -0.01 < 0"),
+        ((("storage", "li_ion", "lifetime_yr"), 0.5), "li_ion: lifetime 0.5 < 1"),
+        ((("storage", "li_ion", "availability"), 1.5), "li_ion: availability 1.5 not in (0,1]"),
+        ((("defaults", "ntc_mw", "DE", "DE"), 500), "NTC DE->DE links a country to itself"),
     ],
     ids=[
         "malformed", "empty", "missing-table", "table", "row", "bounds-cell", "storage-list", "defaults",
         "null-number", "text-number", "null-storage-number", "text-bound", "text-co2", "null-ntc", "list-bio",
-        "unknown-bounds-row", "crossed-gwh-bounds", "crossed-twh-bounds",
+        "unknown-bounds-row", "crossed-gwh-bounds", "crossed-twh-bounds", "negative-interest",
+        "negative-storage-interest", "short-storage-lifetime", "storage-availability", "ntc-self-link",
     ],
 )
 def test_run_static_failure_names_its_file(tmp_path, capsys, text, message):

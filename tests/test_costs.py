@@ -1,9 +1,21 @@
-"""Cost arithmetic: annuity, marginal generation cost, proration."""
+"""Cost arithmetic: annuity, marginal generation cost, proration, the cost breakdown."""
 
 import numpy as np
 import pytest
 
-from heatgrid.model import annuity, prorate_fixed_costs, variable_cost
+from desk import random_desk_instance
+from heatgrid.dataset import build_synth_dataset
+from heatgrid.model import (
+    EUR_PER_KEUR_MW,
+    MW_PER_GW,
+    annuity,
+    build_model,
+    extract_solved,
+    prorate_fixed_costs,
+    variable_cost,
+)
+from heatgrid.scenarios import make_instance, specs_for_selector
+from heatgrid.solver import solve
 from heatgrid.staticdata import load_static
 
 
@@ -74,3 +86,82 @@ def test_prorate_fixed_costs():
         prorate_fixed_costs(1.0, 0)
     with pytest.raises(ValueError):
         prorate_fixed_costs(1.0, 9000)
+
+
+def bounds_cost_breakdown(instance, caps, gen, ch, dis):
+    """The cost breakdown as the bounds decided it, before it walked the LP's capacities: the reference."""
+    H = instance.window.hours
+    invest = fixed_om = var = marginal = 0.0
+    for c in sorted(instance.countries):
+        for g in sorted(instance.techs):
+            spec = instance.techs[g]
+            b = instance.bounds.gen(c, g)
+            if b.up == 0.0:
+                continue
+            cap_gw = caps[c].get(("generation", g), b.low) / MW_PER_GW
+            if b.pinned:
+                fixed_om += (
+                    prorate_fixed_costs(spec.fixed_cost_keur_per_mw_yr, H)
+                    * EUR_PER_KEUR_MW * (b.low / MW_PER_GW)
+                )
+            else:
+                ann = annuity(spec.overnight_cost_keur_per_mw, spec.interest_rate, spec.lifetime_yr)
+                invest += prorate_fixed_costs(ann, H) * EUR_PER_KEUR_MW * cap_gw
+                fixed_om += prorate_fixed_costs(spec.fixed_cost_keur_per_mw_yr, H) * EUR_PER_KEUR_MW * cap_gw
+            series = gen.get((c, g))
+            if series is not None:
+                var += variable_cost(spec, instance.co2_price) * float(series.sum())
+        for s in sorted(instance.storages):
+            spec = instance.storages[s]
+            b_in = instance.bounds.sto_in(c, s)
+            b_out = instance.bounds.sto_out(c, s)
+            b_en = instance.bounds.sto_energy(c, s)
+            if b_out.up == 0.0 and b_en.up == 0.0:
+                continue
+            for b, kind, overnight in (
+                (b_en, "storage_energy", spec.overnight_cost_energy_keur_per_mwh),
+                (b_in, "storage_charge", spec.overnight_cost_charge_keur_per_mw),
+                (b_out, "storage_discharge", spec.overnight_cost_discharge_keur_per_mw),
+            ):
+                if b.pinned or (kind == "storage_charge" and b_in.up == 0.0):
+                    continue
+                cap_gw = caps[c].get((kind, s), 0.0) / MW_PER_GW
+                ann = annuity(overnight or 0.0, spec.interest_rate, spec.lifetime_yr)
+                invest += prorate_fixed_costs(ann, H) * EUR_PER_KEUR_MW * cap_gw
+            charge = ch.get((c, s))
+            if charge is not None:
+                marginal += spec.marginal_cost_charge_eur_per_mwh * float(charge.sum())
+            disch = dis.get((c, s))
+            if disch is not None:
+                marginal += spec.marginal_cost_discharge_eur_per_mwh * float(disch.sum())
+    total = invest + fixed_om + var + marginal
+    return {"investment": invest, "fixed_om": fixed_om, "variable": var, "storage_marginal": marginal, "total": total}
+
+
+def assert_breakdown_matches_reference(instance):
+    lp = build_model(instance)
+    solved = extract_solved(instance, lp, solve(lp))
+    expected = bounds_cost_breakdown(
+        instance, solved.capacities_mw, solved.generation_mw, solved.charge_mw, solved.discharge_mw
+    )
+    assert {k: v.hex() for k, v in solved.cost_breakdown.items()} == {k: v.hex() for k, v in expected.items()}
+    return solved
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_breakdown_of_desk_instances_matches_bounds_reference(seed):
+    assert_breakdown_matches_reference(random_desk_instance(seed))
+
+
+def test_breakdown_of_synthetic_cells_matches_bounds_reference():
+    dataset = build_synth_dataset(5, ["AT", "DE", "FR"], [2009], 24)
+    for spec in specs_for_selector("all", [2009], 24):
+        instance = make_instance(dataset, spec, 2009)
+        caps = assert_breakdown_matches_reference(instance).capacities_mw
+        # The cells hold what the bounds once decided: FR's open PHS and its
+        # reservoir without charge capacity, and technologies absent in AT and DE.
+        assert ("storage_discharge", "phs_open") in caps["FR"]
+        assert ("storage_energy", "reservoir") in caps["FR"] and ("storage_charge", "reservoir") not in caps["FR"]
+        for c in ("AT", "DE"):
+            absent = [g for g in instance.techs if instance.bounds.gen(c, g).up == 0.0]
+            assert absent and not any(("generation", g) in caps[c] for g in absent)

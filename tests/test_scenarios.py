@@ -231,10 +231,24 @@ class TestPersistence:
         results = load_results(tmp_path)
         assert len(results) == 1
 
+    def test_an_optimal_cell_is_verified_once_inside_solve(self, dataset, monkeypatch):
+        import heatgrid.solver as solver
+
+        verify, reports = solver.verify, []
+
+        def recording_verify(lp, x):
+            reports.append(verify(lp, x))
+            return reports[-1]
+
+        monkeypatch.setattr(solver, "verify", recording_verify)
+        result = run_cell(dataset, specs_for_selector("base", [2009], HOURS)[2], 2009)
+        assert result.ok
+        assert len(reports) == 1 and result.residual_report is reports[0]
+
     def test_manifest_carries_stage_timings(self, dataset, tmp_path, monkeypatch):
         import heatgrid.scenarios as scenarios
 
-        stages = ["make_instance_s", "build_s", "solve_s", "extract_s", "verify_s", "validate_s"]
+        stages = ["make_instance_s", "build_s", "solve_s", "extract_s", "validate_s"]  # solve_s verifies
         result = run_cell(dataset, specs_for_selector("base", [2009], HOURS)[2], 2009)
         manifest = json.loads((persist_result(result, tmp_path / "ok") / "manifest.json").read_text())
         assert list(manifest["timings"]) == sorted(stages)

@@ -138,12 +138,17 @@ def test_random_lp_duals_certify_optimality(seed):
     lp = random_lp(seed)
     sol = solve(lp)
     if sol.status != "optimal":
-        assert sol.row_duals is None and sol.col_duals is None
+        assert sol.row_duals is None and sol.col_duals is None and sol.residuals is None
         return
     assert_duals_certify(lp, sol)
     senses = lp.row_sense
     assert (sol.row_duals[senses == "L"] <= 1e-9).all()
     assert (sol.row_duals[senses == "G"] >= -1e-9).all()  # G rows are signed as built
+    # The optimum carries verify()'s report of its x, family by family, and its largest violation.
+    report = solver.verify(lp, sol.values)
+    assert list(sol.residuals.families) == list(report.families)
+    assert sol.residuals.families == report.families
+    assert sol.max_residual == sol.residuals.max_violation
 
 
 def test_status_map_follows_linprog_except_time_limit():
@@ -162,7 +167,7 @@ def test_time_and_iteration_limits_have_their_own_status(synth_dataset, monkeypa
     monkeypatch.setattr(solver, "_HIGHS_OPTIONS", {**options, "time_limit": 0.0})
     sol = solve(lp)
     assert sol.status == "time_limit"
-    assert sol.objective is None and sol.row_duals is None
+    assert sol.objective is None and sol.row_duals is None and sol.residuals is None
     monkeypatch.setattr(solver, "_HIGHS_OPTIONS", {**options, "simplex_iteration_limit": 1})
     sol = solve(lp)
     assert sol.status == "iteration_limit"
@@ -176,11 +181,9 @@ def test_an_empty_model_raises_with_highs_status():
 
 def test_an_optimum_off_the_lp_raises(monkeypatch):
     lp = random_lp(4)
-    status, x, iterations, row_duals, col_duals, run_time = solver._solve_highs(lp)
-    assert status == "optimal"
-    moved = x + 1.0
-    monkeypatch.setattr(
-        solver, "_solve_highs", lambda lp: (status, moved, iterations, row_duals, col_duals, run_time)
-    )
+    assert solve(lp).status == "optimal"
+    verify = solver.verify
+    # solve() gates on the report of the x it verifies; as if HiGHS had returned x + 1.
+    monkeypatch.setattr(solver, "verify", lambda lp, x: verify(lp, x + 1.0))
     with pytest.raises(SolverError, match="violates"):
         solve(lp)

@@ -6,6 +6,8 @@ in any cell.
 """
 
 import math
+import re
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -13,6 +15,8 @@ import yaml
 from heatgrid.staticdata import (
     Bounds,
     InfeasibleBounds,
+    NtcMatrix,
+    StaticDataError,
     bundled_static_path,
     emit_static,
     load_fleet_table,
@@ -211,3 +215,25 @@ def test_bounds_units_are_normalized_to_mw_mwh():
     assert static.bounds.sto_energy("FR", "reservoir") == Bounds(10e6, 10e6)  # TWh -> MWh
     assert static.bounds.sto_in("DE", "li_ion").up == INF
     assert static.bounds.sto_in("AT", "reservoir") == Bounds(0.0, 0.0)  # no pumping
+
+
+@pytest.mark.parametrize(
+    "spec, field, value, message",
+    [
+        ("ccgt", "interest_rate", -0.01, "ccgt: interest rate -0.01 < 0"),
+        ("li_ion", "interest_rate", -0.01, "li_ion: interest rate -0.01 < 0"),
+        ("li_ion", "lifetime_yr", 0.5, "li_ion: lifetime 0.5 < 1"),
+        ("li_ion", "availability", 1.5, "li_ion: availability 1.5 not in (0,1]"),
+        ("li_ion", "availability", 0.0, "li_ion: availability 0.0 not in (0,1]"),
+    ],
+)
+def test_specs_refuse_what_annuity_and_the_model_cannot_take(spec, field, value, message):
+    static = load_static()
+    bundled = static.technologies.get(spec) or static.storages[spec]
+    with pytest.raises(StaticDataError, match=re.escape(message)):
+        replace(bundled, **{field: value})
+
+
+def test_ntc_refuses_a_self_link():
+    with pytest.raises(StaticDataError, match="NTC DE->DE links a country to itself"):
+        NtcMatrix({("AT", "DE"): 500.0, ("DE", "DE"): 500.0})

@@ -65,6 +65,12 @@ def test_minimum_hours():
         synth_profiles(1, ["DE"], 12)
 
 
+def test_repeated_country_is_refused():
+    # A second DE would overwrite the first's series under the same keys.
+    with pytest.raises(ValueError, match="country DE is listed more than once"):
+        synth_profiles(7, ["DE", "AT", "DE"], 24)
+
+
 def test_synth_dataset_structure():
     ds = build_synth_dataset(9, ["AT", "DE"], [2009, 2010], 48)
     assert ds.years == [2009, 2010]

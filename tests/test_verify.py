@@ -74,3 +74,13 @@ def test_empty_lp_yields_empty_report():
     assert report.families == {}
     assert report.max_violation == 0.0
     assert max(report.families, default=None) is None
+
+
+def test_a_nan_activity_fails_the_report(solved):
+    lp, sol = solved
+    name = next(n for n in lp.col_names if n.startswith("hl["))
+    values = sol.values.copy()
+    values[lp.col(name)] = np.nan  # a NaN in the heat and bounds families, none in the first family
+    report = verify(lp, values)
+    assert np.isnan(report.max_violation)
+    assert not report.within(1e-6)
