@@ -38,10 +38,6 @@ class Dataset:
     def years(self) -> list:
         return sorted(self.series)
 
-    @property
-    def countries(self) -> list:
-        return sorted({country for country, _ in self.series[self.years[0]]})
-
 
 def _provenance(series: dict, static: StaticData, bounds: BoundsTable, ntc: NtcMatrix, bio: dict) -> str:
     digest = hashlib.sha256()

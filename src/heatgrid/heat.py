@@ -16,6 +16,9 @@ charging. Space and water sinks keep separate COPs and are never pooled.
 
 A country's heat demand is keyed (bt, st) and its COP (st, hpt); its
 targets HO are computed once and :func:`size_fleet` sizes its units from them.
+:func:`validate_trajectory` recomputes these equations from a country's
+trajectory and reports their violations by check in a
+:class:`~heatgrid.solver.ResidualReport`, the report the LP's rows get.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from .ids import BUILDING_TYPES, SINKS, valid_subkeys
 from .series import AlignmentError, ProfileSet
+from .solver import FamilyResidual, ResidualReport
 
 
 class DivisionDomain(ValueError):
@@ -50,8 +54,8 @@ class HeatConfig:
                 raise ValueError(f"unknown heat unit {key}")
             if not 0.0 <= s <= 1.0:
                 raise ValueError(f"share {s} for {key} not in [0,1]")
-            if self.ep_hours.get(key, 0.0) < 0.0:
-                raise ValueError(f"ep {self.ep_hours[key]} for {key} negative")
+            if not self.ep_hours.get(key, 0.0) >= 0.0:
+                raise ValueError(f"ep {self.ep_hours[key]} for {key} not >= 0")
         extra = set(self.ep_hours) - set(self.shares)
         if extra:
             raise ValueError(f"ep given for inactive units {sorted(extra)}")
@@ -76,8 +80,8 @@ class FleetUnit:
             self.heat_storage_capacity_mwh_th,
             self.electricity_input_capacity_mw_el,
         ):
-            if v < 0:
-                raise ValueError(f"negative fleet capacity {v}")
+            if not v >= 0:
+                raise ValueError(f"fleet capacity {v} not >= 0")
 
 
 @dataclass(frozen=True)
@@ -144,46 +148,33 @@ def size_fleet(config: HeatConfig, targets: dict, cops: ProfileSet) -> dict:
     return units
 
 
-@dataclass(frozen=True)
-class TrajectoryReport:
-    """Max absolute violations of the heat-module equations, by check."""
-
-    storage_recursion: float  # HL[h] - HL[h-1] - HI[h] + HO[h], cyclic
-    storage_bounds: float  # HL outside [0, tank]
-    cop_link: float  # HI - cop * E
-    target_mismatch: float  # HO vs s*hd target
-    capacity_violation: float  # HI/HO over output cap, E over input cap
-    ep_zero_identity: float  # HO != HI where the unit has no tank
-
-    @property
-    def max_violation(self) -> float:
-        return max(
-            self.storage_recursion,
-            self.storage_bounds,
-            self.cop_link,
-            self.target_mismatch,
-            self.capacity_violation,
-            self.ep_zero_identity,
-        )
-
-    def within(self, tol: float) -> bool:
-        return self.max_violation <= tol
-
-
 def validate_trajectory(
     traj: HeatTrajectory,
     fleet: dict,
     targets: dict,
     cops: ProfileSet,
     country: str,
-) -> TrajectoryReport:
+) -> ResidualReport:
     """Recompute every heat-module equation from raw trajectory values.
 
-    `fleet` maps country -> {(bt, st, hpt): FleetUnit}. Violations are
-    data for the caller to judge, not exceptions.
+    `fleet` maps country -> {(bt, st, hpt): FleetUnit}. The report has one
+    family per check, over the hourly violations of every unit the check
+    applies to (MW, or MWh for the tank), in this order:
+
+        storage_recursion   |HL[h] - HL[h-1] - HI[h] + HO[h]|, cyclic
+        storage_bounds      HL outside [0, tank]
+        cop_link            |HI - cop * E|
+        target_mismatch     |HO - s * hd|
+        capacity_violation  HI or HO over output capacity, E over input capacity
+        ep_zero_identity    |HO - HI| of a unit without a tank
+
+    A check that applies to no unit has no family. Violations are data for
+    the caller to judge, not exceptions; a NaN in the trajectory makes the
+    report's maximum NaN, which passes no tolerance.
     """
     units = fleet.get(country, {})
-    rec = bnd = link = tgt = cap = epz = 0.0
+    checks: dict = {name: [] for name in ("storage_recursion", "storage_bounds", "cop_link", "target_mismatch",
+                                          "capacity_violation", "ep_zero_identity")}
     for key in traj.keys:
         ho = np.asarray(traj.heat_output_mw[key], dtype=float)
         hi = np.asarray(traj.heat_generated_mw[key], dtype=float)
@@ -192,34 +183,20 @@ def validate_trajectory(
         if not (len(ho) == len(hi) == len(hl) == len(e)):
             raise AlignmentError(f"{country}/{key}: trajectory arrays differ in length")
         unit = units.get(key, FleetUnit(0.0, 0.0, 0.0))
-        hl_prev = np.roll(hl, 1)  # cyclic boundary
-        rec = max(rec, float(np.abs(hl - hl_prev - hi + ho).max(initial=0.0)))
-        bnd = max(
-            bnd,
-            float(np.maximum(-hl, 0.0).max(initial=0.0)),
-            float(np.maximum(hl - unit.heat_storage_capacity_mwh_th, 0.0).max(initial=0.0)),
-        )
+        tank = unit.heat_storage_capacity_mwh_th
         _, st, hpt = key
         cop = cops.profiles[(st, hpt)].values
-        link = max(link, float(np.abs(hi - cop * e).max(initial=0.0)))
         target = np.asarray(targets.get(key, np.zeros_like(ho)), dtype=float)
-        tgt = max(tgt, float(np.abs(ho - target).max(initial=0.0)))
-        cap = max(
-            cap,
-            float(np.maximum(hi - unit.heat_output_capacity_mw_th, 0.0).max(initial=0.0)),
-            float(np.maximum(ho - unit.heat_output_capacity_mw_th, 0.0).max(initial=0.0)),
-            float(np.maximum(e - unit.electricity_input_capacity_mw_el, 0.0).max(initial=0.0)),
-        )
-        if unit.heat_storage_capacity_mwh_th == 0.0:
-            epz = max(epz, float(np.abs(ho - hi).max(initial=0.0)))
-    return TrajectoryReport(
-        storage_recursion=rec,
-        storage_bounds=bnd,
-        cop_link=link,
-        target_mismatch=tgt,
-        capacity_violation=cap,
-        ep_zero_identity=epz,
-    )
+        checks["storage_recursion"].append(np.abs(hl - np.roll(hl, 1) - hi + ho))
+        checks["storage_bounds"].append(np.maximum(np.maximum(-hl, hl - tank), 0.0))
+        checks["cop_link"].append(np.abs(hi - cop * e))
+        checks["target_mismatch"].append(np.abs(ho - target))
+        over = np.maximum(np.maximum(hi, ho) - unit.heat_output_capacity_mw_th,
+                          e - unit.electricity_input_capacity_mw_el)
+        checks["capacity_violation"].append(np.maximum(over, 0.0))
+        if tank == 0.0:
+            checks["ep_zero_identity"].append(np.abs(ho - hi))
+    return ResidualReport({name: FamilyResidual.of(np.concatenate(parts)) for name, parts in checks.items() if parts})
 
 
 def fixed_trajectory(targets: dict, cops: ProfileSet) -> HeatTrajectory:

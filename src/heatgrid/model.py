@@ -37,7 +37,6 @@ import numpy as np
 
 from .heat import (
     HeatConfig,
-    HeatTrajectory,
     electricity_for_heat,
     fixed_trajectory,
     required_heat_output,
@@ -400,9 +399,7 @@ def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
 
     gen, ch, dis, soc, spl = (hourly(f) for f in ("gen", "ch", "dis", "soc", "spl"))
     flw = {tuple(link.split(">")): arr for (link,), arr in hourly("flw").items()}
-    ho_cols, hi_cols, hl_cols, e_cols = (
-        {(key[0], key[1:]): arr for key, arr in hourly(f).items()} for f in ("ho", "hi", "hl", "e")
-    )
+    heat_cols = {f: hourly(f) for f in ("ho", "hi", "hl", "e")}  # (c, bt, st, hpt) -> array
 
     # Capacities per country, in column order.
     caps: dict = {c: {} for c in instance.countries}
@@ -413,7 +410,7 @@ def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
     for idx, c, kind, name in sorted(cap_cols):
         caps[c][(kind, name)] = float(values[idx]) * MW_PER_GW
 
-    # Heat trajectories: column-backed units plus folded (ep = 0) units.
+    # Heat trajectories: folded (ep = 0) units, then the LP's column-backed units.
     heat: dict = {}
     heat_supplied = 0.0
     if instance.heat is not None:
@@ -422,22 +419,14 @@ def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
             targets = hb.targets_mw.get(c, {})
             if not targets:
                 continue
-            ho_d, hi_d, hl_d, e_d = {}, {}, {}, {}
-            cops = hb.cops[c]
-            for unit in sorted(targets):
-                if (c, unit) in ho_cols:
-                    ho_d[unit] = ho_cols[(c, unit)]
-                    hi_d[unit] = hi_cols[(c, unit)]
-                    hl_d[unit] = hl_cols[(c, unit)]
-                    e_d[unit] = e_cols[(c, unit)]
-                else:
-                    fixed = fixed_trajectory({unit: targets[unit]}, cops)
-                    ho_d[unit] = fixed.heat_output_mw[unit]
-                    hi_d[unit] = fixed.heat_generated_mw[unit]
-                    hl_d[unit] = fixed.storage_level_mwh[unit]
-                    e_d[unit] = fixed.electricity_mw[unit]
-                heat_supplied += float(ho_d[unit].sum())
-            heat[c] = HeatTrajectory(ho_d, hi_d, hl_d, e_d)
+            backed = [u for u in targets if (c, *u) in heat_cols["ho"]]  # build_model folded the rest
+            traj = fixed_trajectory({u: t for u, t in targets.items() if u not in backed}, hb.cops[c])
+            arrays = (traj.heat_output_mw, traj.heat_generated_mw, traj.storage_level_mwh, traj.electricity_mw)
+            for family, d in zip(("ho", "hi", "hl", "e"), arrays):
+                d.update({u: heat_cols[family][(c, *u)] for u in backed})
+            for unit in traj.keys:  # one unit at a time: costs.csv holds this sum's exact float
+                heat_supplied += float(traj.heat_output_mw[unit].sum())
+            heat[c] = traj
             units = hb.fleet[c].values()  # in size_fleet's sorted unit order
             caps[c][("heat_output", "heat_pump")] = sum(u.heat_output_capacity_mw_th for u in units)
             caps[c][("heat_storage_energy", "heat_pump")] = sum(u.heat_storage_capacity_mwh_th for u in units)

@@ -201,7 +201,7 @@ class ScenarioResult:
     objective: float | None = None
     solved: SolvedSystem | None = None
     residual_report: ResidualReport | None = None
-    trajectory_reports: dict = field(default_factory=dict)  # country -> TrajectoryReport
+    trajectory_reports: dict = field(default_factory=dict)  # country -> ResidualReport
     solver_stats: dict = field(default_factory=dict)  # the solver.* manifest fields; empty in an error cell
     error: str | None = None
     traceback: str | None = None  # of the exception that made an error cell

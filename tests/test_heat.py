@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from heatgrid.heat import (
     DivisionDomain,
+    FleetUnit,
     HeatConfig,
     HeatTrajectory,
     electricity_for_heat,
@@ -169,7 +170,7 @@ class TestValidateTrajectory:
         hl[KEY] = bumped
         broken = HeatTrajectory(traj.heat_output_mw, traj.heat_generated_mw, hl, traj.electricity_mw)
         report = validate_trajectory(broken, fleet, targets, cops, "DE")
-        assert report.storage_recursion == pytest.approx(1.0)
+        assert report.families["storage_recursion"].max_violation == pytest.approx(1.0)
 
     def test_ep_zero_output_generated_identity_is_flagged(self):
         traj, fleet, targets, cops = self._valid(ep=0.0)
@@ -179,8 +180,40 @@ class TestValidateTrajectory:
         hi[KEY] = bumped
         broken = HeatTrajectory(traj.heat_output_mw, hi, traj.storage_level_mwh, traj.electricity_mw)
         report = validate_trajectory(broken, fleet, targets, cops, "DE")
-        assert report.ep_zero_identity == pytest.approx(2.0)
-        assert report.storage_recursion == pytest.approx(2.0)  # Eq. recursion breaks too
+        assert report.families["ep_zero_identity"].max_violation == pytest.approx(2.0)
+        assert report.families["storage_recursion"].max_violation == pytest.approx(2.0)  # Eq. recursion breaks too
+
+    def test_families_are_the_checks_that_apply(self):
+        # One family per check, over every hour of every unit; a unit with a
+        # tank has no ep = 0 identity to check, so that family is absent.
+        for ep, absent in ((0.0, ()), (2.0, ("ep_zero_identity",))):
+            traj, fleet, targets, cops = self._valid(ep=ep)
+            report = validate_trajectory(traj, fleet, targets, cops, "DE")
+            checks = ("storage_recursion", "storage_bounds", "cop_link", "target_mismatch", "capacity_violation",
+                      "ep_zero_identity")
+            assert list(report.families) == [c for c in checks if c not in absent]
+            assert all(f.rows == 24 for f in report.families.values())
+
+    @pytest.mark.parametrize("family", ["heat_output_mw", "heat_generated_mw", "storage_level_mwh", "electricity_mw"])
+    def test_a_nan_fails_the_report(self, family):
+        traj, fleet, targets, cops = self._valid(ep=2.0)
+        arrays = {f: dict(getattr(traj, f)) for f in ("heat_output_mw", "heat_generated_mw", "storage_level_mwh",
+                                                      "electricity_mw")}
+        arrays[family][KEY] = arrays[family][KEY].copy()
+        arrays[family][KEY][7] = np.nan
+        report = validate_trajectory(HeatTrajectory(**arrays), fleet, targets, cops, "DE")
+        assert np.isnan(report.max_violation)
+        assert not report.within(1e-6)
+
+
+class TestNanInputs:
+    def test_nan_ep_is_refused(self):
+        with pytest.raises(ValueError, match="ep nan for .* not >= 0"):
+            HeatConfig.uniform(0.25, float("nan"))
+
+    def test_nan_fleet_capacity_is_refused(self):
+        with pytest.raises(ValueError, match="fleet capacity nan not >= 0"):
+            FleetUnit(float("nan"), 0.0, 0.0)
 
 
 @given(st.integers(3, 60), st.integers(0, 2**31 - 1))

@@ -205,7 +205,7 @@ def test_scale_invariance_of_variable_plus_investment():
 
 
 def test_mixed_tank_config_folds_and_emits_per_unit():
-    # One unit has a two-hour tank (columns), the other none (folded).
+    # One country, DE, holds a unit with a two-hour tank (columns) and one with none (folded).
     from heatgrid.heat import HeatConfig
     from heatgrid.model import HeatBlock, build_model, extract_solved
     from heatgrid.series import HourlySeries, ProfileSet, utc
@@ -239,6 +239,12 @@ def test_mixed_tank_config_folds_and_emits_per_unit():
     assert set(traj.keys) == {("single_family", "space", "air"), ("single_family", "water", "air")}
     report = validate_trajectory(traj, hb.fleet, hb.targets_mw["DE"], cops, "DE")
     assert report.max_violation <= 1e-6
+    # Every check applies to the country: the identity HO = HI to its folded unit alone.
+    assert list(report.families) == [
+        "storage_recursion", "storage_bounds", "cop_link", "target_mismatch", "capacity_violation", "ep_zero_identity",
+    ]
+    assert report.families["storage_recursion"].rows == 2 * 4
+    assert report.families["ep_zero_identity"].rows == 4
     # The country's heat capacities sum its two units: output peaks 300 and 62.5, tank 2 h of 300.
     caps = solved.capacities_mw["DE"]
     assert caps[("heat_output", "heat_pump")] == pytest.approx(300.0 + 62.5)

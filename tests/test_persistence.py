@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from heatgrid import analysis
 from heatgrid.dataset import build_synth_dataset
 from heatgrid.scenarios import (
     CELL_TABLES,
@@ -236,14 +237,33 @@ def test_manifest_holds_the_declared_fields(results, tmp_path, cell):
         assert leaf not in fields or type(fields[leaf]) in f.types, f.path
 
 
-def test_readme_manifest_table_is_the_declaration():
+def _readme_table(header: str) -> list:
+    """The rows of the README table under `header`, as written."""
     lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
-    start = lines.index("| field | JSON types | read by `analyze` as | varies between runs |")
-    rows = list(takewhile(lambda line: line.startswith("|"), lines[start + 2 :]))
+    return list(takewhile(lambda line: line.startswith("|"), lines[lines.index(header) + 2 :]))
+
+
+def test_readme_manifest_table_is_the_declaration():
+    rows = _readme_table("| field | JSON types | read by `analyze` as | varies between runs |")
     assert rows == [  # field, JSON types, read by analyze as, varies
         f"| `{f.path}` | {' or '.join(t.__name__ for t in f.types)}{', at least 1' * f.positive} "
         f"| {f'`{f.attr}`' if f.attr else ''} | {'yes' * f.varies} |"
         for f in MANIFEST_FIELDS
+    ]
+
+
+def test_readme_result_table_is_the_declaration():
+    rows = _readme_table("| file | header | blocks, in file order |")
+    assert [" | ".join(row.split(" | ")[:2]) for row in rows] == [
+        f"| `{t.file}` | `{','.join(t.columns)}`" for t in CELL_TABLES
+    ]
+
+
+def test_readme_analysis_table_is_the_declaration():
+    rows = _readme_table("| file | columns |")
+    tables = (analysis.RLDC, analysis.PEAKS, analysis.EVENTS, analysis.HEAT_DAILY, analysis.FIRM_DELTA)
+    assert [row.split(" (")[0] for row in rows[: len(tables)]] == [
+        f"| `{t.file}` | `{','.join(t.columns)}`" for t in tables
     ]
 
 
