@@ -20,10 +20,13 @@ before the hour):
 Row families: bal (energy balance), gcap (availability), sdyn/scap/sin/sout
 (storage), hdyn/hcop (heat), bio (annual bioenergy energy cap).
 
-Capacity variables stay inside their bound table; pinned capacities
-(lower == upper) contribute fixed O&M as a constant objective offset and
-their hourly limits are folded into variable bounds. Expandable capacity
-pays annuitized investment plus fixed O&M, prorated to the window length.
+Capacity families are declared once, in ``CAPACITIES``, and priced once,
+by ``capacity_costs``, for the assembler and ``cost_breakdown`` alike.
+Capacity variables stay inside their bound table. Expandable capacity pays
+annuitized investment plus fixed O&M (none for storage), prorated to the
+window length; a pinned one (lower == upper) pays its fixed O&M as a
+constant objective offset, and its hourly limits are folded into variable
+bounds.
 Heat units without a tank (ep = 0) have a fully determined electricity
 profile, which is folded into the balance right-hand side instead of
 emitting constant columns.
@@ -31,6 +34,7 @@ emitting constant columns.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +49,7 @@ from .heat import (
 from .ids import HOURS_PER_YEAR, INFLOW_STORAGES
 from .lp import INF, LinearProgram
 from .series import AlignmentError, ModelWindow, _check_aligned
-from .staticdata import BoundsTable, NtcMatrix, StorageSpec, TechnologySpec
+from .staticdata import Bounds, BoundsTable, NtcMatrix, StorageSpec, TechnologySpec
 
 MW_PER_GW = 1e3
 EUR_PER_KEUR_MW = 1e6  # kEUR/MW -> EUR/GW
@@ -82,6 +86,34 @@ def prorate_fixed_costs(annual: float, window_hours: int) -> float:
     if not 1 <= window_hours <= HOURS_PER_YEAR:
         raise ValueError(f"window hours {window_hours} not in [1, {HOURS_PER_YEAR}]")
     return annual * window_hours / HOURS_PER_YEAR
+
+
+# Capacity column family -> its kind in SolvedSystem.capacities_mw, BoundsTable getter and spec
+# field of its overnight cost (kEUR per MW or MWh, None read as 0), in a storage's column order.
+Capacity = namedtuple("Capacity", "kind bounds overnight")
+CAPACITIES = {
+    "cap": Capacity("generation", "gen", "overnight_cost_keur_per_mw"),
+    "sce": Capacity("storage_energy", "sto_energy", "overnight_cost_energy_keur_per_mwh"),
+    "scc": Capacity("storage_charge", "sto_in", "overnight_cost_charge_keur_per_mw"),
+    "scd": Capacity("storage_discharge", "sto_out", "overnight_cost_discharge_keur_per_mw"),
+}
+
+
+def capacity_costs(spec: TechnologySpec | StorageSpec, family: str) -> tuple:
+    """A capacity's yearly (investment annuity, fixed O&M), kEUR per MW (MWh); storage has no fixed O&M."""
+    overnight = getattr(spec, CAPACITIES[family].overnight) or 0.0
+    fixed = spec.fixed_cost_keur_per_mw_yr if isinstance(spec, TechnologySpec) else 0.0
+    return annuity(overnight, spec.interest_rate, spec.lifetime_yr), fixed
+
+
+def _capacity_column(lp: LinearProgram, spec, family: str, b: Bounds, hours: int) -> tuple:
+    """A capacity column's (low, up, cost), GW (GWh) and EUR; pinned, its fixed O&M goes to the offset."""
+    invest, fixed = capacity_costs(spec, family)
+    low, up = b.low / MW_PER_GW, b.up / MW_PER_GW
+    if b.pinned:
+        lp.offset += prorate_fixed_costs(fixed, hours) * EUR_PER_KEUR_MW * low
+        return low, up, 0.0
+    return low, up, prorate_fixed_costs(invest + fixed, hours) * EUR_PER_KEUR_MW
 
 
 @dataclass(frozen=True)
@@ -163,24 +195,7 @@ def build_model(instance: SystemInstance) -> LinearProgram:
             b = instance.bounds.gen(c, g)
             if b.up == 0.0:
                 continue  # technology absent in this country
-            lo_gw, up_gw = b.low / MW_PER_GW, b.up / MW_PER_GW
-            vcost = variable_cost(spec, instance.co2_price) * MW_PER_GW  # EUR/GWh
-            if b.pinned:
-                cap_obj = 0.0
-            else:
-                cap_obj = (
-                    prorate_fixed_costs(
-                        annuity(spec.overnight_cost_keur_per_mw, spec.interest_rate, spec.lifetime_yr)
-                        + spec.fixed_cost_keur_per_mw_yr,
-                        H,
-                    )
-                    * EUR_PER_KEUR_MW
-                )
-            cap = lp.add_cols((c, g), {"cap": (lo_gw, up_gw, cap_obj)})["cap"]
-            if b.pinned:
-                lp.offset += (
-                    prorate_fixed_costs(spec.fixed_cost_keur_per_mw_yr, H) * EUR_PER_KEUR_MW * lo_gw
-                )
+            cap = lp.add_cols((c, g), {"cap": _capacity_column(lp, spec, "cap", b, H)})["cap"]
             if spec.tech_class == "variable_renewable":
                 af = instance.availability.get((c, g))
                 if af is None:
@@ -188,83 +203,51 @@ def build_model(instance: SystemInstance) -> LinearProgram:
                 factor = np.asarray(af, dtype=float)
             else:
                 factor = np.full(H, spec.availability)
-            if b.pinned:
-                gen = lp.add_cols((c, g), {"gen": (0.0, factor * lo_gw, vcost)}, H)["gen"]
-            else:
-                gen = lp.add_cols((c, g), {"gen": (0.0, INF, vcost)}, H)["gen"]
+            vcost = variable_cost(spec, instance.co2_price) * MW_PER_GW  # EUR/GWh
+            up = factor * (b.low / MW_PER_GW) if b.pinned else INF  # a pinned capacity bounds the column
+            gen = lp.add_cols((c, g), {"gen": (0.0, up, vcost)}, H)["gen"]
+            if not b.pinned:
                 lp.add_rows((c, g), {"gcap": ("L", 0.0, [(gen, 1.0), (cap, -factor)])}, H)
             balance[c].append((gen, 1.0))
 
     # -- electricity storage ------------------------------------------------
     for c in countries:
         # Inflow split between open PHS and reservoir by energy capacity.
-        inflow_gwh = np.asarray(
-            instance.inflow_mwh.get(c, np.zeros(H)), dtype=float
-        ) / MW_PER_GW
+        inflow_gwh = np.asarray(instance.inflow_mwh.get(c, np.zeros(H)), dtype=float) / MW_PER_GW
         inflow_weights = {}
         if inflow_gwh.any():
-            energies = {
-                s: instance.bounds.sto_energy(c, s).up
-                for s in INFLOW_STORAGES
-                if s in instance.storages
-                and np.isfinite(instance.bounds.sto_energy(c, s).up)
-            }
+            energies = {s: instance.bounds.sto_energy(c, s).up for s in INFLOW_STORAGES if s in instance.storages}
+            energies = {s: e for s, e in energies.items() if np.isfinite(e)}
             total = sum(energies.values())
             if total > 0:
                 inflow_weights = {s: e / total for s, e in energies.items() if e > 0}
 
         for s in storages:
             spec: StorageSpec = instance.storages[s]
-            b_in = instance.bounds.sto_in(c, s)
-            b_out = instance.bounds.sto_out(c, s)
-            b_en = instance.bounds.sto_energy(c, s)
-            if b_out.up == 0.0 and b_en.up == 0.0:
+            bounds = {f: getattr(instance.bounds, CAPACITIES[f].bounds)(c, s) for f in ("sce", "scc", "scd")}
+            if bounds["scd"].up == 0.0 and bounds["sce"].up == 0.0:
                 continue  # storage absent
-            has_charge = b_in.up > 0.0
-
-            def _cap(b, overnight):
-                obj = 0.0
-                if not b.pinned:
-                    obj = (
-                        prorate_fixed_costs(
-                            annuity(overnight or 0.0, spec.interest_rate, spec.lifetime_yr), H
-                        )
-                        * EUR_PER_KEUR_MW
-                    )
-                return b.low / MW_PER_GW, b.up / MW_PER_GW, obj
-
-            caps = {"sce": _cap(b_en, spec.overnight_cost_energy_keur_per_mwh)}
-            if has_charge:
-                caps["scc"] = _cap(b_in, spec.overnight_cost_charge_keur_per_mw)
-            caps["scd"] = _cap(b_out, spec.overnight_cost_discharge_keur_per_mw)
-            cap = lp.add_cols((c, s), caps)
-
-            mc_ch = spec.marginal_cost_charge_eur_per_mwh * MW_PER_GW
-            mc_dis = spec.marginal_cost_discharge_eur_per_mwh * MW_PER_GW
+            # Capacity -> (operation column, capacity factor, marginal cost EUR/GWh, limit row).
+            ops = {
+                "scc": ("ch", spec.availability, spec.marginal_cost_charge_eur_per_mwh * MW_PER_GW, "sin"),
+                "scd": ("dis", spec.availability, spec.marginal_cost_discharge_eur_per_mwh * MW_PER_GW, "sout"),
+                "sce": ("soc", 1.0, 0.0, "scap"),
+            }
+            if bounds["scc"].up == 0.0:
+                del bounds["scc"], ops["scc"]  # no charging
+            cap = lp.add_cols((c, s), {f: _capacity_column(lp, spec, f, b, H) for f, b in bounds.items()})
             share = inflow_weights.get(s, 0.0)
             has_spill = s in INFLOW_STORAGES and share > 0.0
 
-            # Pinned power and energy capacities become column bounds.
-            cols = {}
-            if has_charge:
-                ch_up = spec.availability * b_in.low / MW_PER_GW if b_in.pinned else INF
-                cols["ch"] = (0.0, ch_up, mc_ch)
-            dis_up = spec.availability * b_out.low / MW_PER_GW if b_out.pinned else INF
-            cols["dis"] = (0.0, dis_up, mc_dis)
-            cols["soc"] = (0.0, b_en.low / MW_PER_GW if b_en.pinned else INF, 0.0)
+            # A pinned capacity bounds its operation column, any other gets a limit row.
+            cols = {col: (0.0, factor * bounds[f].low / MW_PER_GW if bounds[f].pinned else INF, cost)
+                    for f, (col, factor, cost, _) in ops.items()}
             if has_spill:
                 cols["spl"] = (0.0, INF, 0.0)
             op = lp.add_cols((c, s), cols, H)
-
-            limits = {}
-            if has_charge and not b_in.pinned:
-                limits["sin"] = ("L", 0.0, [(op["ch"], 1.0), (cap["scc"], -spec.availability)])
-            if not b_out.pinned:
-                limits["sout"] = ("L", 0.0, [(op["dis"], 1.0), (cap["scd"], -spec.availability)])
-            if not b_en.pinned:
-                limits["scap"] = ("L", 0.0, [(op["soc"], 1.0), (cap["sce"], -1.0)])
-            if limits:
-                lp.add_rows((c, s), limits, H)
+            limits = {row: ("L", 0.0, [(op[col], 1.0), (cap[f], -factor)])
+                      for f, (col, factor, _, row) in ops.items() if not bounds[f].pinned}
+            lp.add_rows((c, s), limits, H)
 
             # Cyclic state dynamics: soc[h] - soc[h-1] - ec*ch + dis/ed + spl = inflow;
             # hour 0 wraps to the last hour.
@@ -273,13 +256,13 @@ def build_model(instance: SystemInstance) -> LinearProgram:
                 (np.roll(op["soc"], 1), -1.0),
                 (op["dis"], 1.0 / spec.efficiency_discharge),
             ]
-            if has_charge:
+            if "ch" in op:
                 dyn.append((op["ch"], -spec.efficiency_charge))
             if has_spill:
                 dyn.append((op["spl"], 1.0))
             lp.add_rows((c, s), {"sdyn": ("E", share * inflow_gwh, dyn)}, H)
 
-            if has_charge:
+            if "ch" in op:
                 balance[c].append((op["ch"], -1.0))
             balance[c].append((op["dis"], 1.0))
 
@@ -374,21 +357,6 @@ class SolvedSystem:
         return traj.total_electricity_mw()
 
 
-# Capacity column family -> capacity kind in SolvedSystem.capacities_mw.
-CAPACITY_KINDS = {
-    "cap": "generation",
-    "sce": "storage_energy",
-    "scc": "storage_charge",
-    "scd": "storage_discharge",
-}
-# Storage capacity kind -> (its BoundsTable getter, its StorageSpec overnight cost).
-_STORAGE_CAPACITIES = {
-    "storage_energy": ("sto_energy", "overnight_cost_energy_keur_per_mwh"),
-    "storage_charge": ("sto_in", "overnight_cost_charge_keur_per_mw"),
-    "storage_discharge": ("sto_out", "overnight_cost_discharge_keur_per_mw"),
-}
-
-
 def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
     """Read a solved LP back into physical quantities and a cost breakdown."""
     values = solution.values
@@ -404,9 +372,9 @@ def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
     # Capacities per country, in column order.
     caps: dict = {c: {} for c in instance.countries}
     cap_cols = []
-    for family, kind in CAPACITY_KINDS.items():
+    for family, capacity in CAPACITIES.items():
         fam = lp.col_family(family)
-        cap_cols += [(int(idx), c, kind, name) for (c, name), idx in zip(fam.keys, fam.index)]
+        cap_cols += [(int(idx), c, capacity.kind, name) for (c, name), idx in zip(fam.keys, fam.index)]
     for idx, c, kind, name in sorted(cap_cols):
         caps[c][(kind, name)] = float(values[idx]) * MW_PER_GW
 
@@ -452,36 +420,32 @@ def cost_breakdown(instance: SystemInstance, caps: dict, gen: dict, ch: dict, di
     """Recompute objective components from physical quantities (EUR).
 
     Prices each capacity of `caps`, the LP's capacity columns in column
-    order, as the assembler does, so investment + fixed_om + variable +
-    storage_marginal reproduces the LP objective (additivity is asserted
-    in tests, not here).
+    order, from :func:`capacity_costs` as the assembler does, so investment
+    + fixed_om + variable + storage_marginal reproduces the LP objective
+    (additivity is asserted in tests, not here).
     """
     H = instance.window.hours
+    family_of = {capacity.kind: family for family, capacity in CAPACITIES.items()}
     invest = fixed_om = var = marginal = 0.0
     for c in sorted(instance.countries):
         for (kind, name), cap_mw in caps[c].items():
-            cap_gw = cap_mw / MW_PER_GW
-            if kind == "generation":
-                spec = instance.techs[name]
-                b = instance.bounds.gen(c, name)
-                if b.pinned:
-                    fixed_om += (prorate_fixed_costs(spec.fixed_cost_keur_per_mw_yr, H)
-                                 * EUR_PER_KEUR_MW * (b.low / MW_PER_GW))
-                else:
-                    ann = annuity(spec.overnight_cost_keur_per_mw, spec.interest_rate, spec.lifetime_yr)
-                    invest += prorate_fixed_costs(ann, H) * EUR_PER_KEUR_MW * cap_gw
-                    fixed_om += prorate_fixed_costs(spec.fixed_cost_keur_per_mw_yr, H) * EUR_PER_KEUR_MW * cap_gw
-                var += variable_cost(spec, instance.co2_price) * float(gen[(c, name)].sum())
-            elif kind in _STORAGE_CAPACITIES:
-                spec = instance.storages[name]
-                bounds, overnight = _STORAGE_CAPACITIES[kind]
-                if not getattr(instance.bounds, bounds)(c, name).pinned:
-                    ann = annuity(getattr(spec, overnight) or 0.0, spec.interest_rate, spec.lifetime_yr)
-                    invest += prorate_fixed_costs(ann, H) * EUR_PER_KEUR_MW * cap_gw
-                if kind == "storage_discharge":  # a storage's last capacity column
-                    charge = ch.get((c, name))
-                    if charge is not None:
-                        marginal += spec.marginal_cost_charge_eur_per_mwh * float(charge.sum())
-                    marginal += spec.marginal_cost_discharge_eur_per_mwh * float(dis[(c, name)].sum())
+            family = family_of.get(kind)
+            if family is None:
+                continue  # a heat-pump fleet capacity, not an LP column
+            spec = instance.techs[name] if family == "cap" else instance.storages[name]
+            annual, fixed = capacity_costs(spec, family)
+            b = getattr(instance.bounds, CAPACITIES[family].bounds)(c, name)
+            if b.pinned:
+                fixed_om += prorate_fixed_costs(fixed, H) * EUR_PER_KEUR_MW * (b.low / MW_PER_GW)
+            else:
+                invest += prorate_fixed_costs(annual, H) * EUR_PER_KEUR_MW * (cap_mw / MW_PER_GW)
+                fixed_om += prorate_fixed_costs(fixed, H) * EUR_PER_KEUR_MW * (cap_mw / MW_PER_GW)
+    for c, g in sorted(gen):
+        var += variable_cost(instance.techs[g], instance.co2_price) * float(gen[(c, g)].sum())
+    for c, s in sorted(dis):
+        spec = instance.storages[s]
+        if (c, s) in ch:
+            marginal += spec.marginal_cost_charge_eur_per_mwh * float(ch[(c, s)].sum())
+        marginal += spec.marginal_cost_discharge_eur_per_mwh * float(dis[(c, s)].sum())
     return {"investment": invest, "fixed_om": fixed_om, "variable": var, "storage_marginal": marginal,
             "total": invest + fixed_om + var + marginal}

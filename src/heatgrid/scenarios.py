@@ -45,10 +45,10 @@ from .heat import HeatConfig, validate_trajectory
 from .ids import HOURS_PER_YEAR
 from .ingest import parse_quantity
 from .lp import LinearProgram
-from .model import HeatBlock, SolvedSystem, SystemInstance, build_model, extract_solved
+from .model import MW_PER_GW, HeatBlock, SolvedSystem, SystemInstance, build_model, extract_solved
 from .mps import export_mps as write_mps
 from .series import ModelWindow, ProfileSet, window_july_june
-from .solver import ResidualReport, Solution, solve
+from .solver import _OPTIMUM_CHECK_TOL, ResidualReport, Solution, solve
 from .staticdata import Bounds, BoundsTable, NtcMatrix
 
 MANIFEST_SCHEMA = "heatgrid-result-v1"
@@ -216,7 +216,8 @@ class ScenarioResult:
 def run_cell(dataset: Dataset, spec: ScenarioSpec, year: int, export_mps: bool = False) -> ScenarioResult:
     """Build, solve (which verifies), and validate one matrix cell. Never raises.
 
-    With `export_mps`, an optimal result keeps its LP in `lp`, and
+    A heat trajectory off its equations makes an error cell naming the
+    country. With `export_mps`, an optimal result keeps its LP in `lp`, and
     :func:`persist_result` writes it as ``model.mps``. `timings` holds the
     wall time of each stage that ran, in seconds.
     """
@@ -238,6 +239,9 @@ def run_cell(dataset: Dataset, spec: ScenarioSpec, year: int, export_mps: bool =
             hb = instance.heat
             traj_reports = {c: validate_trajectory(traj, hb.fleet, hb.targets_mw.get(c, {}), hb.cops[c], c)
                             for c, traj in solved.heat.items()}
+        for c, report in traj_reports.items():  # the tolerance solve() allows an optimum, in MW; NaN fails it
+            if not report.within(_OPTIMUM_CHECK_TOL * MW_PER_GW):
+                raise ValueError(f"{c}: heat trajectory off its equations by {report.max_violation:.3e} MW")
         return cell(
             "optimal", objective=solution.objective, solved=solved, residual_report=solution.residuals,
             trajectory_reports=traj_reports, solver_stats=_stats(solution), lp=lp if export_mps else None,
@@ -496,7 +500,8 @@ def _write_cell_files(result: ScenarioResult, cell_dir: Path) -> None:
     for table in CELL_TABLES:
         write_table(cell_dir / table.file, table, blocks.get(table, ()), result.spec.window_hours)
 
-    (cell_dir / "manifest.json").write_text(json.dumps(_manifest(result), indent=1, sort_keys=True) + "\n")
+    manifest = json.dumps(_manifest(result), indent=1, sort_keys=True, allow_nan=False)  # NaN is not JSON
+    (cell_dir / "manifest.json").write_text(manifest + "\n")
     if result.lp is not None:
         write_mps(result.lp, cell_dir / "model.mps")
 

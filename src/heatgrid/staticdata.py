@@ -138,11 +138,11 @@ class Bounds:
     low: float
     up: float
 
-    def __post_init__(self):
-        if self.low > self.up:
-            raise InfeasibleBounds(f"lower {self.low} > upper {self.up}")
-        if self.low < 0:
-            raise StaticDataError(f"negative lower bound {self.low}")
+    def __post_init__(self):  # written so that a NaN fails them
+        if not self.low <= self.up:
+            raise InfeasibleBounds(f"lower {self.low} not <= upper {self.up}")
+        if not self.low >= 0:
+            raise StaticDataError(f"lower bound {self.low} not >= 0")
 
     @property
     def pinned(self) -> bool:
@@ -150,12 +150,15 @@ class Bounds:
 
 
 def _normalize_pair(low: float, up: float, context: str) -> Bounds:
-    """Build Bounds, healing print-precision lower>upper contradictions."""
+    """Build Bounds, healing print-precision lower>upper contradictions; an error names `context`."""
     if low > up:
         if low - up <= PRINT_PRECISION_GW * 1000 + 1e-9:  # MW here
             return Bounds(low, low)  # pinned technology, rounding artifact
         raise InfeasibleBounds(f"{context}: lower {low} > upper {up}")
-    return Bounds(low, up)
+    try:
+        return Bounds(low, up)
+    except StaticDataError as exc:  # a NaN or a negative lower bound
+        raise type(exc)(f"{context}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -183,13 +186,10 @@ class BoundsTable:
     def sto_energy(self, country: str, sto: str) -> Bounds:
         return self.storage_energy_mwh.get((country, sto), Bounds(0.0, 0.0))
 
-    def replace(self, gen=None, sto_in=None, sto_out=None, sto_energy=None) -> "BoundsTable":
-        return BoundsTable(
-            gen_mw={**self.gen_mw, **(gen or {})},
-            storage_power_in_mw={**self.storage_power_in_mw, **(sto_in or {})},
-            storage_power_out_mw={**self.storage_power_out_mw, **(sto_out or {})},
-            storage_energy_mwh={**self.storage_energy_mwh, **(sto_energy or {})},
-        )
+    def replace(self, gen: dict) -> "BoundsTable":
+        """This table with the generation bounds of `gen` put in."""
+        return BoundsTable({**self.gen_mw, **gen}, self.storage_power_in_mw, self.storage_power_out_mw,
+                           self.storage_energy_mwh)
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,10 @@ def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message)
          "DE/li_ion_energy_gwh: lower 5000.0 > upper 1000.0"),
         ((("capacity_bounds_gw", "AT", "reservoir_energy_twh"), {"low": 2, "up": 1}),
          "AT/reservoir_energy_twh: lower 2000000.0 > upper 1000000.0"),
+        ((("capacity_bounds_gw", "DE", "li_ion_power_in_out"), {"low": float("nan"), "up": float("inf")}),
+         "DE/li_ion_power_in_out: lower nan not <= upper inf"),
+        ((("capacity_bounds_gw", "DE", "ccgt"), {"low": -1, "up": 30}),
+         "DE/ccgt: lower bound -1000.0 not >= 0"),
         ((("generation", "ccgt", "interest_rate"), -0.01), "ccgt: interest rate -0.01 < 0"),
         ((("storage", "li_ion", "interest_rate"), -0.01), "li_ion: interest rate -0.01 < 0"),
         ((("storage", "li_ion", "lifetime_yr"), 0.5), "li_ion: lifetime 0.5 < 1"),
@@ -252,7 +256,8 @@ def test_run_rejects_bad_input_before_any_cell(tmp_path, capsys, flags, message)
     ids=[
         "malformed", "empty", "missing-table", "table", "row", "bounds-cell", "storage-list", "defaults",
         "null-number", "text-number", "null-storage-number", "text-bound", "text-co2", "null-ntc", "list-bio",
-        "unknown-bounds-row", "crossed-gwh-bounds", "crossed-twh-bounds", "negative-interest",
+        "unknown-bounds-row", "crossed-gwh-bounds", "crossed-twh-bounds", "nan-bound", "negative-bound",
+        "negative-interest",
         "negative-storage-interest", "short-storage-lifetime", "storage-availability", "ntc-self-link",
     ],
 )

@@ -1,22 +1,29 @@
 """Cost arithmetic: annuity, marginal generation cost, proration, the cost breakdown."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from desk import random_desk_instance
 from heatgrid.dataset import build_synth_dataset
+from heatgrid.ids import COUNTRIES
 from heatgrid.model import (
+    CAPACITIES,
     EUR_PER_KEUR_MW,
     MW_PER_GW,
     annuity,
     build_model,
+    capacity_costs,
     extract_solved,
     prorate_fixed_costs,
     variable_cost,
 )
 from heatgrid.scenarios import make_instance, specs_for_selector
 from heatgrid.solver import solve
-from heatgrid.staticdata import load_static
+from heatgrid.staticdata import Bounds, BoundsTable, load_static
+
+INF = float("inf")
 
 
 def pv_sum_annuity(overnight, rate, lifetime):
@@ -153,6 +160,14 @@ def test_breakdown_of_desk_instances_matches_bounds_reference(seed):
     assert_breakdown_matches_reference(random_desk_instance(seed))
 
 
+def bundled_bounds_dataset(seed, hours):
+    """Synthetic series of all nine countries under the bundled bounds, NTC and bioenergy caps."""
+    dataset = build_synth_dataset(seed, list(COUNTRIES), [2009], hours)
+    static = dataset.static
+    return dataclasses.replace(dataset, bounds=static.bounds, ntc=static.ntc,
+                               bioenergy_cap_mwh_yr=static.bioenergy_cap_mwh_yr)
+
+
 def test_breakdown_of_synthetic_cells_matches_bounds_reference():
     dataset = build_synth_dataset(5, ["AT", "DE", "FR"], [2009], 24)
     for spec in specs_for_selector("all", [2009], 24):
@@ -165,3 +180,69 @@ def test_breakdown_of_synthetic_cells_matches_bounds_reference():
         for c in ("AT", "DE"):
             absent = [g for g in instance.techs if instance.bounds.gen(c, g).up == 0.0]
             assert absent and not any(("generation", g) in caps[c] for g in absent)
+    # The same for the nine countries under the bundled bounds: AT pumps no
+    # water into its reservoir, and DE has no nuclear.
+    dataset = bundled_bounds_dataset(5, 24)
+    for spec in specs_for_selector("all", [2009], 24):
+        caps = assert_breakdown_matches_reference(make_instance(dataset, spec, 2009)).capacities_mw
+        assert ("storage_discharge", "reservoir") in caps["AT"] and ("storage_charge", "reservoir") not in caps["AT"]
+        assert ("generation", "nuclear") not in caps["DE"] and ("generation", "nuclear") in caps["FR"]
+
+
+def varied_storage_bounds(instance):
+    """`instance` with its storage capacities pinned, free, capped and absent in turn."""
+    turns = (Bounds(800.0, 800.0), Bounds(0.0, INF), Bounds(0.0, 1600.0), Bounds(0.0, 0.0))
+    tables = {"storage_power_in_mw": {}, "storage_power_out_mw": {}, "storage_energy_mwh": {}}
+    keys = [(c, s) for c in instance.countries for s in sorted(instance.storages)]
+    for k, (table, key) in enumerate((table, key) for key in keys for table in tables):
+        tables[table][key] = turns[k % len(turns)]
+    return dataclasses.replace(instance, bounds=BoundsTable(instance.bounds.gen_mw, **tables))
+
+
+def test_breakdown_of_varied_storage_bounds_matches_bounds_reference():
+    dataset = build_synth_dataset(3, ["AT", "DE", "FR", "NL"], [2009], 24)
+    for spec in specs_for_selector("base", [2009], 24):
+        assert_breakdown_matches_reference(varied_storage_bounds(make_instance(dataset, spec, 2009)))
+
+
+def assert_capacity_columns_priced_by_capacity_costs(instance):
+    """Every capacity column costs its prorated annuity plus fixed O&M, or 0 when pinned; returns the costs."""
+    lp, H = build_model(instance), instance.window.hours
+    costs = {}
+    for family, capacity in CAPACITIES.items():
+        fam = lp.col_family(family)
+        for (c, name), idx in zip(fam.keys, fam.index):
+            spec = instance.techs[name] if family == "cap" else instance.storages[name]
+            pinned = getattr(instance.bounds, capacity.bounds)(c, name).pinned
+            want = 0.0 if pinned else prorate_fixed_costs(sum(capacity_costs(spec, family)), H) * EUR_PER_KEUR_MW
+            assert lp.col_obj[idx].hex() == want.hex(), (family, c, name)
+            costs[family, c, name] = (pinned, want)
+    return costs
+
+
+def test_capacity_columns_are_priced_by_capacity_costs():
+    synthetic, bundled = build_synth_dataset(3, ["AT", "DE", "FR", "NL"], [2009], 24), bundled_bounds_dataset(3, 24)
+    for spec in specs_for_selector("all", [2009], 24):
+        cells = [make_instance(dataset, spec, 2009) for dataset in (synthetic, bundled)]
+        for instance in (*cells, varied_storage_bounds(cells[0])):
+            costs = assert_capacity_columns_priced_by_capacity_costs(instance)
+            assert {pinned for pinned, _ in costs.values()} == {True, False}
+            # A reservoir prints no discharge cost, so its discharge capacity costs nothing.
+            reservoir = {costs[key] for key in costs if key[0] == "scd" and key[2] == "reservoir"}
+            assert reservoir and {cost for _, cost in reservoir} == {0.0}
+        # The varied bounds leave every storage capacity family expandable somewhere, the reservoir's too.
+        free = {(family, name) for (family, _, name), (pinned, _) in costs.items() if family != "cap" and not pinned}
+        assert {family for family, _ in free} == {"sce", "scc", "scd"} and ("scd", "reservoir") in free
+
+
+def test_capacity_costs_split_annuity_and_fixed_om():
+    static = load_static()
+    ccgt, li_ion, reservoir = static.technologies["ccgt"], static.storages["li_ion"], static.storages["reservoir"]
+    assert capacity_costs(ccgt, "cap") == (
+        annuity(ccgt.overnight_cost_keur_per_mw, ccgt.interest_rate, ccgt.lifetime_yr), ccgt.fixed_cost_keur_per_mw_yr
+    )
+    assert capacity_costs(li_ion, "sce") == (
+        annuity(li_ion.overnight_cost_energy_keur_per_mwh, li_ion.interest_rate, li_ion.lifetime_yr), 0.0
+    )
+    assert reservoir.overnight_cost_discharge_keur_per_mw is None
+    assert capacity_costs(reservoir, "scd") == (0.0, 0.0)

@@ -1,9 +1,12 @@
 """LP assembly: hand-solved instances, structure, monotonicity properties."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from desk import TECH_CATALOG, heat_block, instance, tech
+from heatgrid.dataset import build_synth_dataset
 from heatgrid.lp import LpError
 from heatgrid.model import (
     annuity,
@@ -11,6 +14,7 @@ from heatgrid.model import (
     prorate_fixed_costs,
     variable_cost,
 )
+from heatgrid.scenarios import make_instance, specs_for_selector
 from heatgrid.solver import solve
 
 INF = float("inf")
@@ -254,3 +258,23 @@ def test_mixed_tank_config_folds_and_emits_per_unit():
     water = ("single_family", "water", "air")
     np.testing.assert_allclose(traj.heat_generated_mw[water], 0.25 * hd_water.values)
     np.testing.assert_allclose(traj.electricity_mw[water], 0.25 * hd_water.values / cop_wa.values)
+
+
+def lp_digest(lp) -> str:
+    """SHA-256 of a built LP: column bounds and costs, row senses and right-hand sides, CSR matrix, offset, names."""
+    digest = hashlib.sha256()
+    matrix = lp.matrix()
+    for arr in (lp.col_lo, lp.col_hi, lp.col_obj, lp.row_rhs, matrix.data, matrix.indices, matrix.indptr):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    digest.update("".join(lp.row_sense).encode())
+    digest.update(float(lp.offset).hex().encode())
+    digest.update("\n".join([*lp.col_names, *lp.row_names]).encode())
+    return digest.hexdigest()
+
+
+def test_built_lp_is_pinned():
+    # Every bit of the 24 h three-country cell with heat pumps and a two-hour tank; any change must show here.
+    dataset = build_synth_dataset(7, ["AT", "DE", "FR"], [2009], 24)
+    lp = build_model(make_instance(dataset, specs_for_selector("base", [2009], 24)[2], 2009))
+    assert lp.name == "base-hp25-ep2__y2009" and (lp.num_rows, lp.num_cols) == (2067, 3372)
+    assert lp_digest(lp) == "8380b2b8330828608b1e23904801000de30986305cacb1e8c93afd313dc65f57"

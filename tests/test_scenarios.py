@@ -3,8 +3,10 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
+from heatgrid import scenarios
 from heatgrid.dataset import build_synth_dataset
 from heatgrid.scenarios import (
     VARIANTS,
@@ -331,6 +333,27 @@ def test_repeated_cells_are_refused_before_any_cell_runs(tmp_path):
     with pytest.raises(ScenarioError, match="cell base-hp25-ep2__y2009 is listed more than once"):
         run_matrix(ds, [spec, spec], out_dir=tmp_path / "out", jobs=2)
     assert not (tmp_path / "out").exists()
+
+
+def test_a_nan_heat_trajectory_makes_an_error_cell(tmp_path, monkeypatch):
+    # One tank-level hour of DE read back as NaN breaks the tank recursion.
+    extract_solved = scenarios.extract_solved
+
+    def extract_with_nan(*args):
+        solved = extract_solved(*args)
+        next(iter(solved.heat["DE"].storage_level_mwh.values()))[5] = np.nan
+        return solved
+
+    monkeypatch.setattr(scenarios, "extract_solved", extract_with_nan)
+    ds = build_synth_dataset(17, ["DE"], [2009], 24)
+    [result] = run_matrix(ds, [specs_for_selector("base", [2009], 24)[2]], out_dir=tmp_path)  # two-hour tank
+    assert result.status == "error" and result.error.startswith("ValueError: DE: heat trajectory off its equations")
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    manifest = json.loads((tmp_path / "base-hp25-ep2__y2009" / "manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["status"] == "error" and manifest["heat_trajectory_max_violation"] == {}
 
 
 def test_manifest_records_the_seed(dataset, tmp_path):

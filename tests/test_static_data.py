@@ -203,6 +203,14 @@ def test_normalize_rejects_genuine_contradictions():
         _normalize_pair(5000.0, 1000.0, "made-up")
 
 
+@pytest.mark.parametrize("low, up", [(math.nan, 1000.0), (0.0, math.nan), (math.nan, math.nan), (-1.0, 1000.0)])
+def test_bounds_refuse_nan_and_negative_lower_bounds(low, up):
+    with pytest.raises(StaticDataError):
+        Bounds(low, up)
+    with pytest.raises(StaticDataError, match=r"^DE/li_ion_power_in_out: lower"):
+        _normalize_pair(low, up, "DE/li_ion_power_in_out")
+
+
 def test_lu_run_of_river_is_preserved_as_printed():
     # 0.04 GW lower vs 38 GW upper: striking but reproduced verbatim.
     b = load_static().bounds.gen("LU", "run_of_river")
