@@ -334,38 +334,57 @@ def build_model(instance: SystemInstance) -> LinearProgram:
 # ---------------------------------------------------------------------------
 
 
+# Dispatch kind -> the LP column family it reads, in dispatch.csv's order.
+DISPATCH_KINDS = {"generation": "gen", "charge": "ch", "discharge": "dis", "soc_mwh": "soc", "spill_mwh": "spl"}
+
+
+class CellView:
+    """Reads of a cell's `dispatch_mw`, (country, kind, name) -> MW array, over its `hours`; solved or saved."""
+
+    def countries(self) -> list:
+        return sorted({c for (c, _, _) in self.dispatch_mw})
+
+    def load_mw(self, country: str) -> np.ndarray:
+        return self.dispatch_mw[(country, "load", "electric")]
+
+    def hp_load_mw(self, country: str) -> np.ndarray:
+        return self.dispatch_mw.get((country, "load", "heat_pump"), np.zeros(self.hours))
+
+    def generation_mw(self, country: str, tech: str) -> np.ndarray:
+        return self.dispatch_mw.get((country, "generation", tech), np.zeros(self.hours))
+
+
 @dataclass
-class SolvedSystem:
-    """Model-unit solution mapped back to MW/MWh physical quantities."""
+class SolvedSystem(CellView):
+    """Model-unit solution mapped back to MW/MWh physical quantities; `dispatch_mw` is dispatch.csv's rows."""
 
     instance: SystemInstance
     capacities_mw: dict  # country -> {(kind, name): value}; energies in MWh
-    generation_mw: dict  # (country, tech) -> np.ndarray
-    charge_mw: dict  # (country, storage) -> np.ndarray
-    discharge_mw: dict
-    soc_mwh: dict
-    spill_mwh: dict
+    dispatch_mw: dict  # (country, kind, name) -> np.ndarray, in dispatch.csv's order
     flows_mw: dict  # (from, to) -> np.ndarray
     heat: dict  # country -> HeatTrajectory
     heat_supplied_mwh: float  # total HO over the window
     cost_breakdown: dict  # investment / fixed_om / variable / storage_marginal / total
 
-    def hp_load_mw(self, country: str) -> np.ndarray:
-        traj = self.heat.get(country)
-        if traj is None or not traj.electricity_mw:
-            return np.zeros(self.instance.window.hours)
-        return traj.total_electricity_mw()
+    @property
+    def hours(self) -> int:
+        return self.instance.window.hours
 
 
 def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
-    """Read a solved LP back into physical quantities and a cost breakdown."""
+    """Read a solved LP back into physical quantities and a cost breakdown.
+
+    `dispatch_mw` holds the rows of ``dispatch.csv``, keyed and ordered as
+    the file: each kind of :data:`DISPATCH_KINDS` over its sorted
+    (country, name), then per sorted country ``load,electric`` and, for a
+    country with heat pumps, ``load,heat_pump``.
+    """
     values = solution.values
 
     def hourly(family):
         fam = lp.col_family(family)
         return {key: values[idx] * MW_PER_GW for key, idx in zip(fam.keys, fam.index)}
 
-    gen, ch, dis, soc, spl = (hourly(f) for f in ("gen", "ch", "dis", "soc", "spl"))
     flw = {tuple(link.split(">")): arr for (link,), arr in hourly("flw").items()}
     heat_cols = {f: hourly(f) for f in ("ho", "hi", "hl", "e")}  # (c, bt, st, hpt) -> array
 
@@ -400,29 +419,26 @@ def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
             caps[c][("heat_storage_energy", "heat_pump")] = sum(u.heat_storage_capacity_mwh_th for u in units)
             caps[c][("heat_electricity", "heat_pump")] = sum(u.electricity_input_capacity_mw_el for u in units)
 
-    breakdown = cost_breakdown(instance, caps, gen, ch, dis)
-    return SolvedSystem(
-        instance=instance,
-        capacities_mw=caps,
-        generation_mw=gen,
-        charge_mw=ch,
-        discharge_mw=dis,
-        soc_mwh=soc,
-        spill_mwh=spl,
-        flows_mw=flw,
-        heat=heat,
-        heat_supplied_mwh=heat_supplied,
-        cost_breakdown=breakdown,
-    )
+    dispatch = {(c, kind, name): arr for kind, family in DISPATCH_KINDS.items()
+                for (c, name), arr in sorted(hourly(family).items())}  # keys are unique: no array is compared
+    for c in sorted(instance.countries):
+        dispatch[(c, "load", "electric")] = np.asarray(instance.loads_mw[c], dtype=float)
+        if c in heat:
+            dispatch[(c, "load", "heat_pump")] = heat[c].total_electricity_mw()
+
+    return SolvedSystem(instance=instance, capacities_mw=caps, dispatch_mw=dispatch, flows_mw=flw, heat=heat,
+                        heat_supplied_mwh=heat_supplied, cost_breakdown=cost_breakdown(instance, caps, dispatch))
 
 
-def cost_breakdown(instance: SystemInstance, caps: dict, gen: dict, ch: dict, dis: dict) -> dict:
+def cost_breakdown(instance: SystemInstance, caps: dict, dispatch: dict) -> dict:
     """Recompute objective components from physical quantities (EUR).
 
     Prices each capacity of `caps`, the LP's capacity columns in column
     order, from :func:`capacity_costs` as the assembler does, so investment
     + fixed_om + variable + storage_marginal reproduces the LP objective
-    (additivity is asserted in tests, not here).
+    (additivity is asserted in tests, not here). Variable cost runs over the
+    ``generation`` rows of `dispatch` (``dispatch.csv``'s), storage marginals
+    over its ``discharge`` rows, each with its storage's ``charge`` row if any.
     """
     H = instance.window.hours
     family_of = {capacity.kind: family for family, capacity in CAPACITIES.items()}
@@ -440,12 +456,13 @@ def cost_breakdown(instance: SystemInstance, caps: dict, gen: dict, ch: dict, di
             else:
                 invest += prorate_fixed_costs(annual, H) * EUR_PER_KEUR_MW * (cap_mw / MW_PER_GW)
                 fixed_om += prorate_fixed_costs(fixed, H) * EUR_PER_KEUR_MW * (cap_mw / MW_PER_GW)
-    for c, g in sorted(gen):
-        var += variable_cost(instance.techs[g], instance.co2_price) * float(gen[(c, g)].sum())
-    for c, s in sorted(dis):
-        spec = instance.storages[s]
-        if (c, s) in ch:
-            marginal += spec.marginal_cost_charge_eur_per_mwh * float(ch[(c, s)].sum())
-        marginal += spec.marginal_cost_discharge_eur_per_mwh * float(dis[(c, s)].sum())
+    for (c, kind, name), mw in dispatch.items():
+        if kind == "generation":
+            var += variable_cost(instance.techs[name], instance.co2_price) * float(mw.sum())
+        elif kind == "discharge":
+            spec = instance.storages[name]
+            if (c, "charge", name) in dispatch:
+                marginal += spec.marginal_cost_charge_eur_per_mwh * float(dispatch[(c, "charge", name)].sum())
+            marginal += spec.marginal_cost_discharge_eur_per_mwh * float(mw.sum())
     return {"investment": invest, "fixed_om": fixed_om, "variable": var, "storage_marginal": marginal,
             "total": invest + fixed_om + var + marginal}

@@ -11,11 +11,11 @@ before the cell's instance is built. Every spec executes once per weather
 year.
 
 Results persist one directory per (scenario, year) cell: the five tables
-of :data:`CELL_TABLES` (``capacities.csv``, ``dispatch.csv``,
-``flows.csv``, ``heat.csv``, ``costs.csv``), each written and read back
-through its one declared layout, and a ``manifest.json`` whose fields
-are declared once, in :data:`MANIFEST_FIELDS`, plus ``model.mps`` when
-MPS export is asked for.
+of :data:`CELL_TABLES`, each written and read back through its one
+declared layout (``dispatch.csv`` holds the rows ``extract_solved`` made,
+in order, and a loaded cell answers the same reads as a solved one), and
+a ``manifest.json`` whose fields are declared once, in
+:data:`MANIFEST_FIELDS`, plus ``model.mps`` when MPS export is asked for.
 Writes are atomic (temp dir, then rename), cells are independent and may
 run on threads of one process, and a failing cell is recorded without
 aborting the batch.
@@ -45,7 +45,7 @@ from .heat import HeatConfig, validate_trajectory
 from .ids import HOURS_PER_YEAR
 from .ingest import parse_quantity
 from .lp import LinearProgram
-from .model import MW_PER_GW, HeatBlock, SolvedSystem, SystemInstance, build_model, extract_solved
+from .model import MW_PER_GW, CellView, HeatBlock, SolvedSystem, SystemInstance, build_model, extract_solved
 from .mps import export_mps as write_mps
 from .series import ModelWindow, ProfileSet, window_july_june
 from .solver import _OPTIMUM_CHECK_TOL, ResidualReport, Solution, solve
@@ -202,7 +202,7 @@ class ScenarioResult:
     solved: SolvedSystem | None = None
     residual_report: ResidualReport | None = None
     trajectory_reports: dict = field(default_factory=dict)  # country -> ResidualReport
-    solver_stats: dict = field(default_factory=dict)  # the solver.* manifest fields; empty in an error cell
+    solver_stats: dict = field(default_factory=dict)  # the solver.* manifest fields; empty if no solve returned
     error: str | None = None
     traceback: str | None = None  # of the exception that made an error cell
     lp: LinearProgram | None = None  # kept only for MPS export
@@ -217,11 +217,13 @@ def run_cell(dataset: Dataset, spec: ScenarioSpec, year: int, export_mps: bool =
     """Build, solve (which verifies), and validate one matrix cell. Never raises.
 
     A heat trajectory off its equations makes an error cell naming the
-    country. With `export_mps`, an optimal result keeps its LP in `lp`, and
+    country; a cell that fails after its solve keeps the solve's facts. With
+    `export_mps`, an optimal result keeps its LP in `lp`, and
     :func:`persist_result` writes it as ``model.mps``. `timings` holds the
     wall time of each stage that ran, in seconds.
     """
     timings: dict = {}
+    solve_facts: dict = {}  # the solve's ScenarioResult fields, once it returns
     cell = partial(ScenarioResult, spec, year, provenance=dataset.provenance, synth_seed=dataset.synth_seed,
                    timings=timings)
     try:
@@ -231,8 +233,10 @@ def run_cell(dataset: Dataset, spec: ScenarioSpec, year: int, export_mps: bool =
             lp = build_model(instance)
         with _stage(timings, "solve_s"):
             solution = solve(lp)
+        solve_facts["solver_stats"] = _stats(solution)
         if solution.status != "optimal":
-            return cell(solution.status, solver_stats=_stats(solution))
+            return cell(solution.status, **solve_facts)
+        solve_facts["residual_report"] = solution.residuals
         with _stage(timings, "extract_s"):
             solved = extract_solved(instance, lp, solution)
         with _stage(timings, "validate_s"):  # solved.heat is empty without heat pumps
@@ -242,12 +246,10 @@ def run_cell(dataset: Dataset, spec: ScenarioSpec, year: int, export_mps: bool =
         for c, report in traj_reports.items():  # the tolerance solve() allows an optimum, in MW; NaN fails it
             if not report.within(_OPTIMUM_CHECK_TOL * MW_PER_GW):
                 raise ValueError(f"{c}: heat trajectory off its equations by {report.max_violation:.3e} MW")
-        return cell(
-            "optimal", objective=solution.objective, solved=solved, residual_report=solution.residuals,
-            trajectory_reports=traj_reports, solver_stats=_stats(solution), lp=lp if export_mps else None,
-        )
+        return cell("optimal", objective=solution.objective, solved=solved, trajectory_reports=traj_reports,
+                    lp=lp if export_mps else None, **solve_facts)
     except Exception as exc:  # cell isolation: record, don't abort the batch
-        return cell("error", error=f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
+        return cell("error", error=f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc(), **solve_facts)
 
 
 @contextmanager
@@ -444,21 +446,12 @@ def persist_result(result: ScenarioResult, out_dir: Path) -> Path:
 
 def _cell_blocks(result: ScenarioResult) -> dict:
     """Each table's ``(key, values)`` blocks of a solved cell, in file order."""
-    solved, instance = result.solved, result.solved.instance
-    kinds = {
-        "generation": solved.generation_mw, "charge": solved.charge_mw,
-        "discharge": solved.discharge_mw, "soc_mwh": solved.soc_mwh, "spill_mwh": solved.spill_mwh,
-    }
-    dispatch = [((c, kind, name), (block[(c, name)],)) for kind, block in kinds.items() for c, name in sorted(block)]
-    for c in sorted(instance.countries):
-        dispatch.append(((c, "load", "electric"), (instance.loads_mw[c],)))
-        if solved.heat.get(c):
-            dispatch.append(((c, "load", "heat_pump"), (solved.hp_load_mw(c),)))
+    solved = result.solved
     costs = {**solved.cost_breakdown, "objective": result.objective, "heat_supplied_mwh": solved.heat_supplied_mwh}
     return {
         CAPACITIES: [((c, *kind_name), (mw,)) for c, caps in sorted(solved.capacities_mw.items())
                      for kind_name, mw in sorted(caps.items())],
-        DISPATCH: dispatch,
+        DISPATCH: [(key, (arr,)) for key, arr in solved.dispatch_mw.items()],
         FLOWS: [(link, (arr,)) for link, arr in sorted(solved.flows_mw.items())],
         HEAT: [((c, *unit), (traj.heat_output_mw[unit], traj.heat_generated_mw[unit],
                              traj.storage_level_mwh[unit], traj.electricity_mw[unit]))
@@ -512,8 +505,8 @@ def _write_cell_files(result: ScenarioResult, cell_dir: Path) -> None:
 
 
 @dataclass
-class PersistedResult:
-    """A result directory loaded back for analysis."""
+class PersistedResult(CellView):
+    """A result directory loaded back for analysis; it answers the reads of a solved cell."""
 
     path: Path
     manifest: dict
@@ -530,18 +523,6 @@ class PersistedResult:
     flows_mw: dict  # (from, to) -> np.ndarray
     heat_mw: dict  # (country, (bt, st, hpt)) -> {field: np.ndarray}
     costs_eur: dict
-
-    def countries(self) -> list:
-        return sorted({c for (c, _, _) in self.dispatch_mw})
-
-    def load_mw(self, country: str) -> np.ndarray:
-        return self.dispatch_mw[(country, "load", "electric")]
-
-    def hp_load_mw(self, country: str) -> np.ndarray:
-        return self.dispatch_mw.get((country, "load", "heat_pump"), np.zeros(self.hours))
-
-    def generation_mw(self, country: str, tech: str) -> np.ndarray:
-        return self.dispatch_mw.get((country, "generation", tech), np.zeros(self.hours))
 
 
 def _read_table(cell_dir: Path, table: CellTable, hours: int) -> dict:

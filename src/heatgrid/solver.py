@@ -122,8 +122,6 @@ class ResidualReport:
 
 
 def _row_violations(lp: LinearProgram, values: np.ndarray) -> np.ndarray:
-    if lp.num_rows == 0:
-        return np.zeros(0)
     activity = lp.matrix() @ values
     rhs = lp.row_rhs
     senses = lp.row_sense
@@ -145,13 +143,10 @@ def verify(lp: LinearProgram, solution: Solution | np.ndarray) -> ResidualReport
     variable-bound violations. Rows are grouped through the LP's row
     catalog, so a row added under its own name ``fam[...]`` (MPS import)
     counts with family ``fam``, and one with no such family as `other`.
-    An empty LP yields an empty report.
+    An LP without columns has no `bounds` family; an empty LP, no family.
     """
     values = solution.values if isinstance(solution, Solution) else np.asarray(solution)
     report = ResidualReport()
-    if lp.num_cols == 0:
-        return report
-
     viol = _row_violations(lp, values)
     groups: dict[str, list] = {}
     for name, fam in lp.row_families.items():
@@ -161,7 +156,8 @@ def verify(lp: LinearProgram, solution: Solution | np.ndarray) -> ResidualReport
     for family, rows in sorted(members.items(), key=lambda kv: kv[1][0]):
         report.families[family] = FamilyResidual.of(viol[rows])
     bounds = np.maximum(np.maximum(lp.col_lo - values, values - lp.col_hi), 0.0)
-    report.families["bounds"] = FamilyResidual.of(bounds)
+    if bounds.size:  # FamilyResidual.of takes no empty array
+        report.families["bounds"] = FamilyResidual.of(bounds)
     return report
 
 

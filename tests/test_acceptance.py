@@ -154,7 +154,7 @@ def _system_residual_incl_hp(result):
     for c in solved.instance.countries:
         arr = solved.instance.loads_mw[c].astype(float).copy()
         for tech in VARIABLE_RENEWABLES:
-            gen = solved.generation_mw.get((c, tech))
+            gen = solved.dispatch_mw.get((c, "generation", tech))
             if gen is not None:
                 arr = arr - gen
         arr = arr + solved.hp_load_mw(c)

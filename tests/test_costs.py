@@ -148,9 +148,9 @@ def bounds_cost_breakdown(instance, caps, gen, ch, dis):
 def assert_breakdown_matches_reference(instance):
     lp = build_model(instance)
     solved = extract_solved(instance, lp, solve(lp))
-    expected = bounds_cost_breakdown(
-        instance, solved.capacities_mw, solved.generation_mw, solved.charge_mw, solved.discharge_mw
-    )
+    gen, ch, dis = ({(c, name): arr for (c, kind, name), arr in solved.dispatch_mw.items() if kind == k}
+                    for k in ("generation", "charge", "discharge"))
+    expected = bounds_cost_breakdown(instance, solved.capacities_mw, gen, ch, dis)
     assert {k: v.hex() for k, v in solved.cost_breakdown.items()} == {k: v.hex() for k, v in expected.items()}
     return solved
 

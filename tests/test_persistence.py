@@ -10,6 +10,7 @@ fields replaced; they must reproduce its bytes.
 import csv
 import dataclasses
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import takewhile
@@ -20,6 +21,7 @@ import pytest
 
 from heatgrid import analysis
 from heatgrid.dataset import build_synth_dataset
+from heatgrid.model import DISPATCH_KINDS
 from heatgrid.scenarios import (
     CELL_TABLES,
     MANIFEST_FIELDS,
@@ -67,24 +69,18 @@ def reference_write(result, cell_dir):
         for c in sorted(solved.capacities_mw):
             for (kind, name), mw in sorted(solved.capacities_mw[c].items()):
                 caps.append([c, kind, name, repr(float(mw))])
-        blocks = [
-            ("generation", solved.generation_mw),
-            ("charge", solved.charge_mw),
-            ("discharge", solved.discharge_mw),
-            ("soc_mwh", solved.soc_mwh),
-            ("spill_mwh", solved.spill_mwh),
-        ]
-        for kind, block in blocks:
+        for kind in ("generation", "charge", "discharge", "soc_mwh", "spill_mwh"):
+            block = {(c, name): arr for (c, k, name), arr in solved.dispatch_mw.items() if k == kind}
             for (c, name) in sorted(block):
                 arr = block[(c, name)]
                 for h in range(H):
                     dispatch.append([h, c, kind, name, repr(float(arr[h]))])
         for c in sorted(solved.instance.countries):
             load = solved.instance.loads_mw[c]
-            hp = solved.hp_load_mw(c)
             for h in range(H):
                 dispatch.append([h, c, "load", "electric", repr(float(load[h]))])
-            if solved.heat.get(c):
+            if c in solved.heat:
+                hp = solved.heat[c].total_electricity_mw()
                 for h in range(H):
                     dispatch.append([h, c, "load", "heat_pump", repr(float(hp[h]))])
         for (a, b) in sorted(solved.flows_mw):
@@ -265,6 +261,34 @@ def test_readme_analysis_table_is_the_declaration():
     assert [row.split(" (")[0] for row in rows[: len(tables)]] == [
         f"| `{t.file}` | `{','.join(t.columns)}`" for t in tables
     ]
+
+
+def test_dispatch_rows_follow_the_readme_block_order(results):
+    (row,) = [r for r in _readme_table("| file | header | blocks, in file order |") if r.startswith("| `dispatch.csv`")]
+    kinds = re.findall(r"`(\w+)`", row.split(" | ")[2].split(", each over")[0])
+    assert kinds == list(DISPATCH_KINDS)
+    solved = results["base-hp25-ep2"].solved
+    want = [(c, kind, name) for kind in kinds
+            for c, name in sorted((c, name) for c, k, name in solved.dispatch_mw if k == kind)]
+    for c in sorted(solved.instance.countries):
+        want += [(c, "load", "electric")] + [(c, "load", "heat_pump")] * (c in solved.heat)
+    assert list(solved.dispatch_mw) == want
+    assert {"generation", "discharge", "soc_mwh"} <= {kind for _, kind, _ in want}
+    assert ("DE", "load", "heat_pump") in want
+
+
+def test_a_solved_and_a_saved_cell_answer_the_same_reads(results, tmp_path):
+    solved = results["base-hp25-ep2"].solved
+    loaded = load_result(persist_result(results["base-hp25-ep2"], tmp_path))
+    assert solved.countries() == loaded.countries() == ["AT", "DE"]
+    for c in solved.countries():
+        assert_bitwise_equal(solved.load_mw(c), loaded.load_mw(c), f"{c} load")
+        assert_bitwise_equal(solved.hp_load_mw(c), loaded.hp_load_mw(c), f"{c} heat-pump load")
+        for tech in [*solved.instance.techs, "no_such_tech"]:
+            assert_bitwise_equal(solved.generation_mw(c, tech), loaded.generation_mw(c, tech), f"{c} {tech}")
+    assert solved.hours == loaded.hours == HOURS
+    assert_bitwise_equal(analysis.system_residual_load(solved, include_hp=True),
+                         analysis.system_residual_load(loaded, include_hp=True), "residual load")
 
 
 def test_concurrent_persists_into_one_directory(results, tmp_path):

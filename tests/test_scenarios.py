@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -166,6 +167,7 @@ class TestRunMatrix:
         assert "build_model_that_breaks" in manifest["traceback"]
         assert manifest["traceback"] == result.traceback
         assert "run_cell" in manifest["traceback"]
+        assert manifest["solver"] == {} and manifest["residuals"] == {}  # it failed before any solve
         header = "country,kind,name,value\n"
         assert (cell / "capacities.csv").read_text() == header
 
@@ -354,6 +356,10 @@ def test_a_nan_heat_trajectory_makes_an_error_cell(tmp_path, monkeypatch):
 
     manifest = json.loads((tmp_path / "base-hp25-ep2__y2009" / "manifest.json").read_text(), parse_constant=refuse)
     assert manifest["status"] == "error" and manifest["heat_trajectory_max_violation"] == {}
+    # The solve returned an optimum before the gate failed: the cell keeps its facts, not its objective.
+    solver = manifest["solver"]
+    assert solver["status"] == "optimal" and solver["iterations"] > 0 and math.isfinite(solver["max_residual"])
+    assert manifest["residuals"] and manifest["objective"] is None
 
 
 def test_manifest_records_the_seed(dataset, tmp_path):

@@ -69,11 +69,11 @@ def test_cyclic_storage_shaves_an_expensive_peak():
     sol = solve(lp)
     assert sol.status == "optimal"
     solved = extract_solved(inst, lp, sol)
-    dis = solved.discharge_mw[("DE", "li_ion")]
+    dis = solved.dispatch_mw[("DE", "discharge", "li_ion")]
     assert dis[2] == pytest.approx(1500.0 - 900.0, abs=1e-6)  # peak served from storage
-    soc = solved.soc_mwh[("DE", "li_ion")]
+    soc = solved.dispatch_mw[("DE", "soc_mwh", "li_ion")]
     # Cyclic boundary: first-hour recursion wraps to the final state.
-    ch = solved.charge_mw[("DE", "li_ion")]
+    ch = solved.dispatch_mw[("DE", "charge", "li_ion")]
     wrap = soc[0] - soc[-1] - 0.95 * ch[0] + dis[0] / 0.95
     assert wrap == pytest.approx(0.0, abs=1e-6)
     assert verify(lp, sol).max_violation <= 1e-7
@@ -92,10 +92,10 @@ def test_inflow_beyond_tank_capacity_spills_at_zero_cost():
     sol = solve(build_model(inst))
     assert sol.status == "optimal"
     solved = extract_solved(inst, build_model(inst), sol)
-    spill = solved.spill_mwh[("DE", "reservoir")]
+    spill = solved.dispatch_mw[("DE", "spill_mwh", "reservoir")]
     assert spill.sum() > 0.0
     # The turbine still runs flat out: its energy is free vs gas.
-    dis = solved.discharge_mw[("DE", "reservoir")]
+    dis = solved.dispatch_mw[("DE", "discharge", "reservoir")]
     np.testing.assert_allclose(dis, 50.0, atol=1e-6)
 
 
@@ -131,5 +131,5 @@ def test_round_trip_losses_make_idle_cycling_unattractive():
     lp = build_model(inst)
     sol = solve(lp)
     solved = extract_solved(inst, lp, sol)
-    assert solved.charge_mw[("DE", "li_ion")].sum() == pytest.approx(0.0, abs=1e-9)
+    assert solved.dispatch_mw[("DE", "charge", "li_ion")].sum() == pytest.approx(0.0, abs=1e-9)
     assert solved.capacities_mw["DE"][("storage_energy", "li_ion")] == pytest.approx(0.0, abs=1e-6)

@@ -76,6 +76,14 @@ def test_empty_lp_yields_empty_report():
     assert max(report.families, default=None) is None
 
 
+def test_rows_of_an_lp_without_columns_are_checked():
+    lp = LinearProgram("rows-only")
+    lp.add_rows(("DE",), {"bal": ("G", 1.0, [])})  # 0 >= 1
+    report = verify(lp.freeze(), np.zeros(0))
+    assert set(report.families) == {"balance"}  # no columns, so no bounds family
+    assert report.families["balance"].max_violation == 1.0 and not report.within(1e-9)
+
+
 def test_a_nan_activity_fails_the_report(solved):
     lp, sol = solved
     name = next(n for n in lp.col_names if n.startswith("hl["))
