@@ -1,8 +1,10 @@
 """Diagnostics: residual load, RLDCs, peaks, events, deltas, cost reports.
 
 The series functions are pure and operate on plain arrays (or objects
-exposing ``.values``). Firm-capacity deltas, cost reports, pairing and
-the emitters at the bottom read saved cells, as loaded back by
+exposing ``.values``). A cell's residual load, heat output and cost report
+come from the reads of :class:`~heatgrid.model.CellView`, so they take a
+solved or a saved cell alike. Firm-capacity deltas, pairing and the
+emitters at the bottom read saved cells, as loaded back by
 :func:`heatgrid.scenarios.load_results`, and the emitters write tidy,
 plot-ready files. Each CSV is a declared
 :class:`~heatgrid.scenarios.CellTable` written by the result tables' writer,
@@ -30,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .ids import DISPATCHABLE_TECHNOLOGIES, VARIABLE_RENEWABLES
-from .scenarios import COST_COMPONENTS, CellTable, write_table
+from .model import COST_COMPONENTS, CellView
+from .scenarios import CellTable, write_table
 from .series import AlignmentError
 
 
@@ -268,15 +271,6 @@ def system_residual_load(result, include_hp: bool = False) -> np.ndarray:
     return total
 
 
-def country_heat_demand(result, country: str) -> np.ndarray:
-    """Total heat OUTPUT target of the fleet (MW_th) as persisted."""
-    total = np.zeros(result.hours)
-    for (c, _unit), fields in result.heat_mw.items():
-        if c == country:
-            total += fields["heat_output_mw_th"]
-    return total
-
-
 def emit_rldc_csv(results, path, top_n: int = 50) -> Path:
     """System RLDCs, with and without heat-pump load, per result."""
     rows = (
@@ -291,8 +285,8 @@ def emit_rldc_csv(results, path, top_n: int = 50) -> Path:
 
 
 _PEAK_QUANTITIES = (
-    ("heat_demand", country_heat_demand),
-    ("heat_pump_load", lambda result, country: result.hp_load_mw(country)),
+    ("heat_demand", CellView.heat_output_mw),
+    ("heat_pump_load", CellView.hp_load_mw),
     ("residual_load", result_residual_load),
 )
 
@@ -310,7 +304,7 @@ def emit_peaks_csv(results, path) -> Path:
 def _event_rows(results):
     for r in results:
         for c in r.countries():
-            heat = country_heat_demand(r, c)
+            heat = r.heat_output_mw(c)
             by_type = {
                 "heat_deviation": deviation_events(heat) if heat.any() else [],
                 "positive_residual": residual_events(result_residual_load(r, c)),
@@ -327,7 +321,7 @@ def emit_events_csv(results, path) -> Path:
 
 def emit_daily_heat_csv(results, path) -> Path:
     """Calendar-day heat-demand totals per country (plot-ready)."""
-    heat = ((r, c, country_heat_demand(r, c)) for r in results for c in r.countries())
+    heat = ((r, c, r.heat_output_mw(c)) for r in results for c in r.countries())
     rows = (
         ((r.name, r.year, c, day), (value,))
         for r, c, series in heat

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .ingest import csv_chunks
 from .series import SeriesError, _check_aligned
-from .staticdata import Bounds, BoundsTable, NtcMatrix, StaticData, load_static
+from .staticdata import Bounds, BoundsTable, NtcMatrix, StaticData, emit_static, load_static
 from .synth import synth_profiles
 
 INF = float("inf")
@@ -45,24 +45,13 @@ def _provenance(series: dict, static: StaticData, bounds: BoundsTable, ntc: NtcM
         digest.update(str(year).encode())
         for chunk in csv_chunks(series[year]):
             digest.update(chunk.encode())
-    from .staticdata import emit_static
-
     digest.update(emit_static(static.raw).encode())
-    digest.update(
-        json.dumps(
-            {
-                "gen": {f"{c}/{t}": [b.low, b.up] for (c, t), b in sorted(bounds.gen_mw.items())},
-                "sin": {f"{c}/{s}": [b.low, b.up]
-                        for (c, s), b in sorted(bounds.storage_power_in_mw.items())},
-                "sout": {f"{c}/{s}": [b.low, b.up]
-                         for (c, s), b in sorted(bounds.storage_power_out_mw.items())},
-                "sen": {f"{c}/{s}": [b.low, b.up] for (c, s), b in sorted(bounds.storage_energy_mwh.items())},
-                "ntc": {f"{a}>{b}": mw for (a, b), mw in sorted(ntc.limits_mw.items())},
-                "bio": dict(sorted(bio.items())),
-            },
-            sort_keys=True,
-        ).encode()
-    )
+    tables = {key: {f"{c}/{name}": [b.low, b.up] for (c, name), b in sorted(getattr(bounds, table).items())}
+              for key, table in (("gen", "gen_mw"), ("sin", "storage_power_in_mw"),
+                                 ("sout", "storage_power_out_mw"), ("sen", "storage_energy_mwh"))}
+    tables["ntc"] = {f"{a}>{b}": mw for (a, b), mw in sorted(ntc.limits_mw.items())}
+    tables["bio"] = dict(sorted(bio.items()))
+    digest.update(json.dumps(tables, sort_keys=True).encode())
     return digest.hexdigest()
 
 

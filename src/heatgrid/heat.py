@@ -84,9 +84,16 @@ class FleetUnit:
                 raise ValueError(f"fleet capacity {v} not >= 0")
 
 
+# Each HeatTrajectory field, in order: (the LP column family it reads, its heat.csv column).
+TRAJECTORY_FIELDS = {
+    "heat_output_mw": ("ho", "heat_output_mw_th"), "heat_generated_mw": ("hi", "heat_generated_mw_th"),
+    "storage_level_mwh": ("hl", "storage_level_mwh_th"), "electricity_mw": ("e", "electricity_mw_el"),
+}
+
+
 @dataclass(frozen=True)
 class HeatTrajectory:
-    """Hourly heat-module trajectories of one country.
+    """Hourly heat-module trajectories of one country, solved or loaded from ``heat.csv``.
 
     Arrays are keyed (bt, st, hpt); all four families share hour count.
     """
@@ -95,6 +102,10 @@ class HeatTrajectory:
     heat_generated_mw: dict  # HI
     storage_level_mwh: dict  # HL
     electricity_mw: dict  # E
+
+    def unit_arrays(self, unit) -> tuple:
+        """The arrays of `unit`, in :data:`TRAJECTORY_FIELDS` order."""
+        return tuple(getattr(self, f)[unit] for f in TRAJECTORY_FIELDS)
 
     @property
     def keys(self) -> list:
@@ -176,10 +187,7 @@ def validate_trajectory(
     checks: dict = {name: [] for name in ("storage_recursion", "storage_bounds", "cop_link", "target_mismatch",
                                           "capacity_violation", "ep_zero_identity")}
     for key in traj.keys:
-        ho = np.asarray(traj.heat_output_mw[key], dtype=float)
-        hi = np.asarray(traj.heat_generated_mw[key], dtype=float)
-        hl = np.asarray(traj.storage_level_mwh[key], dtype=float)
-        e = np.asarray(traj.electricity_mw[key], dtype=float)
+        ho, hi, hl, e = (np.asarray(arr, dtype=float) for arr in traj.unit_arrays(key))
         if not (len(ho) == len(hi) == len(hl) == len(e)):
             raise AlignmentError(f"{country}/{key}: trajectory arrays differ in length")
         unit = units.get(key, FleetUnit(0.0, 0.0, 0.0))

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heat import (
+    TRAJECTORY_FIELDS,
     HeatConfig,
     electricity_for_heat,
     fixed_trajectory,
@@ -336,10 +337,16 @@ def build_model(instance: SystemInstance) -> LinearProgram:
 
 # Dispatch kind -> the LP column family it reads, in dispatch.csv's order.
 DISPATCH_KINDS = {"generation": "gen", "charge": "ch", "discharge": "dis", "soc_mwh": "soc", "spill_mwh": "spl"}
+# costs.csv's rows, in order: cost_breakdown's components (EUR), the LP objective and the heat supplied (MWh).
+COST_COMPONENTS = ("investment", "fixed_om", "variable", "storage_marginal", "total", "objective", "heat_supplied_mwh")
 
 
 class CellView:
-    """Reads of a cell's `dispatch_mw`, (country, kind, name) -> MW array, over its `hours`; solved or saved."""
+    """Reads of a solved or a saved cell over its `hours`.
+
+    Both hold `dispatch_mw`, `heat` and `costs_eur`, keyed and ordered as
+    ``dispatch.csv``, ``heat.csv`` and ``costs.csv``.
+    """
 
     def countries(self) -> list:
         return sorted({c for (c, _, _) in self.dispatch_mw})
@@ -353,18 +360,29 @@ class CellView:
     def generation_mw(self, country: str, tech: str) -> np.ndarray:
         return self.dispatch_mw.get((country, "generation", tech), np.zeros(self.hours))
 
+    def heat_output_mw(self, country: str) -> np.ndarray:
+        """The country's heat output (MW_th), added up unit by unit from zeros; zeros without heat pumps."""
+        total = np.zeros(self.hours)
+        traj = self.heat.get(country)
+        for unit in traj.keys if traj else ():
+            total += traj.heat_output_mw[unit]
+        return total
+
+    @property
+    def heat_supplied_mwh(self) -> float:
+        return self.costs_eur["heat_supplied_mwh"]
+
 
 @dataclass
 class SolvedSystem(CellView):
-    """Model-unit solution mapped back to MW/MWh physical quantities; `dispatch_mw` is dispatch.csv's rows."""
+    """Model-unit solution mapped back to MW/MWh physical quantities, held as a saved cell holds them."""
 
     instance: SystemInstance
     capacities_mw: dict  # country -> {(kind, name): value}; energies in MWh
     dispatch_mw: dict  # (country, kind, name) -> np.ndarray, in dispatch.csv's order
     flows_mw: dict  # (from, to) -> np.ndarray
-    heat: dict  # country -> HeatTrajectory
-    heat_supplied_mwh: float  # total HO over the window
-    cost_breakdown: dict  # investment / fixed_om / variable / storage_marginal / total
+    heat: dict  # country -> HeatTrajectory, as heat.csv holds it
+    costs_eur: dict  # component -> value, costs.csv's rows
 
     @property
     def hours(self) -> int:
@@ -372,12 +390,14 @@ class SolvedSystem(CellView):
 
 
 def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
-    """Read a solved LP back into physical quantities and a cost breakdown.
+    """Read a solved LP back into physical quantities and its costs.
 
     `dispatch_mw` holds the rows of ``dispatch.csv``, keyed and ordered as
     the file: each kind of :data:`DISPATCH_KINDS` over its sorted
     (country, name), then per sorted country ``load,electric`` and, for a
-    country with heat pumps, ``load,heat_pump``.
+    country with heat pumps, ``load,heat_pump``. `heat` holds each country's
+    trajectory as ``heat.csv`` does, and `costs_eur` the rows of ``costs.csv``:
+    :func:`cost_breakdown`'s, the solution's objective and the heat supplied.
     """
     values = solution.values
 
@@ -386,7 +406,7 @@ def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
         return {key: values[idx] * MW_PER_GW for key, idx in zip(fam.keys, fam.index)}
 
     flw = {tuple(link.split(">")): arr for (link,), arr in hourly("flw").items()}
-    heat_cols = {f: hourly(f) for f in ("ho", "hi", "hl", "e")}  # (c, bt, st, hpt) -> array
+    heat_cols = {family: hourly(family) for family, _ in TRAJECTORY_FIELDS.values()}  # (c, bt, st, hpt) -> array
 
     # Capacities per country, in column order.
     caps: dict = {c: {} for c in instance.countries}
@@ -408,9 +428,8 @@ def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
                 continue
             backed = [u for u in targets if (c, *u) in heat_cols["ho"]]  # build_model folded the rest
             traj = fixed_trajectory({u: t for u, t in targets.items() if u not in backed}, hb.cops[c])
-            arrays = (traj.heat_output_mw, traj.heat_generated_mw, traj.storage_level_mwh, traj.electricity_mw)
-            for family, d in zip(("ho", "hi", "hl", "e"), arrays):
-                d.update({u: heat_cols[family][(c, *u)] for u in backed})
+            for f, (family, _) in TRAJECTORY_FIELDS.items():
+                getattr(traj, f).update({u: heat_cols[family][(c, *u)] for u in backed})
             for unit in traj.keys:  # one unit at a time: costs.csv holds this sum's exact float
                 heat_supplied += float(traj.heat_output_mw[unit].sum())
             heat[c] = traj
@@ -426,8 +445,10 @@ def extract_solved(instance: SystemInstance, lp, solution) -> SolvedSystem:
         if c in heat:
             dispatch[(c, "load", "heat_pump")] = heat[c].total_electricity_mw()
 
+    costs = {**cost_breakdown(instance, caps, dispatch), "objective": solution.objective,
+             "heat_supplied_mwh": heat_supplied}
     return SolvedSystem(instance=instance, capacities_mw=caps, dispatch_mw=dispatch, flows_mw=flw, heat=heat,
-                        heat_supplied_mwh=heat_supplied, cost_breakdown=cost_breakdown(instance, caps, dispatch))
+                        costs_eur=costs)
 
 
 def cost_breakdown(instance: SystemInstance, caps: dict, dispatch: dict) -> dict:

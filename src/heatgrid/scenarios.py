@@ -12,13 +12,15 @@ year.
 
 Results persist one directory per (scenario, year) cell: the five tables
 of :data:`CELL_TABLES`, each written and read back through its one
-declared layout (``dispatch.csv`` holds the rows ``extract_solved`` made,
-in order, and a loaded cell answers the same reads as a solved one), and
-a ``manifest.json`` whose fields are declared once, in
-:data:`MANIFEST_FIELDS`, plus ``model.mps`` when MPS export is asked for.
-Writes are atomic (temp dir, then rename), cells are independent and may
-run on threads of one process, and a failing cell is recorded without
-aborting the batch.
+declared layout, and a ``manifest.json`` whose fields are declared once,
+in :data:`MANIFEST_FIELDS`, plus ``model.mps`` when MPS export is asked
+for. A solved cell (:class:`~heatgrid.model.SolvedSystem`) and a loaded
+one (:class:`PersistedResult`) hold the five tables alike, so
+:func:`write_cell_tables` writes either, a loaded cell answers the same
+reads as a solved one, and written back it gives the same bytes.
+Writes are atomic (a dot-named temp dir, then rename), cells are
+independent and may run on threads of one process, and a failing cell is
+recorded without aborting the batch.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ from types import NoneType
 import numpy as np
 
 from .dataset import Dataset
-from .heat import HeatConfig, validate_trajectory
+from .heat import TRAJECTORY_FIELDS, HeatConfig, HeatTrajectory, validate_trajectory
 from .ids import HOURS_PER_YEAR
 from .ingest import parse_quantity
 from .lp import LinearProgram
-from .model import MW_PER_GW, CellView, HeatBlock, SolvedSystem, SystemInstance, build_model, extract_solved
+from .model import (COST_COMPONENTS, MW_PER_GW, CellView, HeatBlock, SolvedSystem, SystemInstance, build_model,
+                    extract_solved)
 from .mps import export_mps as write_mps
 from .series import ModelWindow, ProfileSet, window_july_june
 from .solver import _OPTIMUM_CHECK_TOL, ResidualReport, Solution, solve
@@ -330,11 +333,10 @@ class CellTable:
 CAPACITIES = CellTable("capacities.csv", ("country", "kind", "name"), ("value",), False)
 DISPATCH = CellTable("dispatch.csv", ("country", "kind", "name"), ("value_mw",), True)
 FLOWS = CellTable("flows.csv", ("from", "to"), ("value_mw",), True)
-HEAT = CellTable("heat.csv", ("country", "building_type", "sink", "heat_pump_type"), (
-    "heat_output_mw_th", "heat_generated_mw_th", "storage_level_mwh_th", "electricity_mw_el"), True)
+HEAT = CellTable("heat.csv", ("country", "building_type", "sink", "heat_pump_type"),
+                 tuple(column for _, column in TRAJECTORY_FIELDS.values()), True)
 COSTS = CellTable("costs.csv", ("component",), ("value_eur",), False)
 CELL_TABLES = (CAPACITIES, DISPATCH, FLOWS, HEAT, COSTS)
-COST_COMPONENTS = ("investment", "fixed_om", "variable", "storage_marginal", "total", "objective", "heat_supplied_mwh")
 
 
 @dataclass(frozen=True)
@@ -444,19 +446,15 @@ def persist_result(result: ScenarioResult, out_dir: Path) -> Path:
     return final
 
 
-def _cell_blocks(result: ScenarioResult) -> dict:
-    """Each table's ``(key, values)`` blocks of a solved cell, in file order."""
-    solved = result.solved
-    costs = {**solved.cost_breakdown, "objective": result.objective, "heat_supplied_mwh": solved.heat_supplied_mwh}
+def _cell_blocks(cell: CellView) -> dict:
+    """Each table's ``(key, values)`` blocks of a solved or a loaded cell, in file order."""
     return {
-        CAPACITIES: [((c, *kind_name), (mw,)) for c, caps in sorted(solved.capacities_mw.items())
+        CAPACITIES: [((c, *kind_name), (mw,)) for c, caps in sorted(cell.capacities_mw.items())
                      for kind_name, mw in sorted(caps.items())],
-        DISPATCH: [(key, (arr,)) for key, arr in solved.dispatch_mw.items()],
-        FLOWS: [(link, (arr,)) for link, arr in sorted(solved.flows_mw.items())],
-        HEAT: [((c, *unit), (traj.heat_output_mw[unit], traj.heat_generated_mw[unit],
-                             traj.storage_level_mwh[unit], traj.electricity_mw[unit]))
-               for c, traj in sorted(solved.heat.items()) for unit in traj.keys],
-        COSTS: [((component,), (costs[component],)) for component in COST_COMPONENTS],
+        DISPATCH: [(key, (arr,)) for key, arr in cell.dispatch_mw.items()],
+        FLOWS: [(link, (arr,)) for link, arr in sorted(cell.flows_mw.items())],
+        HEAT: [((c, *unit), traj.unit_arrays(unit)) for c, traj in sorted(cell.heat.items()) for unit in traj.keys],
+        COSTS: [((component,), (value,)) for component, value in cell.costs_eur.items()],
     }
 
 
@@ -488,11 +486,15 @@ def write_table(path, table: CellTable, blocks, hours: int = 1) -> Path:
     return path
 
 
-def _write_cell_files(result: ScenarioResult, cell_dir: Path) -> None:
-    blocks = _cell_blocks(result) if result.solved else {}
+def write_cell_tables(cell_dir: Path, cell: CellView | None) -> None:
+    """Write the tables of :data:`CELL_TABLES` from a solved or a loaded cell; without one, their headers."""
+    blocks = _cell_blocks(cell) if cell is not None else {}
     for table in CELL_TABLES:
-        write_table(cell_dir / table.file, table, blocks.get(table, ()), result.spec.window_hours)
+        write_table(cell_dir / table.file, table, blocks.get(table, ()), cell.hours if blocks else 1)
 
+
+def _write_cell_files(result: ScenarioResult, cell_dir: Path) -> None:
+    write_cell_tables(cell_dir, result.solved)
     manifest = json.dumps(_manifest(result), indent=1, sort_keys=True, allow_nan=False)  # NaN is not JSON
     (cell_dir / "manifest.json").write_text(manifest + "\n")
     if result.lp is not None:
@@ -506,7 +508,7 @@ def _write_cell_files(result: ScenarioResult, cell_dir: Path) -> None:
 
 @dataclass
 class PersistedResult(CellView):
-    """A result directory loaded back for analysis; it answers the reads of a solved cell."""
+    """A result directory loaded back for analysis; it holds the tables as a solved cell holds them."""
 
     path: Path
     manifest: dict
@@ -521,8 +523,8 @@ class PersistedResult(CellView):
     capacities_mw: dict  # country -> {(kind, name): value}
     dispatch_mw: dict  # (country, kind, name) -> np.ndarray
     flows_mw: dict  # (from, to) -> np.ndarray
-    heat_mw: dict  # (country, (bt, st, hpt)) -> {field: np.ndarray}
-    costs_eur: dict
+    heat: dict  # country -> HeatTrajectory
+    costs_eur: dict  # component -> value
 
 
 def _read_table(cell_dir: Path, table: CellTable, hours: int) -> dict:
@@ -578,17 +580,22 @@ def load_result(cell_dir) -> PersistedResult:
     no_load = sorted({c for c, _, _ in dispatch_mw if (c, "load", "electric") not in dispatch_mw})
     if no_load:
         raise ValueError(f"{cell_dir / DISPATCH.file}: no load,electric run for {', '.join(no_load)}")
+    trajectories: dict = {}  # country -> HeatTrajectory; a unit's arrays come in TRAJECTORY_FIELDS order
+    for (c, *unit), arrays in heat:
+        traj = trajectories.setdefault(c, HeatTrajectory({}, {}, {}, {}))
+        for f, arr in zip(TRAJECTORY_FIELDS, arrays):
+            getattr(traj, f)[tuple(unit)] = arr
     costs_eur = {component: value for (component,), (value,) in costs}
     missing = [component for component in COST_COMPONENTS if component not in costs_eur]
     if read["status"] == "optimal" and missing:  # an unsolved cell writes no costs
         raise ValueError(f"{cell_dir / COSTS.file}: no {', '.join(missing)} row")
     return PersistedResult(
         path=cell_dir, manifest=manifest, **read, capacities_mw=capacities, dispatch_mw=dispatch_mw,
-        flows_mw={key: arr for key, (arr,) in flows}, costs_eur=costs_eur,
-        heat_mw={(c, tuple(unit)): dict(zip(HEAT.values, arrays)) for (c, *unit), arrays in heat},
+        flows_mw={key: arr for key, (arr,) in flows}, heat=trajectories, costs_eur=costs_eur,
     )
 
 
 def load_results(out_dir) -> list:
-    cells = sorted(Path(out_dir).iterdir())
+    """Every cell directory of `out_dir`, loaded; a dot-named one (a write cut short) is skipped."""
+    cells = [cell for cell in sorted(Path(out_dir).iterdir()) if not cell.name.startswith(".")]
     return [load_result(cell) for cell in cells if cell.is_dir() and (cell / "manifest.json").exists()]

@@ -51,7 +51,7 @@ canonical bytes are the same either way; that matters because the bytes of
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -231,29 +231,9 @@ class StaticData:
     bioenergy_cap_mwh_yr: dict  # country -> MWh/yr
 
 
-_GEN_FIELDS = (
-    "interest_rate",
-    "lifetime_yr",
-    "availability",
-    "overnight_cost_keur_per_mw",
-    "fixed_cost_keur_per_mw_yr",
-    "efficiency",
-    "carbon_content_t_per_mwh_fuel",
-    "fuel_cost_eur_per_mwh_fuel",
-)
-
-_STO_FIELDS = (
-    "interest_rate",
-    "lifetime_yr",
-    "availability",
-    "overnight_cost_energy_keur_per_mwh",
-    "overnight_cost_charge_keur_per_mw",
-    "overnight_cost_discharge_keur_per_mw",
-    "efficiency_charge",
-    "efficiency_discharge",
-    "marginal_cost_charge_eur_per_mwh",
-    "marginal_cost_discharge_eur_per_mwh",
-)
+# The keys of a generation or storage row that are read as numbers, in the spec's field order.
+_GEN_FIELDS = tuple(f.name for f in fields(TechnologySpec) if f.name not in ("name", "tech_class"))
+_STO_FIELDS = tuple(f.name for f in fields(StorageSpec) if f.name != "name")
 
 # Storage rows as printed -> model storages they parameterize.
 _STORAGE_ROW_MAP = {
@@ -354,13 +334,13 @@ def _static_from_raw(raw: dict) -> StaticData:
         targets = _STORAGE_ROW_MAP.get(row_name)
         if targets is None:
             raise StaticDataError(f"unknown storage row {row_name!r}")
-        fields = {
+        numbers = {
             f: None if f == "overnight_cost_discharge_keur_per_mw" and row[f] is None  # no cost printed
             else _number(row[f], "storage", row_name, f)
             for f in _STO_FIELDS
         }
         for target in targets:
-            storages[target] = StorageSpec(name=target, **fields)
+            storages[target] = StorageSpec(name=target, **numbers)
     missing = set(STORAGES) - set(storages)
     if missing:
         raise StaticDataError(f"storage table missing {sorted(missing)}")

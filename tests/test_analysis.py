@@ -18,7 +18,6 @@ from heatgrid.analysis import (
     Event,
     MismatchedScenario,
     cost_report,
-    country_heat_demand,
     daily_totals,
     deviation_events,
     firm_capacity_delta,
@@ -32,6 +31,7 @@ from heatgrid.analysis import (
     system_residual_load,
 )
 from heatgrid.dataset import build_synth_dataset
+from heatgrid.heat import HeatTrajectory
 from heatgrid.ids import STORAGES
 from heatgrid.scenarios import PersistedResult, load_results, run_matrix, specs_for_selector
 from heatgrid.series import AlignmentError
@@ -336,7 +336,7 @@ def reference_emit_peaks_csv(results, path):
         writer.writerow(["scenario", "year", "quantity", "country", "hour", "value_mw"])
         for result in results:
             bundles = {
-                "heat_demand": {c: country_heat_demand(result, c) for c in result.countries()},
+                "heat_demand": {c: result.heat_output_mw(c) for c in result.countries()},
                 "heat_pump_load": {c: result.hp_load_mw(c) for c in result.countries()},
                 "residual_load": {c: result_residual_load(result, c) for c in result.countries()},
             }
@@ -353,7 +353,7 @@ def reference_emit_events_csv(results, path):
         )
         for result in results:
             for c in result.countries():
-                heat = country_heat_demand(result, c)
+                heat = result.heat_output_mw(c)
                 if heat.any():
                     for ev in deviation_events(heat):
                         writer.writerow(
@@ -373,7 +373,7 @@ def reference_emit_daily_heat_csv(results, path):
         writer.writerow(["scenario", "year", "country", "day", "heat_output_mwh_th"])
         for result in results:
             for c in result.countries():
-                heat = country_heat_demand(result, c)
+                heat = result.heat_output_mw(c)
                 if not heat.any() or len(heat) < 24:
                     continue
                 for day, value in enumerate(daily_totals(heat)):
@@ -433,20 +433,19 @@ def _hand_built(name, heat_share, hours=48):
     load[[3, 6]] = [1e16, 5e-324]
     heat[[0, 1]] = [0.1, 0.2]
     dispatch = {("DE", "load", "electric"): load}
-    heat_mw = {}
+    trajectories = {}
     capacities = {("generation", "ccgt"): 0.0, ("generation", "nuclear"): 0.0, ("storage_discharge", "li_ion"): 0.2}
     if heat_share:
         dispatch[("DE", "load", "heat_pump")] = hp_load
-        unit = {field: np.zeros(hours) for field in ("heat_generated_mw_th", "storage_level_mwh_th")}
-        heat_mw[("DE", ("single_family", "space", "air"))] = {
-            "heat_output_mw_th": heat, "electricity_mw_el": hp_load, **unit,
-        }
+        unit = ("single_family", "space", "air")
+        trajectories["DE"] = HeatTrajectory({unit: heat}, {unit: np.zeros(hours)}, {unit: np.zeros(hours)},
+                                            {unit: hp_load})
         capacities = {("generation", "ccgt"): 0.0, ("generation", "nuclear"): 1e16,
                       ("storage_discharge", "li_ion"): 0.1 + 0.2}
     return PersistedResult(
         path=Path(name), manifest={}, name=name, variant="base", heat_share=heat_share,
         ep=2.0 if heat_share else None, year=2009, hours=hours, status="optimal",
-        capacities_mw={"DE": capacities}, dispatch_mw=dispatch, flows_mw={}, heat_mw=heat_mw, costs_eur={},
+        capacities_mw={"DE": capacities}, dispatch_mw=dispatch, flows_mw={}, heat=trajectories, costs_eur={},
     )
 
 
@@ -458,3 +457,14 @@ def test_emitters_match_reference_on_hand_built_extremes(tmp_path):
     assert "base-hp25-ep2,2009,DE,0,0.30000000000000004\n" in texts["daily_heat"]
     assert ",positive_residual,DE,6,7,5e-324,5e-324\n" in texts["events"]
     assert "base-hp25-ep2,base-hp00,2009,nuclear,1e+16\n" in texts["firm_delta"]
+
+
+def test_heat_output_adds_units_from_zeros_in_unit_order():
+    units = [("single_family", "water", "air"), ("single_family", "space", "air"), ("multi_family", "space", "air")]
+    outputs = {unit: np.full(48, value) for unit, value in zip(units, (-1e16, 1e16, 1.0))}  # in reverse unit order
+    zeros = {unit: np.zeros(48) for unit in units}
+    cell = _hand_built("base-hp25-ep2", 0.25)
+    cell.heat = {"DE": HeatTrajectory(outputs, zeros, zeros, zeros)}
+    # (0 + 1.0) + 1e16 loses the 1.0, then -1e16 cancels: 0.0; the insertion order would give 1.0.
+    assert cell.heat_output_mw("DE").tolist() == [0.0] * 48
+    assert cell.heat_output_mw("AT").tolist() == [0.0] * 48  # a country without heat pumps

@@ -151,7 +151,7 @@ def assert_breakdown_matches_reference(instance):
     gen, ch, dis = ({(c, name): arr for (c, kind, name), arr in solved.dispatch_mw.items() if kind == k}
                     for k in ("generation", "charge", "discharge"))
     expected = bounds_cost_breakdown(instance, solved.capacities_mw, gen, ch, dis)
-    assert {k: v.hex() for k, v in solved.cost_breakdown.items()} == {k: v.hex() for k, v in expected.items()}
+    assert {k: solved.costs_eur[k].hex() for k in expected} == {k: v.hex() for k, v in expected.items()}
     return solved
 
 

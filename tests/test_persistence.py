@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import re
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import takewhile
@@ -21,15 +22,18 @@ import pytest
 
 from heatgrid import analysis
 from heatgrid.dataset import build_synth_dataset
+from heatgrid.heat import HeatTrajectory
 from heatgrid.model import DISPATCH_KINDS
 from heatgrid.scenarios import (
     CELL_TABLES,
     MANIFEST_FIELDS,
     ScenarioSpec,
     load_result,
+    load_results,
     persist_result,
     run_cell,
     specs_for_selector,
+    write_cell_tables,
 )
 from heatgrid.staticdata import Bounds
 
@@ -101,7 +105,7 @@ def reference_write(result, cell_dir):
                          repr(float(hl[h])), repr(float(e[h]))]
                     )
         for component in ("investment", "fixed_om", "variable", "storage_marginal", "total"):
-            costs.append([component, repr(float(solved.cost_breakdown[component]))])
+            costs.append([component, repr(float(solved.costs_eur[component]))])
         costs.append(["objective", repr(float(result.objective))])
         costs.append(["heat_supplied_mwh", repr(float(solved.heat_supplied_mwh))])
     _rows(cell_dir / "capacities.csv", caps, ["country", "kind", "name", "value"])
@@ -160,21 +164,23 @@ def reference_load(cell_dir, hours):
         if (a, b) not in flows:
             flows[(a, b)] = np.zeros(hours)
         flows[(a, b)][int(h)] = float(value)
-    fields = ("heat_output_mw_th", "heat_generated_mw_th", "storage_level_mwh_th", "electricity_mw_el")
-    for h, c, bt, st, hpt, *values in _body(cell_dir / "heat.csv"):
-        key = (c, (bt, st, hpt))
-        if key not in heat:
-            heat[key] = {f: np.zeros(hours) for f in fields}
-        for f, value in zip(fields, values):
-            heat[key][f][int(h)] = float(value)
+    for h, c, bt, st, hpt, ho, hi, hl, e in _body(cell_dir / "heat.csv"):
+        traj = heat.setdefault(c, HeatTrajectory({}, {}, {}, {}))
+        for arrays, value in zip((traj.heat_output_mw, traj.heat_generated_mw, traj.storage_level_mwh,
+                                  traj.electricity_mw), (ho, hi, hl, e)):
+            arrays.setdefault((bt, st, hpt), np.zeros(hours))[int(h)] = float(value)
     for component, value in _body(cell_dir / "costs.csv"):
         costs[component] = float(value)
     return {"capacities_mw": capacities, "dispatch_mw": dispatch, "flows_mw": flows,
-            "heat_mw": heat, "costs_eur": costs}
+            "heat": heat, "costs_eur": costs}
 
 
 def assert_bitwise_equal(got, want, where=""):
-    if isinstance(want, dict):
+    if isinstance(want, HeatTrajectory):
+        assert isinstance(got, HeatTrajectory), where
+        for f in dataclasses.fields(want):
+            assert_bitwise_equal(getattr(got, f.name), getattr(want, f.name), f"{where}/{f.name}")
+    elif isinstance(want, dict):
         assert list(got) == list(want), where
         for key in want:
             assert_bitwise_equal(got[key], want[key], f"{where}/{key}")
@@ -286,9 +292,37 @@ def test_a_solved_and_a_saved_cell_answer_the_same_reads(results, tmp_path):
         assert_bitwise_equal(solved.hp_load_mw(c), loaded.hp_load_mw(c), f"{c} heat-pump load")
         for tech in [*solved.instance.techs, "no_such_tech"]:
             assert_bitwise_equal(solved.generation_mw(c, tech), loaded.generation_mw(c, tech), f"{c} {tech}")
+        assert_bitwise_equal(solved.heat_output_mw(c), loaded.heat_output_mw(c), f"{c} heat output")
     assert solved.hours == loaded.hours == HOURS
     assert_bitwise_equal(analysis.system_residual_load(solved, include_hp=True),
                          analysis.system_residual_load(loaded, include_hp=True), "residual load")
+    assert list(solved.heat) == list(loaded.heat) == ["AT", "DE"]
+    for c, traj in solved.heat.items():  # every trajectory array, unit by unit in file order
+        for f in dataclasses.fields(traj):
+            want = getattr(traj, f.name)
+            assert_bitwise_equal(getattr(loaded.heat[c], f.name), {unit: want[unit] for unit in traj.keys}, c)
+    assert_bitwise_equal(loaded.costs_eur, solved.costs_eur, "costs")
+    assert solved.heat_supplied_mwh.hex() == loaded.heat_supplied_mwh.hex()
+    assert analysis.cost_report(solved) == analysis.cost_report(loaded)
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_a_loaded_cell_writes_back_to_the_same_bytes(results, tmp_path, cell):
+    cell_dir = persist_result(results[cell], tmp_path / "first")
+    loaded = load_result(cell_dir)
+    (tmp_path / "again").mkdir()
+    write_cell_tables(tmp_path / "again", loaded)
+    for table in CELL_TABLES:
+        assert (tmp_path / "again" / table.file).read_bytes() == (cell_dir / table.file).read_bytes(), table.file
+
+
+def test_load_results_skips_a_temporary_cell_directory(results, tmp_path):
+    cells = sorted(persist_result(results[name], tmp_path) for name in CELLS[:3])
+    # A write cut short leaves its dot-named temporary directory behind, manifest included.
+    shutil.copytree(cells[-1], tmp_path / f".{cells[-1].name}.tmp-4242")
+    loaded = load_results(tmp_path)
+    assert [r.path for r in loaded] == cells
+    assert len(analysis.pair_results(loaded)) == 2
 
 
 def test_concurrent_persists_into_one_directory(results, tmp_path):

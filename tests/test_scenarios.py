@@ -280,10 +280,11 @@ class TestCostDecomposition:
         for spec in specs_for_selector("base", [2009], HOURS):
             result = run_cell(dataset, spec, 2009)
             assert result.ok
-            breakdown = result.solved.cost_breakdown
-            total = sum(breakdown[k] for k in ("investment", "fixed_om", "variable", "storage_marginal"))
+            costs = result.solved.costs_eur
+            total = sum(costs[k] for k in ("investment", "fixed_om", "variable", "storage_marginal"))
             assert total == pytest.approx(result.objective, rel=1e-6)
-            assert breakdown["total"] == pytest.approx(total, rel=1e-12)
+            assert costs["total"] == pytest.approx(total, rel=1e-12)
+            assert costs["objective"] == result.objective  # the solution's own, as costs.csv writes it
 
     def test_heat_supplied_matches_share_of_demand(self, dataset):
         spec = specs_for_selector("base", [2009], HOURS)[2]  # 25%, two-hour tank
