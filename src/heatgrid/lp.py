@@ -16,7 +16,10 @@ import), a row ``fam[...]`` filed under family ``fam``. Names such as
 for (``col_names``, ``row_names``, :meth:`col`).
 
 The program is stored as arrays (``col_lo``, ``col_hi``, ``col_obj``,
-``row_sense``, ``row_rhs``) and a CSR :meth:`matrix`. ``lo``, ``hi``,
+``row_sense``, ``row_rhs``) and a CSR :meth:`matrix` built from row
+blocks: each ``add_rows`` / ``add_named_rows`` call appends its entries
+grouped by row, in the order given (int32 columns and coefficients), and
+a count per row, whose running sum is the ``indptr``. ``lo``, ``hi``,
 ``obj``, ``senses``, ``rhs`` and ``rows`` are per-entry Python lists of
 the same data, also built on first use.
 """
@@ -76,6 +79,7 @@ class Family:
             shape = (-1,) if self.hours is None else (-1, self.hours)
             parts = self._parts or [np.zeros(0, dtype=np.int64)]
             self._index = np.concatenate(parts, dtype=np.int64).reshape(shape)
+            self._parts = [self._index.ravel()]  # the join alone: added parts are views of whole blocks
         return self._index
 
     def member(self, key: tuple):
@@ -101,10 +105,7 @@ class Family:
 class _Growing:
     """A 1-D array appended to in pieces and joined on first read.
 
-    Small pieces are merged in batches of 256. ``build_model`` makes 1,327
-    appends whatever the window (at most 303 per store); without the
-    batching, the peak RSS of building the 3-country full-year LP
-    (perfbench ``fullyear_build``) rose from 491.2 to 495.1 MB.
+    Pieces are merged in batches of 256, which frees them before the join.
     """
 
     _BATCH = 256
@@ -144,8 +145,8 @@ class LinearProgram:
         self._obj = _Growing(float)
         self._sense = _Growing("<U1")
         self._rhs = _Growing(float)
-        self._entry_rows = _Growing(np.int64)
-        self._entry_cols = _Growing(np.int64)
+        self._row_nnz = _Growing(np.int64)  # entries per row, as added
+        self._entry_cols = _Growing(np.int32)  # by row, each row's in the order added
         self._entry_vals = _Growing(float)
         self._named_cols: set = set()
         self._named_rows: set = set()
@@ -191,6 +192,7 @@ class LinearProgram:
         index = np.arange(self.num_rows, self.num_rows + size * len(rows)).reshape(size, -1)
         sense_b = np.empty(index.shape, dtype="<U1")
         rhs_b = np.empty(index.shape)
+        entries = [(np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(0))]  # (row offset, column, coef) by term
         for j, (family, (sense, rhs, terms)) in enumerate(rows.items()):
             if sense not in SENSES:
                 raise LpError(f"row {family} of {key}: sense {sense!r} not in {SENSES}")
@@ -201,14 +203,16 @@ class LinearProgram:
                 if not cols.size:
                     continue
                 count = max(size, cols.size, coefs.size)
-                r, c, v = np.empty(count, np.int64), np.empty(count, np.int64), np.empty(count)
-                r[:], c[:], v[:] = index[:, j], cols, coefs
-                if not v.all():  # a zero given is dropped; terms that cancel stay stored
-                    keep = v != 0.0
-                    r, c, v = r[keep], c[keep], v[keep]
-                self._entry_rows.extend(r)
-                self._entry_cols.extend(c)
-                self._entry_vals.extend(v)
+                r, c, v = np.empty(count, np.int64), np.empty(count, np.int32), np.empty(count)
+                r[:], c[:], v[:] = index[:, j] - self.num_rows, cols, coefs
+                entries.append((r, c, v))
+        # A term has one entry per hour, or all its entries in the one row:
+        # laid side by side as (hour, entry), the entries come by row, in term order.
+        r, c, v = (np.concatenate([a.reshape(size, -1) for a in part], axis=1).ravel() for part in zip(*entries))
+        if not v.all():  # a zero given is dropped; terms that cancel stay stored
+            keep = v != 0.0
+            r, c, v = r[keep], c[keep], v[keep]
+        self._append_entries(index.size, r, c, v)
         self._sense.extend(sense_b.ravel())
         self._rhs.extend(rhs_b.ravel())
         self.num_rows += index.size
@@ -265,11 +269,12 @@ class LinearProgram:
         if bad.any():
             k = bad.argmax()
             raise LpError(f"row {names[k]!r}: sense {senses[k]!r} not in {SENSES}")
+        rows, cols, coefs = (np.array(a, dtype=t) for a, t in zip(entries, (np.int64, np.int32, float)))
+        if rows.size and not 0 <= rows.min() <= rows.max() < len(names):
+            raise LpError(f"an entry's row is not in 0..{len(names) - 1}")
         self._named_rows.update(names)
-        rows, cols, coefs = entries
-        self._entry_rows.extend(np.array(rows, dtype=np.int64) + start)
-        self._entry_cols.extend(np.array(cols, dtype=np.int64))
-        self._entry_vals.extend(np.array(coefs, dtype=float))
+        order = np.argsort(rows, kind="stable")  # by row, each row's in the order given
+        self._append_entries(len(names), rows[order], cols[order], coefs[order])
         self._sense.extend(senses)
         self._rhs.extend(np.array(rhs, dtype=float).reshape(index.shape))
         self.num_rows += index.size
@@ -279,6 +284,12 @@ class LinearProgram:
             members.setdefault(head if head and bracket else NAMED, []).append(i)
         self._file_named(self.row_families, members, names, start)
         return index
+
+    def _append_entries(self, count: int, rows, cols, coefs) -> None:
+        """Append the entries of `count` new rows, grouped by row; `rows` count from 0."""
+        self._row_nnz.extend(np.bincount(rows, minlength=count))
+        self._entry_cols.extend(cols)
+        self._entry_vals.extend(coefs)
 
     def _file_named(self, families: dict, members: dict, names: list, start: int) -> None:
         """File the entries at `start` + positions under each family of `members`."""
@@ -303,13 +314,13 @@ class LinearProgram:
         bad = ~np.isfinite(self.row_rhs)
         if bad.any():
             raise LpError(f"row {self.row_names[bad.argmax()]!r}: non-finite rhs")
-        bad = ~np.isfinite(self._entry_vals.array())
+        m = self.matrix()
+        bad = ~np.isfinite(m.data)
         if bad.any():
-            row = self._entry_rows.array()[bad.argmax()]
+            row = np.searchsorted(m.indptr, bad.argmax(), side="right") - 1
             raise LpError(f"row {self.row_names[row]!r}: non-finite coefficient")
-        self.matrix()
         # From here on the matrix holds the entries.
-        self._entry_rows = self._entry_cols = self._entry_vals = None
+        self._row_nnz = self._entry_cols = self._entry_vals = None
         self._frozen = True
         return self
 
@@ -343,10 +354,14 @@ class LinearProgram:
         """The constraint matrix, CSR with sorted indices; shared, do not modify."""
         m = self._lazy.get("matrix")
         if m is None:
-            entries = (self._entry_rows.array(), self._entry_cols.array())
+            cols, counts = self._entry_cols.array(), self._row_nnz.array()
+            if cols.size and not 0 <= cols.min() <= cols.max() < self.num_cols:
+                raise LpError(f"an entry's column is not in 0..{self.num_cols - 1}")
+            indptr = np.concatenate([[0], np.cumsum(counts)])
             m = self._lazy["matrix"] = sparse.csr_matrix(
-                (self._entry_vals.array(), entries), shape=(self.num_rows, self.num_cols)
-            )
+                (self._entry_vals.array(), cols, indptr), shape=(self.num_rows, self.num_cols))
+            m.sum_duplicates()  # sorts and sums each row in place, so the store takes the result
+            self._row_nnz._array, self._entry_cols._array, self._entry_vals._array = np.diff(m.indptr), m.indices, m.data
         return m
 
     def stats(self) -> dict:

@@ -375,6 +375,7 @@ MANIFEST_FIELDS = (
     ManifestField("solver.rows", (int,), attrgetter("lp.num_rows")),
     ManifestField("solver.cols", (int,), attrgetter("lp.num_cols")),
     ManifestField("solver.nnz", (int,), lambda s: s.lp.matrix().nnz),
+    ManifestField("solver.dropped_entries", (int,), attrgetter("dropped_entries")),
     ManifestField("timings", (dict,), attrgetter("timings"), varies=True),  # stage -> seconds, of the stages that ran
     ManifestField("residuals", (dict,), lambda r: {  # constraint family -> max, mean, rows
         name: {"max": fam.max_violation, "mean": fam.mean_violation, "rows": fam.rows}

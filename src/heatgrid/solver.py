@@ -92,6 +92,7 @@ class Solution:
     row_duals: np.ndarray | None = None
     col_duals: np.ndarray | None = None
     highs_run_time_s: float | None = None  # HiGHS' own run time, from solve()
+    dropped_entries: int = 0  # matrix entries HiGHS dropped as too small, from solve()
     residuals: ResidualReport | None = None  # verify()'s report of an optimum from solve()
 
 
@@ -148,13 +149,14 @@ def verify(lp: LinearProgram, solution: Solution | np.ndarray) -> ResidualReport
     values = solution.values if isinstance(solution, Solution) else np.asarray(solution)
     report = ResidualReport()
     viol = _row_violations(lp, values)
-    groups: dict[str, list] = {}
+    # Families are filed as their first rows are added, so `code` follows the
+    # constraint families' first rows; a family's rows are taken in row order.
+    code: dict[str, int] = {}  # constraint family -> the label of its rows
+    labels = np.full(lp.num_rows, -1, dtype=np.int8)
     for name, fam in lp.row_families.items():
-        groups.setdefault(CONSTRAINT_FAMILY.get(name, "other"), []).append(fam.index.ravel())
-    members = {family: np.sort(np.concatenate(parts)) for family, parts in groups.items()}
-    # Families in the order of their first row; rows in row order.
-    for family, rows in sorted(members.items(), key=lambda kv: kv[1][0]):
-        report.families[family] = FamilyResidual.of(viol[rows])
+        labels[fam.index.ravel()] = code.setdefault(CONSTRAINT_FAMILY.get(name, "other"), len(code))
+    for family, label in code.items():
+        report.families[family] = FamilyResidual.of(viol[labels == label])
     bounds = np.maximum(np.maximum(lp.col_lo - values, values - lp.col_hi), 0.0)
     if bounds.size:  # FamilyResidual.of takes no empty array
         report.families["bounds"] = FamilyResidual.of(bounds)
@@ -175,6 +177,9 @@ def solve(lp: LinearProgram) -> Solution:
     :func:`verify` report of ``x`` in `residuals`, whose largest violation
     is `max_residual`; other statuses carry none of them. `wall_time_s`
     spans the HiGHS run and the solution read, not the verification.
+    `dropped_entries` counts the matrix entries HiGHS drops, with a
+    warning, as too small (|v| <= its ``small_matrix_value``); HiGHS
+    solves without them, while :func:`verify` checks the LP with them.
     Raises :class:`SolverError` when HiGHS reports any other status, or an
     optimum that violates a row or bound by more than linprog's check allows.
     """
@@ -193,6 +198,7 @@ def solve(lp: LinearProgram) -> Solution:
     for key, value in _HIGHS_OPTIONS.items():
         if highs.setOptionValue(key, value) != _highs.HighsStatus.kOk:
             raise SolverError(f"HiGHS rejected option {key}={value!r}")
+    dropped = int(np.count_nonzero(np.abs(a.data) <= highs.getOptionValue("small_matrix_value")[1]))
     passed = highs.passModel(
         lp.num_cols, lp.num_rows, a.nnz, int(_highs.MatrixFormat.kRowwise),
         int(_highs.ObjSense.kMinimize), 0.0,
@@ -235,5 +241,5 @@ def solve(lp: LinearProgram) -> Solution:
     return Solution(
         status=status, objective=objective, values=x, lp=lp, iterations=iterations, wall_time_s=wall,
         backend="highs", max_residual=max_residual, row_duals=row_duals, col_duals=col_duals,
-        highs_run_time_s=run_time, residuals=residuals,
+        highs_run_time_s=run_time, residuals=residuals, dropped_entries=dropped,
     )

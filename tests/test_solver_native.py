@@ -17,7 +17,7 @@ from heatgrid import solver
 from heatgrid.dataset import build_synth_dataset
 from heatgrid.lp import LinearProgram
 from heatgrid.model import build_model
-from heatgrid.scenarios import make_instance, specs_for_selector
+from heatgrid.scenarios import make_instance, run_cell, specs_for_selector
 from heatgrid.solver import SolverError, solve
 
 SYNTH_YEAR = 2009
@@ -187,3 +187,42 @@ def test_an_optimum_off_the_lp_raises(monkeypatch):
     monkeypatch.setattr(solver, "verify", lambda lp, x: verify(lp, x + 1.0))
     with pytest.raises(SolverError, match="violates"):
         solve(lp)
+
+
+@pytest.fixture
+def pass_statuses(monkeypatch):
+    """The status of every passModel call that solve() makes, in order."""
+    statuses = []
+
+    class Recording(solver._highs._Highs):
+        def passModel(self, *args):
+            statuses.append(super().passModel(*args))
+            return statuses[-1]
+
+    monkeypatch.setattr(solver._highs, "_Highs", Recording)
+    return statuses
+
+
+def one_entry_lp(coef: float) -> LinearProgram:
+    lp = LinearProgram("tiny")
+    lp.add_named_cols(["x", "y"], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
+    lp.add_named_rows(["r"], ["G"], [0.5], ([0, 0], [0, 1], [1.0, coef]))
+    return lp.freeze()
+
+
+def test_dropped_entries_are_counted_as_highs_warns(pass_statuses):
+    dataset = build_synth_dataset(7, ["AT", "DE", "FR"], [SYNTH_YEAR], 48)
+    spec = specs_for_selector("base", [SYNTH_YEAR], 48)[0]
+    lps = [
+        build_model(make_instance(dataset, spec, SYNTH_YEAR)),
+        random_lp(4),
+        *(one_entry_lp(coef) for coef in (1e-10, -1e-9, 1.1e-9, -5e-17)),
+    ]
+    dropped = [solve(lp).dropped_entries for lp in lps]
+    # 6 night-hour solar availabilities of about -5e-17 in the base-hp00 cell.
+    assert dropped == [6, 0, 1, 1, 0, 1]
+    assert lps[0].name == "base-hp00__y2009"
+    status = solver._highs.HighsStatus
+    assert pass_statuses == [status.kWarning if n else status.kOk for n in dropped]
+    # A cell's manifest carries the count.
+    assert run_cell(dataset, spec, SYNTH_YEAR).solver_stats["dropped_entries"] == 6

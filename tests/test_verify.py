@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from desk import heat_block, instance, tech
+from desk import heat_block, instance, random_desk_instance, random_lp, tech
 from heatgrid.lp import LinearProgram
 from heatgrid.model import build_model
-from heatgrid.solver import solve, verify
+from heatgrid.solver import CONSTRAINT_FAMILY, FamilyResidual, _row_violations, solve, verify
 
 INF = float("inf")
 
@@ -92,3 +92,41 @@ def test_a_nan_activity_fails_the_report(solved):
     report = verify(lp, values)
     assert np.isnan(report.max_violation)
     assert not report.within(1e-6)
+
+
+def sorted_report(lp, values) -> list:
+    """verify()'s report as it was computed before: each family's rows joined and sorted."""
+    viol = _row_violations(lp, values)
+    groups: dict = {}
+    for name, fam in lp.row_families.items():
+        groups.setdefault(CONSTRAINT_FAMILY.get(name, "other"), []).append(fam.index.ravel())
+    members = {family: np.sort(np.concatenate(parts)) for family, parts in groups.items()}
+    out = [(family, FamilyResidual.of(viol[rows])) for family, rows in sorted(members.items(), key=lambda kv: kv[1][0])]
+    if lp.num_cols:
+        out.append(("bounds", FamilyResidual.of(np.maximum(np.maximum(lp.col_lo - values, values - lp.col_hi), 0.0))))
+    return out
+
+
+def bits(families) -> list:
+    return [(name, f.max_violation.hex(), f.mean_violation.hex(), f.rows) for name, f in families]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_report_matches_the_sorted_reference(seed):
+    rng = np.random.default_rng(seed)
+    for lp in (random_lp(seed), build_model(random_desk_instance(seed))):
+        values = rng.uniform(-1.0, 3.0, lp.num_cols)
+        assert bits(verify(lp, values).families.items()) == bits(sorted_report(lp, values))
+
+
+def test_families_follow_their_first_row():
+    lp = LinearProgram("mixed")
+    x = lp.add_named_cols(["x", "y"], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
+    lp.add_named_rows(["hdyn[a]", "r"], ["L", "L"], [-1.0, -2.0], ([0, 1], [0, 1], [1.0, 1.0]))
+    lp.add_rows(("DE",), {"bal": ("E", 3.0, [(x, 1.0)]), "hcop": ("G", 4.0, [(x[0], 1.0)])}, 2)
+    lp.add_named_rows(["sdyn[b]", "gcap[c]"], ["E", "E"], [5.0, 6.0], ([0, 1], [0, 1], [1.0, 1.0]))
+    values = np.array([0.5, 0.25])
+    report = verify(lp.freeze(), values)
+    assert list(report.families) == ["heat", "other", "balance", "storage", "availability", "bounds"]
+    assert (report.families["heat"].rows, report.families["balance"].rows) == (3, 2)
+    assert bits(report.families.items()) == bits(sorted_report(lp, values))
