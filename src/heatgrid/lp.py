@@ -7,24 +7,25 @@ as ``("DE", "ccgt")``; hourly families hold one entry per key and hour.
 The catalog maps each family to its keys and an index array, so model
 code reads a family's values by index, never by name.
 
-Build with :meth:`add_cols` / :meth:`add_rows`, which append the entries
-of one key as numpy blocks, then :meth:`freeze`; a frozen program is
-immutable and safe to share across threads. :meth:`add_named_cols` /
-:meth:`add_named_rows` add entries under names of their own (MPS
-import), a row ``fam[...]`` filed under family ``fam``. Names such as
-``gen[DE,ccgt,17]`` are derived from the catalog only when first asked
-for (``col_names``, ``row_names``, :meth:`col`).
-
-The program is stored as arrays (``col_lo``, ``col_hi``, ``col_obj``,
-``row_sense``, ``row_rhs``) and a CSR :meth:`matrix` built from row
-blocks: each ``add_rows`` / ``add_named_rows`` call appends its entries
-grouped by row, in the order given (int32 columns and coefficients), and
-a count per row, whose running sum is the ``indptr``. ``lo``, ``hi``,
-``obj``, ``senses``, ``rhs`` and ``rows`` are per-entry Python lists of
-the same data, also built on first use.
+An LP is built, then frozen, then read. :meth:`add_cols` / :meth:`add_rows`
+append the entries of one key as numpy blocks; :meth:`add_named_cols` /
+:meth:`add_named_rows` add entries under names of their own (MPS import),
+a row ``fam[...]`` filed under family ``fam``. While an LP is built, only
+its catalog and counts can be read. :meth:`freeze` joins each store once,
+checks it, and builds the CSR :meth:`matrix` from row blocks: each
+``add_rows`` / ``add_named_rows`` call appends its entries grouped by row,
+in the order given (int32 columns and coefficients), and a count per row,
+whose running sum is the ``indptr``. A frozen LP is immutable and safe to
+share across threads; one whose freeze raised is spent. Its arrays
+(``col_lo``, ``col_hi``, ``col_obj``, ``row_sense``, ``row_rhs``) are plain
+attributes; names such as ``gen[DE,ccgt,17]`` (``col_names``,
+``row_names``, :meth:`col`) and the per-entry Python lists ``lo``, ``hi``,
+``obj``, ``senses``, ``rhs`` and ``rows`` are built on first use.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -36,6 +37,16 @@ SENSES = ("L", "E", "G")
 # Family of the columns added under their own names, and of the rows so
 # added whose name gives no family.
 NAMED = ""
+
+# The stores an LP appends to while built, each with the dtype it is joined to; the
+# entries are each row's count, then its columns and coefficients in the order added.
+_STORES = dict(
+    col_lo=float, col_hi=float, col_obj=float, row_sense="<U1", row_rhs=float,
+    row_nnz=np.int64, entry_cols=np.int32, entry_vals=float,
+)
+
+# The attributes that freeze sets: a program being built or spent has none.
+_FROZEN = ("col_lo", "col_hi", "col_obj", "row_sense", "row_rhs", "_matrix")
 
 
 class LpError(ValueError):
@@ -102,36 +113,8 @@ class Family:
         return out
 
 
-class _Growing:
-    """A 1-D array appended to in pieces and joined on first read.
-
-    Pieces are merged in batches of 256, which frees them before the join.
-    """
-
-    _BATCH = 256
-
-    def __init__(self, dtype):
-        self._dtype = dtype
-        self._array = np.zeros(0, dtype=dtype)
-        self._blocks: list = []
-        self._parts: list = []
-
-    def extend(self, values) -> None:
-        self._parts.append(values)
-        if len(self._parts) == self._BATCH:
-            self._blocks.append(np.concatenate(self._parts, dtype=self._dtype))
-            self._parts = []
-
-    def array(self) -> np.ndarray:
-        if self._blocks or self._parts:
-            pieces = [self._array, *self._blocks, *self._parts]
-            self._array = np.concatenate(pieces, dtype=self._dtype)
-            self._blocks, self._parts = [], []
-        return self._array
-
-
 class LinearProgram:
-    """Minimization LP: min c'x + offset s.t. rows, lo <= x <= hi."""
+    """Minimization LP: min c'x + offset s.t. rows, lo <= x <= hi; built, then frozen, then read."""
 
     def __init__(self, name: str = "lp"):
         self.name = name
@@ -140,18 +123,17 @@ class LinearProgram:
         self.num_rows = 0
         self.col_families: dict[str, Family] = {}
         self.row_families: dict[str, Family] = {}
-        self._lo = _Growing(float)
-        self._hi = _Growing(float)
-        self._obj = _Growing(float)
-        self._sense = _Growing("<U1")
-        self._rhs = _Growing(float)
-        self._row_nnz = _Growing(np.int64)  # entries per row, as added
-        self._entry_cols = _Growing(np.int32)  # by row, each row's in the order added
-        self._entry_vals = _Growing(float)
-        self._named_cols: set = set()
-        self._named_rows: set = set()
+        # Build-only state, dropped by freeze: each store's pieces, and the names added.
+        self._pieces: dict | None = {store: [] for store in _STORES}
+        self._named_cols: set | None = set()
+        self._named_rows: set | None = set()
         self._frozen = False
-        self._lazy: dict = {}  # matrix, names, name index, list views
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set; freeze sets those of _FROZEN.
+        if name in _FROZEN:
+            self._check_frozen(name.lstrip("_"))
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # -- construction -----------------------------------------------------
 
@@ -171,9 +153,7 @@ class LinearProgram:
         for j, (lo, hi, obj) in enumerate(columns.values()):
             block[0, :, j], block[1, :, j], block[2, :, j] = lo, hi, obj
         lo, hi, obj = block.reshape(3, -1)
-        self._lo.extend(lo)
-        self._hi.extend(hi)
-        self._obj.extend(obj)
+        self._append(col_lo=lo, col_hi=hi, col_obj=obj)
         self.num_cols += index.size
         return self._catalog(self.col_families, columns, key, hours, index)
 
@@ -212,15 +192,13 @@ class LinearProgram:
         if not v.all():  # a zero given is dropped; terms that cancel stay stored
             keep = v != 0.0
             r, c, v = r[keep], c[keep], v[keep]
-        self._append_entries(index.size, r, c, v)
-        self._sense.extend(sense_b.ravel())
-        self._rhs.extend(rhs_b.ravel())
+        self._append(row_nnz=np.bincount(r, minlength=index.size), entry_cols=c, entry_vals=v,
+                     row_sense=sense_b.ravel(), row_rhs=rhs_b.ravel())
         self.num_rows += index.size
         return self._catalog(self.row_families, rows, key, hours, index)
 
     def _catalog(self, families: dict, names, key: tuple, hours, index: np.ndarray) -> dict:
         """File column j of `index` (hour, family) under the j-th of `names`."""
-        self._lazy.clear()
         out = {}
         for j, name in enumerate(names):
             fam = families.get(name)
@@ -245,8 +223,8 @@ class LinearProgram:
         start = self.num_cols
         index = np.arange(start, start + len(names))
         self._named_cols.update(names)
-        for store, values in ((self._lo, lo), (self._hi, hi), (self._obj, obj)):
-            store.extend(np.array(values, dtype=float).reshape(index.shape))
+        lo, hi, obj = (np.array(values, dtype=float).reshape(index.shape) for values in (lo, hi, obj))
+        self._append(col_lo=lo, col_hi=hi, col_obj=obj)
         self.num_cols += index.size
         self._file_named(self.col_families, {NAMED: range(len(names))}, names, start)
         return index
@@ -274,9 +252,8 @@ class LinearProgram:
             raise LpError(f"an entry's row is not in 0..{len(names) - 1}")
         self._named_rows.update(names)
         order = np.argsort(rows, kind="stable")  # by row, each row's in the order given
-        self._append_entries(len(names), rows[order], cols[order], coefs[order])
-        self._sense.extend(senses)
-        self._rhs.extend(np.array(rhs, dtype=float).reshape(index.shape))
+        self._append(row_nnz=np.bincount(rows, minlength=index.size), entry_cols=cols[order], entry_vals=coefs[order],
+                     row_sense=senses, row_rhs=np.array(rhs, dtype=float).reshape(index.shape))
         self.num_rows += index.size
         members: dict[str, list] = {}
         for i, name in enumerate(names):
@@ -285,15 +262,13 @@ class LinearProgram:
         self._file_named(self.row_families, members, names, start)
         return index
 
-    def _append_entries(self, count: int, rows, cols, coefs) -> None:
-        """Append the entries of `count` new rows, grouped by row; `rows` count from 0."""
-        self._row_nnz.extend(np.bincount(rows, minlength=count))
-        self._entry_cols.extend(cols)
-        self._entry_vals.extend(coefs)
+    def _append(self, **pieces) -> None:
+        """Append a piece to each named store."""
+        for store, piece in pieces.items():
+            self._pieces[store].append(piece)
 
     def _file_named(self, families: dict, members: dict, names: list, start: int) -> None:
         """File the entries at `start` + positions under each family of `members`."""
-        self._lazy.clear()
         for family, positions in members.items():
             fam = families.get(family)
             if fam is None:
@@ -304,65 +279,54 @@ class LinearProgram:
             fam._extend(keys, np.asarray(positions, dtype=np.int64) + start)
 
     def freeze(self) -> "LinearProgram":
-        """Check every bound, cost, rhs and coefficient, then make the LP immutable."""
+        """Join each store once, check every bound, cost, rhs and coefficient, and build the matrix.
+
+        A freeze that raises leaves the LP spent: every later add, read and freeze raises too.
+        """
         if self._frozen:
             return self
-        lo, hi = self.col_lo, self.col_hi
-        bad = np.isnan(lo) | np.isnan(hi) | ~np.isfinite(self.col_obj) | (lo > hi)
+        self._check_mutable()
+        pieces = self._pieces
+        self._pieces = self._named_cols = self._named_rows = None
+
+        def join(store: str) -> np.ndarray:  # the store's pieces are freed as it returns
+            dtype = _STORES[store]
+            return np.concatenate([np.zeros(0, dtype), *pieces.pop(store)], dtype=dtype)
+
+        lo, hi, obj = join("col_lo"), join("col_hi"), join("col_obj")
+        bad = np.isnan(lo) | np.isnan(hi) | ~np.isfinite(obj) | (lo > hi)
         if bad.any():
-            raise LpError(f"column {self.col_names[bad.argmax()]!r}: bad bounds/objective")
-        bad = ~np.isfinite(self.row_rhs)
+            raise LpError(f"column {self._names(self.col_families, self.num_cols)[bad.argmax()]!r}: bad bounds/objective")
+        sense, rhs = join("row_sense"), join("row_rhs")
+        bad = ~np.isfinite(rhs)
         if bad.any():
-            raise LpError(f"row {self.row_names[bad.argmax()]!r}: non-finite rhs")
-        m = self.matrix()
+            raise LpError(f"row {self._names(self.row_families, self.num_rows)[bad.argmax()]!r}: non-finite rhs")
+        indptr = np.concatenate([[0], np.cumsum(join("row_nnz"))])
+        cols = join("entry_cols")
+        if cols.size and not 0 <= cols.min() <= cols.max() < self.num_cols:
+            raise LpError(f"an entry's column is not in 0..{self.num_cols - 1}")
+        m = sparse.csr_matrix((join("entry_vals"), cols, indptr), shape=(self.num_rows, self.num_cols))
+        m.sum_duplicates()  # sorts and sums each row in place
         bad = ~np.isfinite(m.data)
         if bad.any():
             row = np.searchsorted(m.indptr, bad.argmax(), side="right") - 1
-            raise LpError(f"row {self.row_names[row]!r}: non-finite coefficient")
-        # From here on the matrix holds the entries.
-        self._row_nnz = self._entry_cols = self._entry_vals = None
+            raise LpError(f"row {self._names(self.row_families, self.num_rows)[row]!r}: non-finite coefficient")
+        self.col_lo, self.col_hi, self.col_obj, self.row_sense, self.row_rhs = lo, hi, obj, sense, rhs
+        self._matrix = m
         self._frozen = True
         return self
 
     def _check_mutable(self):
-        if self._frozen:
-            raise LpError("LinearProgram is frozen")
+        if self._pieces is None:
+            raise LpError("LinearProgram is frozen" if self._frozen else "LinearProgram is spent: its freeze failed")
 
-    # -- stored arrays -----------------------------------------------------
-
-    @property
-    def col_lo(self) -> np.ndarray:
-        return self._lo.array()
-
-    @property
-    def col_hi(self) -> np.ndarray:
-        return self._hi.array()
-
-    @property
-    def col_obj(self) -> np.ndarray:
-        return self._obj.array()
-
-    @property
-    def row_sense(self) -> np.ndarray:
-        return self._sense.array()
-
-    @property
-    def row_rhs(self) -> np.ndarray:
-        return self._rhs.array()
+    def _check_frozen(self, what: str):
+        if not self._frozen:
+            raise LpError(f"LinearProgram is not frozen: {what} is read only once it is")
 
     def matrix(self) -> sparse.csr_matrix:
         """The constraint matrix, CSR with sorted indices; shared, do not modify."""
-        m = self._lazy.get("matrix")
-        if m is None:
-            cols, counts = self._entry_cols.array(), self._row_nnz.array()
-            if cols.size and not 0 <= cols.min() <= cols.max() < self.num_cols:
-                raise LpError(f"an entry's column is not in 0..{self.num_cols - 1}")
-            indptr = np.concatenate([[0], np.cumsum(counts)])
-            m = self._lazy["matrix"] = sparse.csr_matrix(
-                (self._entry_vals.array(), cols, indptr), shape=(self.num_rows, self.num_cols))
-            m.sum_duplicates()  # sorts and sums each row in place, so the store takes the result
-            self._row_nnz._array, self._entry_cols._array, self._entry_vals._array = np.diff(m.indptr), m.indices, m.data
-        return m
+        return self._matrix
 
     def stats(self) -> dict:
         return {"rows": self.num_rows, "cols": self.num_cols, "nnz": self.matrix().nnz}
@@ -371,13 +335,7 @@ class LinearProgram:
         """The catalog entry of a column family; an empty one if absent."""
         return self.col_families.get(family) or Family(family, None)
 
-    # -- names and per-entry views, built on first use -----------------------
-
-    def _cached(self, what: str, build):
-        value = self._lazy.get(what)
-        if value is None:
-            value = self._lazy[what] = build()
-        return value
+    # -- names and per-entry views, built on first use once frozen ----------
 
     @staticmethod
     def _names(families: dict, count: int) -> list:
@@ -386,37 +344,38 @@ class LinearProgram:
             names[fam.index.ravel()] = np.array(fam.names(), dtype=object)
         return names.tolist()
 
-    @property
+    @cached_property
     def col_names(self) -> list:
-        return self._cached("col_names", lambda: self._names(self.col_families, self.num_cols))
+        self._check_frozen("col_names")
+        return self._names(self.col_families, self.num_cols)
 
-    @property
+    @cached_property
     def row_names(self) -> list:
-        return self._cached("row_names", lambda: self._names(self.row_families, self.num_rows))
+        self._check_frozen("row_names")
+        return self._names(self.row_families, self.num_rows)
 
-    @property
+    @cached_property
     def rows(self) -> list:
         """Per row, its sorted (column, coefficient) pairs."""
-
-        def build():
-            m = self.matrix()
-            cols, vals, ptr = m.indices.tolist(), m.data.tolist(), m.indptr.tolist()
-            return [list(zip(cols[a:b], vals[a:b])) for a, b in zip(ptr[:-1], ptr[1:])]
-
-        return self._cached("rows", build)
+        m = self.matrix()
+        cols, vals, ptr = m.indices.tolist(), m.data.tolist(), m.indptr.tolist()
+        return [list(zip(cols[a:b], vals[a:b])) for a, b in zip(ptr[:-1], ptr[1:])]
 
     # Plain lists, so that entries compare as Python scalars.
-    lo = property(lambda self: self._cached("lo", self.col_lo.tolist))
-    hi = property(lambda self: self._cached("hi", self.col_hi.tolist))
-    obj = property(lambda self: self._cached("obj", self.col_obj.tolist))
-    senses = property(lambda self: self._cached("senses", self.row_sense.tolist))
-    rhs = property(lambda self: self._cached("rhs", self.row_rhs.tolist))
+    lo = cached_property(lambda self: self.col_lo.tolist())
+    hi = cached_property(lambda self: self.col_hi.tolist())
+    obj = cached_property(lambda self: self.col_obj.tolist())
+    senses = cached_property(lambda self: self.row_sense.tolist())
+    rhs = cached_property(lambda self: self.row_rhs.tolist())
+
+    @cached_property
+    def _col_index(self) -> dict:
+        return {n: i for i, n in enumerate(self.col_names)}
 
     def col(self, name_or_idx) -> int:
         if not isinstance(name_or_idx, str):
             return int(name_or_idx)
-        index = self._cached("col_index", lambda: {n: i for i, n in enumerate(self.col_names)})
-        idx = index.get(name_or_idx)
+        idx = self._col_index.get(name_or_idx)
         if idx is None:
             raise LpError(f"unknown column {name_or_idx!r}")
         return idx

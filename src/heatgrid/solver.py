@@ -122,14 +122,17 @@ class ResidualReport:
         return self.max_violation <= tol
 
 
+def _sense_masks(lp: LinearProgram) -> tuple:
+    """The rows of sense L, G and E, compared as code points: a string compare per row is far slower."""
+    code = lp.row_sense.view(np.uint32)
+    return tuple(code == ord(sense) for sense in "LGE")
+
+
 def _row_violations(lp: LinearProgram, values: np.ndarray) -> np.ndarray:
     activity = lp.matrix() @ values
     rhs = lp.row_rhs
-    senses = lp.row_sense
     viol = np.zeros(lp.num_rows)
-    is_l = senses == "L"
-    is_g = senses == "G"
-    is_e = senses == "E"
+    is_l, is_g, is_e = _sense_masks(lp)
     viol[is_l] = np.maximum(activity[is_l] - rhs[is_l], 0.0)
     viol[is_g] = np.maximum(rhs[is_g] - activity[is_g], 0.0)
     viol[is_e] = np.abs(activity[is_e] - rhs[is_e])
@@ -184,10 +187,10 @@ def solve(lp: LinearProgram) -> Solution:
     optimum that violates a row or bound by more than linprog's check allows.
     """
     t0 = time.perf_counter()
-    senses = lp.row_sense
-    order = np.concatenate([np.flatnonzero(senses == s) for s in "LGE"])
-    n_l = int(np.count_nonzero(senses == "L"))
-    n_ub = n_l + int(np.count_nonzero(senses == "G"))
+    masks = _sense_masks(lp)
+    order = np.concatenate([np.flatnonzero(mask) for mask in masks])
+    n_l = int(np.count_nonzero(masks[0]))
+    n_ub = n_l + int(np.count_nonzero(masks[1]))
     a = lp.matrix()[order]
     a.data[a.indptr[n_l] : a.indptr[n_ub]] *= -1.0
     upper = lp.row_rhs[order]

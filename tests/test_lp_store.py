@@ -1,4 +1,5 @@
-"""The row-block store: its CSR against the COO construction it replaced, and its checks.
+"""The row-block store: its CSR against the COO construction it replaced, its checks, and
+the two stages of an LP: built by appending, then frozen and only read.
 
 ``coo_reference`` keeps the former store as the reference: it records, for
 every ``add_rows`` / ``add_named_rows`` call, the (row, column, coefficient)
@@ -6,6 +7,8 @@ triplets that store appended, and ``reference_matrix`` converts them with
 ``sparse.csr_matrix((vals, (rows, cols)))`` as it did. The row-block CSR
 must equal it bit for bit, in its arrays and their dtypes.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -145,12 +148,69 @@ def test_entries_out_of_range_raise():
 
 
 def test_a_matrix_read_while_building_stays_right(coo_reference):
+    """Only the catalog of an LP being built can be read; a read of its stores raises and changes nothing."""
     lp = LinearProgram("growing")
     lp.add_named_cols(["x", "y"], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
     lp.add_named_rows(["r0"], ["L"], [1.0], ([0, 0, 0], [1, 0, 1], [0.1, 1.0, 0.2]))
-    lp.matrix()  # sorts and sums the rows so far in place
+    reads = [
+        lp.matrix, lp.stats, lambda: lp.col_lo, lambda: lp.row_sense, lambda: lp.col_names,
+        lambda: lp.row_names, lambda: lp.col("x"), lambda: lp.lo, lambda: lp.rows,
+    ]
+    for read in reads:
+        with pytest.raises(LpError, match="not frozen"):
+            read()
+    assert (lp.num_cols, lp.num_rows) == (2, 1)
+    np.testing.assert_array_equal(lp.row_families[""].member(("r0",)), [0])
     lp.add_named_rows(["r1"], ["L"], [1.0], ([0, 0], [1, 0], [2.0, 3.0]))
     assert_same_csr(lp.freeze(), coo_reference[lp])
+    assert lp.col("y") == 1 and lp.rows[1] == [(0, 3.0), (1, 2.0)]
+    with pytest.raises(LpError, match="is frozen"):
+        lp.add_named_rows(["r2"], ["L"], [1.0])
+
+
+# Each fault freeze finds, with the message it raises.
+_FAULTS = {
+    "bound": r"column 'gen\[DE,1\]': bad bounds/objective",
+    "rhs": r"row 'bal\[DE,0\]': non-finite rhs",
+    "coefficient": r"row 'bal\[DE,1\]': non-finite coefficient",
+}
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_a_failed_freeze_leaves_a_spent_lp(fault):
+    lp = LinearProgram(fault)
+    x = lp.add_cols(("DE",), {"gen": (0.0, [1.0, -1.0] if fault == "bound" else 1.0, 1.0)}, 2)["gen"]
+    rhs = np.nan if fault == "rhs" else 1.0
+    coef = np.nan if fault == "coefficient" else 2.0
+    lp.add_rows(("DE",), {"bal": ("E", rhs, [(x, [1.0, coef])])}, 2)
+    with pytest.raises(LpError, match=_FAULTS[fault]):
+        lp.freeze()
+    for spent in [
+        lp.freeze, lambda: lp.add_cols(("FR",), {"gen": (0.0, 1.0, 1.0)}), lambda: lp.add_named_rows(["r"], ["L"], [1.0]),
+        lp.matrix, lambda: lp.col_lo, lambda: lp.row_rhs, lambda: lp.col_names, lambda: lp.rhs,
+    ]:
+        with pytest.raises(LpError, match="spent|not frozen"):
+            spent()
+
+
+def test_freeze_frees_every_piece_and_the_build_only_state(monkeypatch):
+    lp = LinearProgram("pieces")
+    lp.add_named_cols(["x", "y"], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
+    lp.add_cols(("DE",), {"gen": (0.0, 1.0, 1.0), "ch": (0.0, 1.0, 0.0)}, 3)
+    lp.add_named_rows(["r0", "r1"], ["L", "G"], [1.0, 0.0], ([1, 0, 1], [1, 0, 0], [0.5, 1.0, 2.0]))
+    lp.add_rows(("DE",), {"bal": ("E", 1.0, [([2, 3, 4], 1.0)])}, 3)
+    pieces = [weakref.ref(piece) for store in lp._pieces.values() for piece in store]
+    assert len(pieces) == 8 * 2
+    csr_matrix = sparse.csr_matrix
+
+    def all_joined(*args, **kwargs):  # freeze's last join is an argument of this call
+        assert [ref() for ref in pieces if ref() is not None] == []
+        return csr_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(sparse, "csr_matrix", all_joined)
+    lp.freeze()
+    assert lp._pieces is lp._named_cols is lp._named_rows is None
+    assert lp.matrix().nnz == 6 and lp.row_sense.tolist() == ["L", "G", "E", "E", "E"]
 
 
 def test_a_family_joined_then_extended():
